@@ -63,6 +63,10 @@ pub struct Database {
     /// one handle protects every reader. Empty in healthy databases —
     /// the gate costs one relaxed atomic load per operation.
     pub(crate) quarantine: std::sync::Arc<crate::scrub::Quarantine>,
+    /// The maintained state digest (`state.rs`): cold until the first
+    /// [`Database::state_digest`], then told by every mutation below
+    /// which components it is about to change.
+    pub(crate) digest: crate::state::DigestCache,
 }
 
 impl Database {
@@ -124,13 +128,17 @@ impl Database {
 
     /// Define a class at the current instant (Definition 4.1).
     pub fn define_class(&mut self, def: ClassDef) -> Result<()> {
-        self.schema.define(def, self.clock).map(|_| ())
+        let id = self.schema.define(def, self.clock)?.id.clone();
+        self.digest.touch_class(&id);
+        Ok(())
     }
 
     /// Delete a class at the current instant (its lifespan is terminated;
     /// it must have no alive subclasses and an empty extent).
     pub fn drop_class(&mut self, name: &ClassId) -> Result<()> {
-        self.schema.drop_class(name, self.clock)
+        self.schema.drop_class(name, self.clock)?;
+        self.digest.touch_class(name);
+        Ok(())
     }
 
     /// The schema (classes and ISA hierarchy).
@@ -178,6 +186,7 @@ impl Database {
                 value: value.to_string(),
             });
         }
+        self.digest.touch_class(class);
         let c = self.schema.class_mut(class)?;
         let slot = c.c_attr_values.get_mut(attr).ok_or(ModelError::Internal {
             context: "c-attribute declared but no value slot",
@@ -261,6 +270,7 @@ impl Database {
             attrs: attr_values,
             class_history: TemporalValue::starting_at(now, class.clone()),
         };
+        self.digest.touch_object(oid);
         self.objects.insert(oid, object);
         self.reindex_refs(oid);
         self.attridx_on_create(oid);
@@ -322,11 +332,13 @@ impl Database {
     /// member of all its superclasses) from `now`.
     fn open_membership(&mut self, oid: Oid, class: &ClassId, now: Instant) -> Result<()> {
         {
+            self.digest.touch_member(class, oid);
             let c = self.schema.class_mut(class)?;
             c.proper_ext.open(oid, now)?;
             c.ext.open(oid, now)?;
         }
         for sup in self.schema.superclasses_of(class) {
+            self.digest.touch_member(&sup, oid);
             let c = self.schema.class_mut(&sup)?;
             c.ext.open(oid, now)?;
         }
@@ -385,6 +397,7 @@ impl Database {
         // one atomic load when no index is live.
         let idx_covered = self.attridx_covers(attr);
         let new_for_idx = idx_covered.then(|| value.clone());
+        self.digest.touch_object(oid);
         let object = self.objects.get_mut(&oid).ok_or(ModelError::Internal {
             context: "object vanished between validation and update",
         })?;
@@ -608,6 +621,7 @@ impl Database {
         }
 
         // Apply to the object.
+        self.digest.touch_object(oid);
         let object = self.objects.get_mut(&oid).ok_or(ModelError::Internal {
             context: "object vanished between migration staging and apply",
         })?;
@@ -646,6 +660,9 @@ impl Database {
         let new_supers: Vec<ClassId> = std::iter::once(to.clone())
             .chain(self.schema.superclasses_of(to))
             .collect();
+        for c in old_supers.iter().chain(&new_supers) {
+            self.digest.touch_member(c, oid);
+        }
         // proper-ext: leaves `from`, enters `to`.
         self.schema.class_mut(&from)?.proper_ext.close_before(oid, now);
         self.schema.class_mut(to)?.proper_ext.open(oid, now)?;
@@ -679,6 +696,7 @@ impl Database {
         if !object.lifespan.is_alive() {
             return Err(ModelError::ObjectDead(oid));
         }
+        self.digest.touch_object(oid);
         object.lifespan = object
             .lifespan
             .terminated_at(now)
@@ -716,6 +734,7 @@ impl Database {
             // their extent histories as tombstones but may be absent in
             // exotic schema states); skip rather than fail.
             if let Ok(c) = self.schema.class_mut(&class) {
+                self.digest.touch_member(&class, oid);
                 c.ext.close(oid, now);
                 c.proper_ext.close(oid, now);
             }
@@ -827,7 +846,9 @@ impl Database {
     /// *inconsistent* states to detect, and the public mutation API keeps
     /// the database consistent by construction). Never use it in
     /// application code — it is compiled only under `cfg(test)` or the
-    /// `testing` feature.
+    /// `testing` feature. The derived indexes follow the new object; the
+    /// maintained digest is deliberately *not* told (damage does not
+    /// announce itself), so only [`Database::digest_from_scratch`] sees it.
     #[doc(hidden)]
     #[cfg(any(test, feature = "testing"))]
     pub fn replace_object_for_test(&mut self, object: Object) {

@@ -28,6 +28,8 @@ pub const CORE_METRICS: &[&str] = &[
     "core.consistency.objects_checked",
     "core.consistency.par_items",
     "core.consistency.workers",
+    "core.digest.builds",
+    "core.digest.rehashed",
     "core.extent.at_current",
     "core.extent.at_replay",
     "core.extent.checkpoints",

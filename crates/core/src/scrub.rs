@@ -14,6 +14,10 @@
 //!   every object's reference set;
 //! * **the attribute-value index cache** against a fresh base-state
 //!   scan per cached attribute;
+//! * **the maintained state-digest table** against a from-scratch walk
+//!   — by [`Database::scrub_digest_table`], which the storage scrubber
+//!   calls with the walk it makes anyway, so the core cycle below does
+//!   not pay for a second one;
 //! * **model consistency** via the Section 5 checkers (base-state
 //!   damage surfaces here as typed [`ConsistencyError`](crate::consistency::ConsistencyError)s).
 //!
@@ -130,6 +134,9 @@ pub enum ScrubFinding {
         /// Number of cached per-attribute indexes dropped.
         dropped: u64,
     },
+    /// The maintained state-digest table disagreed with a from-scratch
+    /// walk; it is dropped and rebuilt by the next digest call.
+    DigestTable,
     /// A model consistency error — base-state damage this layer cannot
     /// repair; the storage engine escalates (rungs 2–4).
     Consistency {
@@ -184,7 +191,9 @@ impl ScrubReport {
             && self.consistency_errors == 0
             && self.findings.iter().all(|f| match f {
                 ScrubFinding::Extent { repaired, .. } => *repaired,
-                ScrubFinding::RefIndex | ScrubFinding::AttrIndex { .. } => true,
+                ScrubFinding::RefIndex
+                | ScrubFinding::AttrIndex { .. }
+                | ScrubFinding::DigestTable => true,
                 ScrubFinding::Consistency { .. } => false,
             })
     }
@@ -474,6 +483,8 @@ pub enum MemFault {
     RefIndex,
     /// A cached attribute-value index (derived; rung-1 repairable).
     AttrIndex,
+    /// The maintained state-digest table (derived; rung-1 repairable).
+    DigestTable,
     /// A base-state attribute value — not repairable from memory; the
     /// storage ladder (re-materialize / replica pull / quarantine)
     /// must take over.
@@ -577,12 +588,22 @@ impl SimMem {
         Some(MemFault::AttrRun { class, oid, attr })
     }
 
-    /// Corrupt either a derived structure or base state (seed-chosen).
+    /// Corrupt the maintained state-digest table. Only a comparison
+    /// with a from-scratch walk ([`Database::scrub_digest_table`]) can
+    /// see this — the core cycle alone does not walk. Returns `None`
+    /// while the table is cold (nothing resident to damage).
+    pub fn corrupt_digest_table(&mut self, db: &mut Database) -> Option<MemFault> {
+        db.digest_corrupt_for_test(self.next())
+            .then_some(MemFault::DigestTable)
+    }
+
+    /// Corrupt base state, the digest table or another derived
+    /// structure (seed-chosen).
     pub fn corrupt(&mut self, db: &mut Database) -> Option<MemFault> {
-        if self.next() % 2 == 0 {
-            self.corrupt_base(db).or_else(|| self.corrupt_index(db))
-        } else {
-            self.corrupt_index(db)
+        match self.next() % 3 {
+            0 => self.corrupt_base(db).or_else(|| self.corrupt_index(db)),
+            1 => self.corrupt_digest_table(db).or_else(|| self.corrupt_index(db)),
+            _ => self.corrupt_index(db),
         }
     }
 }

@@ -23,8 +23,6 @@
 //!    error. The engine refuses to guess: it never serves a state it
 //!    cannot prove is a fold of the recorded history.
 
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -419,9 +417,29 @@ impl PersistentDatabase {
     /// A structural digest of the full database state: clock, every class
     /// (lifespan, extents, c-attribute values) and every object (lifespan,
     /// attributes, class history). Two databases with equal digests are
-    /// observably identical; used to validate recovery.
+    /// observably identical; used to validate recovery and replication.
+    ///
+    /// Maintained by the write path (`Database::state_digest`): the first
+    /// call walks the state, later calls cost `O(components written
+    /// since)`. It trusts the write hooks by design — [`digest_database`]
+    /// is the from-scratch walk that does not.
     pub fn state_digest(&self) -> u64 {
-        digest_database(&self.db)
+        self.db.state_digest()
+    }
+
+    /// Does the live state digest to `expect`? On a mismatch the
+    /// maintained table is distrusted before the state is: one
+    /// from-scratch walk decides, and a table that was the only thing
+    /// wrong is dropped (rung-1 repair) instead of reported as
+    /// divergence.
+    pub(crate) fn digest_matches(&mut self, expect: u64) -> bool {
+        if self.state_digest() == expect {
+            return true;
+        }
+        let walked = digest_database(&self.db);
+        self.db
+            .scrub_digest_table(walked, &mut tchimera_core::ScrubReport::default());
+        walked == expect
     }
 
     /// Mutable access to the live state, bypassing the operation log.
@@ -746,14 +764,15 @@ impl PersistentDatabase {
         Ok(())
     }
 
-    /// Read-only scan of this node's log (durable bytes plus buffered
-    /// appends), decoding every intact frame after the compaction header.
-    /// Used by a replication primary to re-read records for shipping; the
-    /// scan never fails on damage — torn or corrupt tails are reported in
-    /// the returned [`LogScan`], not raised.
-    pub fn scan_log(&self) -> Result<LogScan, EngineError> {
-        let buf = self.vfs.read(self.log.path()).map_err(LogError::from)?;
-        Ok(OpLog::scan_bytes(&buf))
+    /// Read-only scan of this node's log from byte `offset` on (durable
+    /// bytes plus buffered appends): 0 scans the whole file, the
+    /// [`LogScan::valid_len`] of an earlier scan decodes only the records
+    /// appended since. A replication primary reads what it has not
+    /// shipped yet through this; the scan never fails on damage — torn
+    /// or corrupt tails are reported in the returned [`LogScan`], not
+    /// raised.
+    pub(crate) fn scan_log_from(&self, offset: u64) -> Result<LogScan, EngineError> {
+        Ok(self.log.scan_from(offset)?)
     }
 
     // -- integrity scrubbing -----------------------------------------------
@@ -837,7 +856,13 @@ impl PersistentDatabase {
             // any live/rebuilt digest divergence means resident state
             // damage, repaired by adopting the re-materialization.
             let rebuilt = rebuilt.expect("durable_complete implies rebuilt");
-            if digest_database(&self.db) != digest_database(&rebuilt) {
+            let live = digest_database(&self.db);
+            if live == digest_database(&rebuilt) {
+                // The base state is proven a fold of the history, so
+                // `live` is also what the maintained digest table must
+                // say (rung 1, on the walk already paid for).
+                self.db.scrub_digest_table(live, &mut report.core);
+            } else {
                 report.state_divergence = true;
                 report.diverged_classes = diverged_classes(&self.db, &rebuilt);
                 let mut fresh = rebuilt;
@@ -1042,27 +1067,6 @@ pub fn diverged_classes(live: &Database, authoritative: &Database) -> Vec<ClassI
     if live.now() != authoritative.now() {
         return authoritative.schema().classes().map(|c| c.id.clone()).collect();
     }
-    let class_digest = |db: &Database, id: &ClassId| -> Option<u64> {
-        let class = db.schema().classes().find(|c| &c.id == id)?;
-        let mut h = DefaultHasher::new();
-        class.lifespan.hash(&mut h);
-        class.superclasses.hash(&mut h);
-        for (n, v) in &class.c_attr_values {
-            n.hash(&mut h);
-            v.hash(&mut h);
-        }
-        let mut members: Vec<Oid> = class.ever_members().collect();
-        members.sort();
-        for i in members {
-            i.hash(&mut h);
-            class.membership_of(i, db.now()).intervals().hash(&mut h);
-            class
-                .proper_membership_of(i, db.now())
-                .intervals()
-                .hash(&mut h);
-        }
-        Some(h.finish())
-    };
     let ids: BTreeSet<ClassId> = live
         .schema()
         .classes()
@@ -1070,7 +1074,7 @@ pub fn diverged_classes(live: &Database, authoritative: &Database) -> Vec<ClassI
         .map(|c| c.id.clone())
         .collect();
     for id in ids {
-        if class_digest(live, &id) != class_digest(authoritative, &id) {
+        if live.class_digest(&id) != authoritative.class_digest(&id) {
             out.insert(id);
         }
     }
@@ -1092,43 +1096,13 @@ pub fn diverged_classes(live: &Database, authoritative: &Database) -> Vec<ClassI
     out.into_iter().collect()
 }
 
-/// Digest a database's observable state (order-stable).
+/// Digest a database's observable state by walking all of it — the
+/// definition of `DESIGN.md` §8.5, taken from scratch and never from the
+/// maintained table behind [`PersistentDatabase::state_digest`]. The
+/// oracle for tests, the scrubber's comparison and the verification of a
+/// state that was just loaded.
 pub fn digest_database(db: &Database) -> u64 {
-    let mut h = DefaultHasher::new();
-    db.now().hash(&mut h);
-    for class in db.schema().classes() {
-        class.id.hash(&mut h);
-        class.lifespan.hash(&mut h);
-        class.superclasses.hash(&mut h);
-        for (n, v) in &class.c_attr_values {
-            n.hash(&mut h);
-            v.hash(&mut h);
-        }
-        // Extent histories, in oid order for stability.
-        let mut members: Vec<Oid> = class.ever_members().collect();
-        members.sort();
-        for i in members {
-            i.hash(&mut h);
-            class.membership_of(i, db.now()).intervals().hash(&mut h);
-            class
-                .proper_membership_of(i, db.now())
-                .intervals()
-                .hash(&mut h);
-        }
-    }
-    for o in db.objects() {
-        o.oid.hash(&mut h);
-        o.lifespan.hash(&mut h);
-        for (n, v) in &o.attrs {
-            n.hash(&mut h);
-            v.hash(&mut h);
-        }
-        for e in o.class_history.entries() {
-            e.start.hash(&mut h);
-            e.value.hash(&mut h);
-        }
-    }
-    h.finish()
+    db.digest_from_scratch()
 }
 
 #[cfg(test)]
@@ -1411,6 +1385,59 @@ mod tests {
     }
 
     #[test]
+    fn version_1_snapshot_is_refused_like_a_digest_mismatch() {
+        // A `TCSNAP01` file records a digest of the old, unspecified
+        // hasher: nothing can verify it, so it must not be trusted. Give
+        // an otherwise perfect snapshot the old magic and recovery takes
+        // the same ladder as for any unusable snapshot.
+        let downgrade = |fs: &SimFs, path: &Path| {
+            let snap = snapshot_path(path);
+            for (i, want) in b"TCSNAP01".iter().enumerate() {
+                let have = fs.contents(&snap).unwrap()[i];
+                if have != *want {
+                    fs.corrupt_byte(&snap, i, have ^ want).unwrap();
+                }
+            }
+        };
+        let path = PathBuf::from("db.log");
+
+        // Uncompacted log: full replay, same state.
+        let fs = SimFs::new();
+        let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+        let digest = {
+            let mut pdb = PersistentDatabase::open_with(Arc::clone(&vfs), &path).unwrap();
+            populate(&mut pdb);
+            pdb.sync().unwrap();
+            let digest = pdb.state_digest();
+            write_snapshot(&vfs, &snapshot_path(&path), &pdb.db().export_state(), 8, digest)
+                .unwrap();
+            digest
+        };
+        downgrade(&fs, &path);
+        assert!(matches!(
+            load_snapshot(&vfs, &snapshot_path(&path)),
+            Err(SnapshotError::Corrupt("bad magic"))
+        ));
+        let pdb = PersistentDatabase::open_with(vfs, &path).unwrap();
+        assert!(!pdb.recovered_from_snapshot());
+        assert_eq!(pdb.state_digest(), digest);
+
+        // Compacted log: the prefix lives only in the snapshot — refuse.
+        let fs = SimFs::new();
+        let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+        {
+            let mut pdb = PersistentDatabase::open_with(Arc::clone(&vfs), &path).unwrap();
+            populate(&mut pdb);
+            pdb.checkpoint().unwrap();
+        }
+        downgrade(&fs, &path);
+        assert!(matches!(
+            PersistentDatabase::open_with(vfs, &path),
+            Err(EngineError::Snapshot(SnapshotError::Corrupt("bad magic")))
+        ));
+    }
+
+    #[test]
     fn crash_between_snapshot_and_compaction_recovers() {
         // Checkpoint = sync → snapshot install → log compaction. Fail the
         // compaction: on reopen the snapshot covers the whole log, the
@@ -1487,7 +1514,10 @@ mod tests {
         let digest = pdb.state_digest();
         let mut sim = tchimera_core::SimMem::new(7);
         let fault = sim.corrupt_base(pdb.db_mut_for_test()).expect("objects exist");
-        assert_ne!(pdb.state_digest(), digest, "base flip must change the digest");
+        // The flip went past the write hooks, so only the from-scratch walk
+        // sees it: the maintained digest trusts the hooks by design.
+        assert_ne!(digest_database(pdb.db()), digest, "base flip must change the digest");
+        assert_eq!(pdb.state_digest(), digest, "unannounced damage leaves the table stale");
         let report = pdb.scrub_cycle();
         assert!(report.state_divergence, "fault {fault:?} missed: {report:?}");
         assert!(report.rematerialized);

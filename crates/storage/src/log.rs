@@ -211,11 +211,31 @@ impl OpLog {
     /// record, stopping at the first damage. Never fails — damage is
     /// reported in the scan, not raised.
     pub fn scan_bytes(buf: &[u8]) -> LogScan {
+        Self::scan(buf, None)
+    }
+
+    /// Read and decode only the records from byte `offset` on — `offset`
+    /// being 0 (the whole file, header included) or the
+    /// [`LogScan::valid_len`] of an earlier scan of this same file, i.e.
+    /// a record boundary. Sees buffered appends like any `Vfs` read.
+    /// Offsets in the returned scan are absolute.
+    pub fn scan_from(&self, offset: u64) -> Result<LogScan, LogError> {
+        let buf = self.vfs.read_from(&self.path, offset)?;
+        Ok(Self::scan(&buf, (offset > 0).then_some((self.base, offset))))
+    }
+
+    /// The one scan loop. `suffix_of = Some((base, offset))` says `buf`
+    /// holds records only: the bytes from `offset` of a log whose header
+    /// base is `base`.
+    fn scan(buf: &[u8], suffix_of: Option<(u64, u64)>) -> LogScan {
         let _span = tchimera_obs::span!("storage.log.scan", bytes = buf.len());
         let mut pos = 0usize;
-        let mut base_op = 0u64;
+        let (mut base_op, origin) = suffix_of.unwrap_or((0, 0));
         let mut damage: Option<TailDamage> = None;
-        if buf.len() >= LOG_MAGIC.len() && buf[..LOG_MAGIC.len()] == LOG_MAGIC[..] {
+        let has_header = suffix_of.is_none()
+            && buf.len() >= LOG_MAGIC.len()
+            && buf[..LOG_MAGIC.len()] == LOG_MAGIC[..];
+        if has_header {
             if buf.len() < HEADER_LEN as usize {
                 // A torn header: nothing usable in the file.
                 damage = Some(TailDamage {
@@ -238,7 +258,7 @@ impl OpLog {
         while damage.is_none() && pos < buf.len() {
             if buf.len() - pos < 8 {
                 damage = Some(TailDamage {
-                    offset: pos as u64,
+                    offset: origin + pos as u64,
                     reason: DamageReason::TruncatedFrame,
                 });
                 break;
@@ -247,7 +267,7 @@ impl OpLog {
             let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
             if buf.len() - pos - 8 < len {
                 damage = Some(TailDamage {
-                    offset: pos as u64,
+                    offset: origin + pos as u64,
                     reason: DamageReason::TruncatedFrame,
                 });
                 break;
@@ -255,7 +275,7 @@ impl OpLog {
             let payload = &buf[pos + 8..pos + 8 + len];
             if crc32(payload) != crc {
                 damage = Some(TailDamage {
-                    offset: pos as u64,
+                    offset: origin + pos as u64,
                     reason: DamageReason::ChecksumMismatch,
                 });
                 break;
@@ -267,7 +287,7 @@ impl OpLog {
                 Ok(op) if r.is_empty() => ops.push(op),
                 Ok(_) => {
                     damage = Some(TailDamage {
-                        offset: pos as u64,
+                        offset: origin + pos as u64,
                         reason: DamageReason::Undecodable(CodecError::Corrupt(
                             "trailing bytes",
                         )),
@@ -276,7 +296,7 @@ impl OpLog {
                 }
                 Err(e) => {
                     damage = Some(TailDamage {
-                        offset: pos as u64,
+                        offset: origin + pos as u64,
                         reason: DamageReason::Undecodable(e),
                     });
                     break;
@@ -284,7 +304,7 @@ impl OpLog {
             }
             pos += 8 + len;
         }
-        let valid_len = damage.as_ref().map_or(pos as u64, |d| d.offset);
+        let valid_len = damage.as_ref().map_or(origin + pos as u64, |d| d.offset);
         tchimera_obs::counter!("storage.log.scanned_ops").add(ops.len() as u64);
         report_scan_damage(damage.as_ref());
         LogScan {

@@ -52,6 +52,7 @@ pub const STORAGE_METRICS: &[&str] = &[
 /// as its own vocabulary: these names are documented in `DESIGN.md` §9.4.
 pub const REPL_METRICS: &[&str] = &[
     "repl.catchup.requests",
+    "repl.cursor.rescans",
     "repl.digest.checks",
     "repl.digest.mismatches",
     "repl.frames.corrupt",

@@ -9,6 +9,14 @@
 //!   reading it for shipment, so every shipped operation is durable on
 //!   the primary. A crashed-and-recovered primary can therefore never be
 //!   *behind* its replica, which would be divergence.
+//! * **pay for what is new** — the shipping cursor is an op index *and*
+//!   the byte offset of that op's record, so a pump reads and decodes
+//!   only the records appended since the last one, and stamps its frames
+//!   with the maintained state digest (`O(components written)`). The
+//!   offset is dropped — one re-scan from the header finds it again —
+//!   when a catch-up rewinds the cursor or a checkpoint replaces the log
+//!   file, and it only ever advances over records that were decoded and
+//!   shipped: a damaged tail stalls the cursor, it never jumps it.
 //! * **cumulative acks + catch-up** — the follower acknowledges a
 //!   watermark, and requests resend from an explicit index when it
 //!   detects a gap; the primary just rewinds its shipping cursor. Lost,
@@ -35,6 +43,11 @@ pub struct Primary<T: Transport> {
     term: u64,
     /// Next global op index to ship.
     cursor: u64,
+    /// Where that op's record starts: `(log base, byte offset)`. The
+    /// offset is good for the log file with that base only; `None` (fresh
+    /// node, rewound cursor, snapshot just shipped) means scan from the
+    /// header.
+    cursor_at: Option<(u64, u64)>,
     /// Follower's cumulative acknowledged watermark.
     acked: u64,
     deposed: bool,
@@ -53,7 +66,16 @@ impl<T: Transport> Primary<T> {
     pub fn new(pdb: PersistentDatabase, term: u64, transport: T) -> Primary<T> {
         crate::observability::touch_metrics();
         tchimera_obs::gauge!("repl.term").set(term as i64);
-        Primary { pdb, term, cursor: 0, acked: 0, deposed: false, scrub_pull: false, transport }
+        Primary {
+            pdb,
+            term,
+            cursor: 0,
+            cursor_at: None,
+            acked: 0,
+            deposed: false,
+            scrub_pull: false,
+            transport,
+        }
     }
 
     /// The wrapped database (writable while this node holds the term).
@@ -98,9 +120,10 @@ impl<T: Transport> Primary<T> {
 
     /// Drain follower feedback, then ship the un-acked log suffix: sync
     /// the local log (fsync before ship), and either send [`Frame::Batch`]
-    /// runs from the shipping cursor or — when the cursor points below the
-    /// local compaction horizon — a full [`Frame::Snapshot`] image. Ends
-    /// with a [`Frame::Heartbeat`] carrying the current op count and
+    /// runs from the shipping cursor — reading the log from the cursor's
+    /// byte offset, not from its start — or, when the cursor points below
+    /// the local compaction horizon, a full [`Frame::Snapshot`] image.
+    /// Ends with a [`Frame::Heartbeat`] carrying the current op count and
     /// state digest so the follower can detect gaps and verify alignment.
     ///
     /// Returns `Ok(false)` without shipping once deposed.
@@ -115,8 +138,8 @@ impl<T: Transport> Primary<T> {
         self.pdb.sync()?;
         let total = self.pdb.op_count() as u64;
         let digest = self.pdb.state_digest();
-        let scan = self.pdb.scan_log()?;
-        if self.cursor < scan.base_op || self.scrub_pull {
+        let base = self.pdb.base_op();
+        if self.cursor < base || self.scrub_pull {
             // The follower needs records that were compacted into the
             // local snapshot — or its scrubber asked for an authoritative
             // image (anti-entropy): ship the full current state instead.
@@ -133,26 +156,40 @@ impl<T: Transport> Primary<T> {
             );
             tchimera_obs::counter!("repl.snapshot.ships").inc();
             self.cursor = total;
+            self.cursor_at = None;
         } else {
-            let mut start = self.cursor;
-            let from = (start - scan.base_op) as usize;
-            let pending = &scan.ops[from.min(scan.ops.len())..];
-            let mut chunks = pending.chunks(BATCH_OPS).peekable();
-            while let Some(chunk) = chunks.next() {
-                let last = chunks.peek().is_none();
-                self.transport.send(
-                    Frame::Batch {
-                        term: self.term,
-                        start,
-                        ops: chunk.to_vec(),
-                        commit_digest: if last { Some(digest) } else { None },
-                    }
-                    .to_wire(),
-                );
-                tchimera_obs::counter!("repl.ops.shipped").add(chunk.len() as u64);
-                start += chunk.len() as u64;
+            let offset = match self.cursor_at {
+                Some((at_base, offset)) if at_base == base => offset,
+                _ => {
+                    tchimera_obs::counter!("repl.cursor.rescans").inc();
+                    0
+                }
+            };
+            let mut pending = self.pdb.scan_log_from(offset)?;
+            // A scan from the header also decodes what was shipped before.
+            let shipped = if offset == 0 { (self.cursor - base) as usize } else { 0 };
+            if shipped <= pending.ops.len() {
+                let mut ops = pending.ops.drain(shipped..).peekable();
+                while ops.peek().is_some() {
+                    let chunk: Vec<_> = ops.by_ref().take(BATCH_OPS).collect();
+                    let end = self.cursor + chunk.len() as u64;
+                    tchimera_obs::counter!("repl.ops.shipped").add(chunk.len() as u64);
+                    self.transport.send(
+                        Frame::Batch {
+                            term: self.term,
+                            start: self.cursor,
+                            ops: chunk,
+                            // `digest` is the state after op `total`: a
+                            // scan cut short by damage ends below it.
+                            commit_digest: (end == total).then_some(digest),
+                        }
+                        .to_wire(),
+                    );
+                    self.cursor = end;
+                }
+                // Only what was decoded and shipped is behind the cursor.
+                self.cursor_at = Some((base, pending.valid_len));
             }
-            self.cursor = total;
         }
         self.transport.send(
             Frame::Heartbeat { term: self.term, total, digest }.to_wire(),
@@ -184,7 +221,10 @@ impl<T: Transport> Primary<T> {
                 Frame::Ack { applied, .. } => self.acked = self.acked.max(applied),
                 Frame::CatchUp { from, .. } => {
                     tchimera_obs::counter!("repl.catchup.requests").inc();
-                    self.cursor = self.cursor.min(from);
+                    if from < self.cursor {
+                        self.cursor = from;
+                        self.cursor_at = None;
+                    }
                 }
                 Frame::ScrubPull { .. } => {
                     // A follower's scrubber found locally-unrepairable

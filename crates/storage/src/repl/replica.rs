@@ -274,7 +274,7 @@ impl<T: Transport> Replica<T> {
     /// aligned op count; mismatch means divergence and halts the replica.
     fn check_digest(&mut self, _at: u64, expect: u64) {
         tchimera_obs::counter!("repl.digest.checks").inc();
-        if self.pdb.state_digest() != expect {
+        if !self.pdb.digest_matches(expect) {
             tchimera_obs::counter!("repl.digest.mismatches").inc();
             self.halted = Some("state digest diverged from primary");
         }

@@ -10,7 +10,7 @@
 //! File format (all integers little-endian):
 //!
 //! ```text
-//! [magic "TCSNAP01": 8][ops_covered: u64][digest: u64]
+//! [magic "TCSNAP02": 8][ops_covered: u64][digest: u64]
 //! [payload_len: u32][crc32: u32][payload: DatabaseState codec]
 //! ```
 //!
@@ -37,8 +37,13 @@ use crate::codec::{Codec, CodecError, Reader};
 use crate::log::{crc32, parent_dir};
 use crate::vfs::Vfs;
 
-/// Magic prefix of a snapshot file.
-pub const SNAP_MAGIC: &[u8; 8] = b"TCSNAP01";
+/// Magic prefix of a snapshot file; its last two bytes are the format
+/// version. `02` is the first version whose recorded digest is the
+/// specified one (`DESIGN.md` §8.5) — a `TCSNAP01` file carries a digest
+/// of the toolchain's unspecified `DefaultHasher` that nothing can verify
+/// any more, so it is refused like any other bad magic and recovery takes
+/// the same ladder as for a digest mismatch.
+pub const SNAP_MAGIC: &[u8; 8] = b"TCSNAP02";
 
 /// Byte length of the fixed snapshot header.
 const HEADER_LEN: usize = 32;

@@ -26,7 +26,7 @@
 
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 
@@ -50,6 +50,16 @@ pub trait Vfs: Send + Sync {
     fn open_trunc(&self, path: &Path) -> io::Result<Box<dyn VfsFile>>;
     /// Read the full content of `path`.
     fn read(&self, path: &Path) -> io::Result<Vec<u8>>;
+    /// Read the content of `path` from byte `offset` to its end (empty
+    /// when `offset` is at or past the end). The default reads the whole
+    /// file and drops the prefix, so an implementor only has to provide
+    /// [`Vfs::read`]; [`StdFs`] and [`SimFs`] touch the suffix alone.
+    fn read_from(&self, path: &Path, offset: u64) -> io::Result<Vec<u8>> {
+        let mut buf = self.read(path)?;
+        let skip = usize::try_from(offset).map_or(buf.len(), |n| n.min(buf.len()));
+        buf.drain(..skip);
+        Ok(buf)
+    }
     /// Atomically rename `from` to `to` (replacing `to` if present). The
     /// rename is durable only after [`Vfs::sync_dir`] on the parent.
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()>;
@@ -100,6 +110,13 @@ impl Vfs for StdFs {
     }
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
         std::fs::read(path)
+    }
+    fn read_from(&self, path: &Path, offset: u64) -> io::Result<Vec<u8>> {
+        let mut f = File::open(path)?;
+        f.seek(SeekFrom::Start(offset))?;
+        let mut buf = Vec::new();
+        f.read_to_end(&mut buf)?;
+        Ok(buf)
     }
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         std::fs::rename(from, to)
@@ -153,6 +170,10 @@ struct Inode {
     synced: Vec<u8>,
     /// Mutations since the last sync, in order.
     pending: Vec<Pending>,
+    /// `live[..stable]` is known to equal `synced[..stable]`: appends
+    /// leave it alone, a truncation lowers it, a sync raises it to the
+    /// whole file — so a sync copies what changed, not the file.
+    stable: usize,
 }
 
 impl Inode {
@@ -312,6 +333,7 @@ impl SimFs {
                 inodes.insert(
                     ino,
                     Inode {
+                        stable: content.len(),
                         live: content.clone(),
                         synced: content,
                         pending: Vec::new(),
@@ -381,13 +403,16 @@ impl VfsFile for SimFile {
     }
     fn sync(&mut self) -> io::Result<()> {
         self.with_inode(|inode| {
-            inode.synced = inode.live.clone();
+            inode.synced.truncate(inode.stable);
+            inode.synced.extend_from_slice(&inode.live[inode.stable..]);
+            inode.stable = inode.live.len();
             inode.pending.clear();
         })
     }
     fn set_len(&mut self, len: u64) -> io::Result<()> {
         self.with_inode(|inode| {
             inode.live.truncate(len as usize);
+            inode.stable = inode.stable.min(inode.live.len());
             inode.pending.push(Pending::SetLen(len));
         })
     }
@@ -403,6 +428,7 @@ impl SimFs {
                     s.mutating_op()?;
                     let inode = s.inodes.get_mut(&ino).expect("named inode");
                     inode.live.clear();
+                    inode.stable = 0;
                     inode.pending.push(Pending::SetLen(0));
                 }
                 Ok((ino, s.generation))
@@ -437,12 +463,17 @@ impl Vfs for SimFs {
         }))
     }
     fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+        self.read_from(path, 0)
+    }
+    fn read_from(&self, path: &Path, offset: u64) -> io::Result<Vec<u8>> {
         let s = self.0.lock().unwrap();
         let ino = s
             .live_names
             .get(path)
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no such file"))?;
-        Ok(s.inodes[ino].live.clone())
+        let live = &s.inodes[ino].live;
+        let skip = usize::try_from(offset).map_or(live.len(), |n| n.min(live.len()));
+        Ok(live[skip..].to_vec())
     }
     fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
         let mut s = self.0.lock().unwrap();
@@ -620,6 +651,24 @@ mod tests {
         // The truncate was never synced: a crash undoes it.
         fs.crash(TearMode::DropAll);
         assert_eq!(fs.read(&p("a")).unwrap(), b"0123456789");
+    }
+
+    #[test]
+    fn sync_after_truncate_and_append_makes_exactly_the_live_content_durable() {
+        // `sync` copies only what changed since the last one; a truncation
+        // followed by appends must still leave `synced == live`.
+        let fs = SimFs::new();
+        let mut f = fs.open_append(&p("a")).unwrap();
+        f.write_all(b"0123456789").unwrap();
+        f.sync().unwrap();
+        fs.sync_dir(&p(".")).unwrap();
+        f.set_len(4).unwrap();
+        f.write_all(b"ab").unwrap();
+        f.sync().unwrap();
+        f.write_all(b"lost").unwrap();
+        assert_eq!(fs.read_from(&p("a"), 4).unwrap(), b"ablost");
+        fs.crash(TearMode::DropAll);
+        assert_eq!(fs.read(&p("a")).unwrap(), b"0123ab");
     }
 
     #[test]

@@ -221,3 +221,77 @@ proptest! {
         let _ = Frame::from_wire(&garbage);
     }
 }
+
+// ---------------------------------------------------------------------
+// State digest
+// ---------------------------------------------------------------------
+
+/// The state digest is a stored and shipped format: it is written into
+/// snapshot files and compared across nodes in `Heartbeat`/`Batch`
+/// frames, where a mismatch halts a replica. One fixed tiny database —
+/// every component kind, every `Value` shape that occurs in practice, an
+/// open run, a closed run, a same-tick overwrite, a re-entered class, a
+/// terminated object, a dropped class — must digest to this literal on
+/// every toolchain (the algorithm is `DESIGN.md` §8.5). If this test
+/// fails, two builds of the same source can disagree about a healthy
+/// state: bump `SNAP_MAGIC` rather than the literal, unless the
+/// definition was changed on purpose.
+#[test]
+fn state_digest_golden_vector() {
+    use tchimera_core::{attrs, Attrs, ClassDef, ClassId, Database};
+    use tchimera_storage::digest_database;
+
+    let mut db = Database::new();
+    db.define_class(
+        ClassDef::new("person")
+            .immutable_attr("name", Type::temporal(Type::STRING))
+            .attr("address", Type::STRING)
+            .attr("friend", Type::temporal(Type::object("person"))),
+    )
+    .unwrap();
+    db.define_class(
+        ClassDef::new("employee")
+            .isa("person")
+            .attr("salary", Type::temporal(Type::INTEGER))
+            .attr("tags", Type::set_of(Type::STRING))
+            .c_attr("headcount", Type::temporal(Type::INTEGER))
+            .c_attr("motto", Type::STRING),
+    )
+    .unwrap();
+    db.define_class(ClassDef::new("scratch")).unwrap();
+    db.advance_to(Instant(10)).unwrap();
+    let employee = ClassId::from("employee");
+    let ann = db
+        .create_object(
+            &employee,
+            attrs([
+                ("name", Value::str("Ann")),
+                ("address", Value::str("Milano")),
+                ("salary", Value::Int(100)),
+                ("tags", Value::set([Value::str("a"), Value::str("b")])),
+            ]),
+        )
+        .unwrap();
+    let bob = db
+        .create_object(
+            &ClassId::from("person"),
+            attrs([("name", Value::str("Bob")), ("friend", Value::Oid(ann))]),
+        )
+        .unwrap();
+    db.set_attr(ann, &"salary".into(), Value::Int(110)).unwrap(); // same tick
+    db.set_c_attr(&employee, &"headcount".into(), Value::Int(1)).unwrap();
+    db.set_c_attr(&employee, &"motto".into(), Value::str("tempus fugit")).unwrap();
+    db.advance_to(Instant(20)).unwrap();
+    db.set_attr(ann, &"salary".into(), Value::Int(150)).unwrap();
+    db.migrate(ann, &ClassId::from("person"), Attrs::new()).unwrap();
+    db.advance_to(Instant(30)).unwrap();
+    db.migrate(ann, &employee, attrs([("salary", Value::Int(160))])).unwrap();
+    db.set_attr(bob, &"friend".into(), Value::Null).unwrap();
+    db.terminate_object(bob).unwrap();
+    db.drop_class(&ClassId::from("scratch")).unwrap();
+    db.advance_to(Instant(31)).unwrap();
+
+    const GOLDEN: u64 = 0x66A4_11EC_D148_45E5;
+    assert_eq!(digest_database(&db), GOLDEN, "got {:#018x}", digest_database(&db));
+    assert_eq!(db.state_digest(), GOLDEN, "maintained and from-scratch digests are one value");
+}

@@ -23,7 +23,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tchimera_core::{attrs, Attrs, ClassDef, ClassId, Instant, Oid, Type, Value};
-use tchimera_storage::repl::{Primary, Replica, SimNetConfig, SimTransport};
+use tchimera_storage::repl::{Frame, Primary, Replica, SimNetConfig, SimTransport, Transport};
 use tchimera_storage::{EngineError, PersistentDatabase, SimFs, TearMode, Vfs};
 
 const SEED: u64 = 0x09E9_1CA7;
@@ -489,4 +489,100 @@ fn read_view_enforces_bounded_staleness() {
         replica.db_ref().state_digest(),
         primary.db_ref().state_digest()
     );
+}
+
+/// A primary-side transport that checks what is shipped for gaps: every
+/// `Batch` must start at or below the highest op index shipped so far
+/// (re-sends are fine, a jump is not), and only a `Snapshot` may move
+/// that mark without shipping the records in between.
+struct NoGaps {
+    inner: SimTransport,
+    shipped_to: u64,
+}
+
+impl Transport for NoGaps {
+    fn send(&mut self, frame: Vec<u8>) {
+        match Frame::from_wire(&frame).expect("the primary sends well-formed frames") {
+            Frame::Batch { start, ops, .. } => {
+                assert!(
+                    start <= self.shipped_to,
+                    "ops {}..{start} were never shipped: the cursor skipped them",
+                    self.shipped_to
+                );
+                self.shipped_to = self.shipped_to.max(start + ops.len() as u64);
+            }
+            Frame::Snapshot { ops_covered, .. } => {
+                self.shipped_to = self.shipped_to.max(ops_covered);
+            }
+            _ => {}
+        }
+        self.inner.send(frame);
+    }
+    fn recv(&mut self) -> Option<Vec<u8>> {
+        self.inner.recv()
+    }
+    fn tick(&mut self) {
+        self.inner.tick();
+    }
+}
+
+/// Regression: a log scan that comes back short (damaged tail) must stall
+/// the shipping cursor at the damage, not carry it to the primary's op
+/// count — the ops between would never be shipped, and only a later
+/// heartbeat-triggered catch-up would notice. After the primary's scrubber
+/// supersedes the damaged history the pair converges digest-equal.
+#[test]
+fn damaged_primary_log_tail_never_makes_the_cursor_skip() {
+    let (pfs, rfs) = (SimFs::new(), SimFs::new());
+    let (pt, rt) = SimTransport::pair(SEED ^ 0xDA, SimNetConfig::clean());
+    let mut pdb = open(&pfs);
+    schema_txn(&mut pdb);
+    let mut primary = Primary::new(pdb, 1, NoGaps { inner: pt, shipped_to: 0 });
+    let mut replica = Replica::new(open(&rfs), rt);
+    let mut rng = StdRng::seed_from_u64(SEED);
+    for i in 0..6 {
+        drive_txn(primary.db(), &mut rng, i);
+        primary.pump().expect("primary pump");
+        replica.pump().expect("replica pump");
+    }
+    let level = primary.db_ref().op_count() as u64;
+    assert_eq!(replica.applied(), level);
+
+    // Three more records, then a bit flips in the last one before the
+    // next pump reads it: the scan decodes two and stops.
+    for _ in 0..3 {
+        primary.db().tick().expect("tick");
+    }
+    let path = PathBuf::from("node.log");
+    let len = pfs.contents(&path).expect("log exists").len();
+    pfs.corrupt_byte(&path, len - 2, 0x10).expect("corrupt");
+    primary.pump().expect("primary pump");
+    replica.pump().expect("replica pump");
+    assert_eq!(replica.applied(), level + 2, "the decodable prefix is shipped");
+    assert_eq!(replica.halted(), None, "a short shipment must not carry the head's digest");
+
+    // Writes keep coming; nothing past the damage can be shipped, and
+    // nothing is skipped to get at it (`NoGaps` would panic).
+    for i in 6..9 {
+        drive_txn(primary.db(), &mut rng, i);
+        primary.pump().expect("primary pump");
+        replica.pump().expect("replica pump");
+        assert_eq!(replica.applied(), level + 2);
+        assert_eq!(replica.halted(), None);
+    }
+
+    // Repair: the scrubber finds the damaged record and re-checkpoints the
+    // (healthy) live state over it; the follower's resume point is now
+    // below the compaction horizon, so it gets the state image.
+    let report = primary.db().scrub_cycle();
+    assert!(report.log_damage > 0 && report.checkpoint_repair, "{report:?}");
+    for i in 9..12 {
+        primary.pump().expect("primary pump");
+        replica.pump().expect("replica pump");
+        assert_eq!(replica.halted(), None);
+        assert_eq!(replica.applied(), primary.db_ref().op_count() as u64);
+        assert_eq!(replica.db_ref().state_digest(), primary.db_ref().state_digest());
+        drive_txn(primary.db(), &mut rng, i);
+    }
+    assert!(replica.db_ref().db().check_database().is_consistent());
 }

@@ -22,9 +22,11 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use tchimera_core::{attrs, ClassDef, ClassId, MemFault, ModelError, SimMem, Type, Value};
+use tchimera_core::{
+    attrs, ClassDef, ClassId, MemFault, ModelError, ScrubFinding, SimMem, Type, Value,
+};
 use tchimera_storage::repl::{Primary, Replica, SimNetConfig, SimTransport};
-use tchimera_storage::{PersistentDatabase, SimFs, TearMode, Vfs};
+use tchimera_storage::{OpLog, PersistentDatabase, SimFs, TearMode, Vfs};
 
 const SEEDS: u64 = 10;
 
@@ -139,6 +141,65 @@ fn memory_corruption_matrix_detects_and_repairs_every_fault() {
     }
 }
 
+/// The maintained state-digest table is a derived structure too: a stray
+/// write into it makes `state_digest()` lie while the state itself is
+/// fine. Every such fault is detected by the cycle's own from-scratch
+/// walk and repaired by dropping the table (rung 1) — and on a follower
+/// the lie never reaches the link: a digest comparison that fails against
+/// the table is re-checked against a walk before the replica halts.
+#[test]
+fn digest_table_corruption_is_detected_and_never_halts_a_replica() {
+    for seed in 0..SEEDS {
+        // Locally: 100 % detection, repair to the exact digest.
+        let fs = SimFs::new();
+        let mut pdb = open(&fs);
+        build(&mut pdb, seed);
+        let mut sim = SimMem::new(seed ^ 0xD16E);
+        assert_eq!(
+            sim.corrupt_digest_table(pdb.db_mut_for_test()),
+            None,
+            "a cold table has nothing resident to damage"
+        );
+        let healthy = pdb.state_digest();
+        assert_eq!(
+            sim.corrupt_digest_table(pdb.db_mut_for_test()),
+            Some(MemFault::DigestTable)
+        );
+        assert_ne!(pdb.state_digest(), healthy, "seed {seed}: the fault must be observable");
+        let report = pdb.scrub_cycle();
+        assert!(
+            report.core.findings.contains(&ScrubFinding::DigestTable),
+            "seed {seed}: digest table fault escaped detection: {report:?}"
+        );
+        assert!(!report.state_divergence, "seed {seed}: the state was never wrong: {report:?}");
+        assert!(report.healthy_after(), "seed {seed}: {report:?}");
+        assert_eq!(pdb.state_digest(), healthy, "seed {seed}: repair must restore the digest");
+        assert!(pdb.scrub_cycle().clean(), "seed {seed}: repair did not stick");
+
+        // On a follower of a healthy link: the next verified shipment
+        // finds the table wrong, the walk right, and carries on.
+        let (pt, rt) = SimTransport::pair(seed, SimNetConfig::clean());
+        let mut primary = Primary::new(pdb, 1, pt);
+        let mut replica = Replica::new(open(&SimFs::new()), rt);
+        primary.pump().expect("primary pump");
+        replica.pump().expect("replica pump");
+        assert_eq!(replica.db_ref().state_digest(), healthy);
+        let (mut rpdb, _, rt) = replica.into_parts();
+        assert!(sim.corrupt_digest_table(rpdb.db_mut_for_test()).is_some());
+        let mut replica = Replica::new(rpdb, rt);
+        primary.db().tick().expect("tick");
+        primary.pump().expect("primary pump");
+        replica.pump().expect("replica pump");
+        assert_eq!(replica.halted(), None, "seed {seed}: a bad table must not halt the follower");
+        assert_eq!(replica.applied(), primary.db_ref().op_count() as u64);
+        assert_eq!(
+            replica.db_ref().state_digest(),
+            primary.db_ref().state_digest(),
+            "seed {seed}: the follower's table was not repaired"
+        );
+    }
+}
+
 #[test]
 fn disk_corruption_matrix_recheckpoints_from_the_live_state() {
     for seed in 0..SEEDS {
@@ -242,7 +303,8 @@ fn replica_pull_repairs_what_no_local_rung_can() {
     assert!(!replica.scrub_pending());
     assert_eq!(replica.halted(), None);
     assert!(replica.db_ref().db().quarantine().is_empty(), "repair must lift the quarantine");
-    assert!(replica.db_ref().scan_log().is_ok());
+    let rlog = rfs.read(&PathBuf::from("node.log")).expect("replica log readable");
+    assert!(!OpLog::scan_bytes(&rlog).torn_tail, "the install must leave a clean log");
     let report = replica.db_ref().db().clone().scrub_cycle();
     assert!(report.clean() || report.consistency_errors == 0, "{report:?}");
 
