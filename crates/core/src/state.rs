@@ -368,13 +368,11 @@ impl Database {
 /// zero-extended word (`u128`: low then high); a byte string is its
 /// little-endian 8-byte words, the last zero-padded, then its length;
 /// `finish` is the MurmurHash3 64-bit finalizer.
-#[derive(Clone, Debug)]
-pub struct DigestHasher(u64);
+struct DigestHasher(u64);
 
 impl DigestHasher {
     /// A hasher in the initial state.
-    #[must_use]
-    pub fn new() -> DigestHasher {
+    fn new() -> DigestHasher {
         DigestHasher(0x6A09_E667_F3BC_C908)
     }
 
@@ -382,12 +380,6 @@ impl DigestHasher {
     fn word(&mut self, w: u64) {
         let h = (self.0 ^ w).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         self.0 = h ^ (h >> 32);
-    }
-}
-
-impl Default for DigestHasher {
-    fn default() -> DigestHasher {
-        DigestHasher::new()
     }
 }
 

@@ -180,12 +180,9 @@ macro_rules! event {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::{Arc, Mutex};
+    use std::sync::Arc;
 
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static GUARD: Mutex<()> = Mutex::new(());
-        GUARD.lock().unwrap_or_else(|e| e.into_inner())
-    }
+    use crate::trace::tests::lock;
 
     #[test]
     fn macros_cache_and_record() {

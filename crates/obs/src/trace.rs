@@ -334,12 +334,13 @@ impl Drop for SpanGuard {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::metrics::registry;
 
-    // The subscriber slot is process-global; serialize tests that touch it.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
+    // The subscriber slot is process-global; serialize every test of the
+    // crate that touches it (the macro tests in lib.rs take this lock too).
+    pub(crate) fn lock() -> std::sync::MutexGuard<'static, ()> {
         static GUARD: Mutex<()> = Mutex::new(());
         GUARD.lock().unwrap_or_else(|e| e.into_inner())
     }

@@ -15,8 +15,10 @@
 //!   with the maintained state digest (`O(components written)`). The
 //!   offset is dropped — one re-scan from the header finds it again —
 //!   when a catch-up rewinds the cursor or a checkpoint replaces the log
-//!   file, and it only ever advances over records that were decoded and
-//!   shipped: a damaged tail stalls the cursor, it never jumps it.
+//!   file, and the cursor only ever advances over records that were
+//!   decoded and shipped: damage stalls it, never jumps it. Damage *below*
+//!   a rewound cursor parks the offset at the damage, so a stalled
+//!   primary decodes nothing per pump until its scrubber re-checkpoints.
 //! * **cumulative acks + catch-up** — the follower acknowledges a
 //!   watermark, and requests resend from an explicit index when it
 //!   detects a gap; the primary just rewinds its shipping cursor. Lost,
@@ -37,17 +39,27 @@ use crate::repl::transport::Transport;
 /// Operations per [`Frame::Batch`]; a shipment larger than this is split.
 const BATCH_OPS: usize = 64;
 
+/// A known record boundary: record `op` of the log file whose header
+/// base is `base` starts at byte `offset`.
+#[derive(Clone, Copy)]
+struct LogPos {
+    base: u64,
+    op: u64,
+    offset: u64,
+}
+
 /// The shipping side of a replication link.
 pub struct Primary<T: Transport> {
     pdb: PersistentDatabase,
     term: u64,
     /// Next global op index to ship.
     cursor: u64,
-    /// Where that op's record starts: `(log base, byte offset)`. The
-    /// offset is good for the log file with that base only; `None` (fresh
-    /// node, rewound cursor, snapshot just shipped) means scan from the
-    /// header.
-    cursor_at: Option<(u64, u64)>,
+    /// Where to read the log from: the record boundary the last scan
+    /// stopped at. It is the cursor's own record unless damage stopped
+    /// that scan below the cursor. Good for the log file with that base
+    /// and a cursor at or above it only; otherwise (and when `None`: fresh
+    /// node, snapshot just shipped) the pump scans from the header.
+    cursor_at: Option<LogPos>,
     /// Follower's cumulative acknowledged watermark.
     acked: u64,
     deposed: bool,
@@ -158,17 +170,19 @@ impl<T: Transport> Primary<T> {
             self.cursor = total;
             self.cursor_at = None;
         } else {
-            let offset = match self.cursor_at {
-                Some((at_base, offset)) if at_base == base => offset,
+            let (from_op, offset) = match self.cursor_at {
+                Some(at) if at.base == base && at.op <= self.cursor => (at.op, at.offset),
                 _ => {
                     tchimera_obs::counter!("repl.cursor.rescans").inc();
-                    0
+                    (base, 0)
                 }
             };
             let mut pending = self.pdb.scan_log_from(offset)?;
-            // A scan from the header also decodes what was shipped before.
-            let shipped = if offset == 0 { (self.cursor - base) as usize } else { 0 };
-            if shipped <= pending.ops.len() {
+            let decoded = pending.ops.len();
+            // Records `from_op..cursor` were shipped before; damage below
+            // the cursor leaves fewer than that, and nothing to ship.
+            let shipped = (self.cursor - from_op) as usize;
+            if shipped <= decoded {
                 let mut ops = pending.ops.drain(shipped..).peekable();
                 while ops.peek().is_some() {
                     let chunk: Vec<_> = ops.by_ref().take(BATCH_OPS).collect();
@@ -187,9 +201,14 @@ impl<T: Transport> Primary<T> {
                     );
                     self.cursor = end;
                 }
-                // Only what was decoded and shipped is behind the cursor.
-                self.cursor_at = Some((base, pending.valid_len));
             }
+            // The next pump reads on from where this scan stopped: the
+            // cursor's record, or the damage that keeps the cursor stalled.
+            self.cursor_at = Some(LogPos {
+                base,
+                op: from_op + decoded as u64,
+                offset: pending.valid_len,
+            });
         }
         self.transport.send(
             Frame::Heartbeat { term: self.term, total, digest }.to_wire(),
@@ -221,10 +240,8 @@ impl<T: Transport> Primary<T> {
                 Frame::Ack { applied, .. } => self.acked = self.acked.max(applied),
                 Frame::CatchUp { from, .. } => {
                     tchimera_obs::counter!("repl.catchup.requests").inc();
-                    if from < self.cursor {
-                        self.cursor = from;
-                        self.cursor_at = None;
-                    }
+                    // Below `cursor_at`, the next pump scans from the header.
+                    self.cursor = self.cursor.min(from);
                 }
                 Frame::ScrubPull { .. } => {
                     // A follower's scrubber found locally-unrepairable

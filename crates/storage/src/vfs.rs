@@ -170,10 +170,6 @@ struct Inode {
     synced: Vec<u8>,
     /// Mutations since the last sync, in order.
     pending: Vec<Pending>,
-    /// `live[..stable]` is known to equal `synced[..stable]`: appends
-    /// leave it alone, a truncation lowers it, a sync raises it to the
-    /// whole file — so a sync copies what changed, not the file.
-    stable: usize,
 }
 
 impl Inode {
@@ -333,7 +329,6 @@ impl SimFs {
                 inodes.insert(
                     ino,
                     Inode {
-                        stable: content.len(),
                         live: content.clone(),
                         synced: content,
                         pending: Vec::new(),
@@ -403,16 +398,13 @@ impl VfsFile for SimFile {
     }
     fn sync(&mut self) -> io::Result<()> {
         self.with_inode(|inode| {
-            inode.synced.truncate(inode.stable);
-            inode.synced.extend_from_slice(&inode.live[inode.stable..]);
-            inode.stable = inode.live.len();
+            inode.synced = inode.live.clone();
             inode.pending.clear();
         })
     }
     fn set_len(&mut self, len: u64) -> io::Result<()> {
         self.with_inode(|inode| {
             inode.live.truncate(len as usize);
-            inode.stable = inode.stable.min(inode.live.len());
             inode.pending.push(Pending::SetLen(len));
         })
     }
@@ -428,7 +420,6 @@ impl SimFs {
                     s.mutating_op()?;
                     let inode = s.inodes.get_mut(&ino).expect("named inode");
                     inode.live.clear();
-                    inode.stable = 0;
                     inode.pending.push(Pending::SetLen(0));
                 }
                 Ok((ino, s.generation))
@@ -651,24 +642,6 @@ mod tests {
         // The truncate was never synced: a crash undoes it.
         fs.crash(TearMode::DropAll);
         assert_eq!(fs.read(&p("a")).unwrap(), b"0123456789");
-    }
-
-    #[test]
-    fn sync_after_truncate_and_append_makes_exactly_the_live_content_durable() {
-        // `sync` copies only what changed since the last one; a truncation
-        // followed by appends must still leave `synced == live`.
-        let fs = SimFs::new();
-        let mut f = fs.open_append(&p("a")).unwrap();
-        f.write_all(b"0123456789").unwrap();
-        f.sync().unwrap();
-        fs.sync_dir(&p(".")).unwrap();
-        f.set_len(4).unwrap();
-        f.write_all(b"ab").unwrap();
-        f.sync().unwrap();
-        f.write_all(b"lost").unwrap();
-        assert_eq!(fs.read_from(&p("a"), 4).unwrap(), b"ablost");
-        fs.crash(TearMode::DropAll);
-        assert_eq!(fs.read(&p("a")).unwrap(), b"0123ab");
     }
 
     #[test]

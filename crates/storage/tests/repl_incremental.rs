@@ -8,7 +8,8 @@
 //! The events that invalidate the cursor's byte offset (a catch-up that
 //! rewinds it, a checkpoint that replaces the log file, a restart of the
 //! primary) each cost one bounded re-scan or one snapshot ship, after
-//! which the cost is back to one per op.
+//! which the cost is back to one per op. A primary stalled by damage
+//! below its cursor decodes nothing per pump while it waits for repair.
 //!
 //! The counters are process-global, so this file is a test binary of its
 //! own and its tests take turns.
@@ -206,6 +207,70 @@ fn a_catch_up_below_the_cursor_costs_one_bounded_rescan() {
     assert_eq!(repair.snapshots, 0);
 
     assert_one_per_op(single_write_rounds(&mut pair, 10), 10, "after the catch-up");
+    assert_eq!(
+        pair.1.db_ref().state_digest(),
+        pair.0.db_ref().state_digest()
+    );
+}
+
+#[test]
+fn a_primary_stalled_by_damage_below_its_cursor_decodes_nothing_per_pump() {
+    let _turn = turn();
+    let (pfs, rfs) = (SimFs::new(), SimFs::new());
+    let mut pair = attach(primary_with(&pfs, 500), &rfs, 17);
+    round(&mut pair);
+    pair.1.sync().unwrap();
+    // As above, the follower loses ten unsynced ops in a crash — and a bit
+    // rots in the middle of the primary's log, below what it has shipped.
+    single_write_rounds(&mut pair, 10);
+    let (primary, replica) = pair;
+    let (old, _, rt) = replica.into_parts();
+    drop(old);
+    rfs.crash(TearMode::DropAll);
+    let mut pair = (primary, Replica::new(open(&rfs), rt));
+    let path = PathBuf::from("node.log");
+    let len = pfs.contents(&path).expect("log exists").len();
+    pfs.corrupt_byte(&path, len / 2, 0x10).expect("corrupt");
+
+    // Round 1: heartbeat → CatchUp from 500. Round 2: the scan from the
+    // header stops at the damage, short of the 500 records shipped before:
+    // nothing can be shipped, and nothing is skipped.
+    pair.0.pump().unwrap();
+    pair.1.pump().unwrap();
+    let before = counts();
+    pair.0.pump().unwrap();
+    pair.1.pump().unwrap();
+    let found = counts() - before;
+    assert_eq!((found.rescans, found.shipped), (1, 0), "{found:?}");
+    assert!(0 < found.scanned && found.scanned < 500, "{found:?}");
+
+    // Stalled: writes keep coming, the follower keeps asking, and each
+    // pump reads on from the damage — no record decoded, no re-scan.
+    let before = counts();
+    for _ in 0..10 {
+        one_write(pair.0.db());
+        pair.0.pump().unwrap();
+        pair.1.pump().unwrap();
+        assert_eq!((pair.1.applied(), pair.1.halted()), (500, None));
+    }
+    let stalled = counts() - before;
+    assert_eq!(
+        (stalled.rescans, stalled.scanned, stalled.shipped, stalled.snapshots),
+        (0, 0, 0, 0),
+        "{stalled:?}"
+    );
+
+    // Repair: the scrubber re-checkpoints the live state over the damaged
+    // history; the follower is below the new horizon and gets the image.
+    let report = pair.0.db().scrub_cycle();
+    assert!(report.log_damage > 0 && report.checkpoint_repair, "{report:?}");
+    let before = counts();
+    round(&mut pair);
+    let repair = counts() - before;
+    assert_eq!((repair.snapshots, repair.shipped), (1, 0), "{repair:?}");
+    one_write(pair.0.db());
+    round(&mut pair);
+    assert_one_per_op(single_write_rounds(&mut pair, 10), 10, "after the repair");
     assert_eq!(
         pair.1.db_ref().state_digest(),
         pair.0.db_ref().state_digest()
