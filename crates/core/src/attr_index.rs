@@ -52,7 +52,7 @@
 //! Counters: `core.attridx.builds` / `.evictions` / `.invalidations` /
 //! `.incremental` / `.reconciles` / `.probes` (DESIGN.md §9.1).
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -103,10 +103,12 @@ impl Holding {
     }
 }
 
-/// One attribute's value index: `value → {oid → holding}`.
+/// One attribute's value index: `value → {oid → holding}`. The holders
+/// of one value are kept in oid order, so a probe of one value is a
+/// filtered in-order walk — no sort, no dedup.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct AttrIndex {
-    values: HashMap<Value, HashMap<Oid, Holding>>,
+    values: HashMap<Value, BTreeMap<Oid, Holding>>,
 }
 
 impl AttrIndex {
@@ -115,7 +117,7 @@ impl AttrIndex {
     /// the steady-state write path allocates nothing here.
     fn holding_mut(&mut self, oid: Oid, value: &Value) -> &mut Holding {
         if !self.values.contains_key(value) {
-            self.values.insert(value.clone(), HashMap::new());
+            self.values.insert(value.clone(), BTreeMap::new());
         }
         self.values
             .get_mut(value)
@@ -251,8 +253,12 @@ impl AttrIndex {
                 );
             }
         }
-        out.sort_unstable();
-        out.dedup();
+        // One value's holders arrive sorted and distinct; only a
+        // membership probe has runs to merge.
+        if values.len() > 1 {
+            out.sort_unstable();
+            out.dedup();
+        }
         out
     }
 }

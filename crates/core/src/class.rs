@@ -330,6 +330,32 @@ impl Class {
         self.ext.members_during(lo, hi, now)
     }
 
+    /// `ext_at(t, now).len()` from the extent index's counts — the set
+    /// is never built (`EXPLAIN` cardinalities, empty-extent checks).
+    #[must_use]
+    pub fn ext_count_at(&self, t: Instant, now: Instant) -> usize {
+        self.ext.count_at(t, now)
+    }
+
+    /// `ext_during(lo, hi, now).len()` without building the set.
+    #[must_use]
+    pub fn ext_count_during(&self, lo: Instant, hi: Instant, now: Instant) -> usize {
+        self.ext.count_during(lo, hi, now)
+    }
+
+    /// `i ∈ ext_at(t, now)`, read from `i`'s own membership history —
+    /// the cost does not depend on the extent's size.
+    #[must_use]
+    pub fn is_member_at(&self, i: Oid, t: Instant, now: Instant) -> bool {
+        self.ext.is_member_at(i, t, now)
+    }
+
+    /// `i ∈ ext_during(lo, hi, now)`, read from `i`'s own history.
+    #[must_use]
+    pub fn is_member_during(&self, i: Oid, lo: Instant, hi: Instant, now: Instant) -> bool {
+        self.ext.is_member_during(i, lo, hi, now)
+    }
+
     /// Reference implementation of [`Class::ext_during`] (linear scan).
     #[must_use]
     pub fn ext_during_scan(&self, lo: Instant, hi: Instant, now: Instant) -> Vec<Oid> {

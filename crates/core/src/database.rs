@@ -898,21 +898,7 @@ impl Database {
     /// The current value of an attribute (temporal attributes resolve to
     /// their value at `now`).
     pub fn attr_now(&self, oid: Oid, attr: &AttrName) -> Result<Value> {
-        self.guard_object(oid)?;
-        let o = self.object(oid)?;
-        let v = o
-            .attr(attr)
-            .ok_or_else(|| ModelError::UnknownAttribute {
-                class: o
-                    .current_class(self.clock)
-                    .cloned()
-                    .unwrap_or_else(|| ClassId::from("?")),
-                attr: attr.clone(),
-            })?;
-        Ok(match v {
-            Value::Temporal(h) => h.value_now(self.clock).cloned().unwrap_or(Value::Null),
-            other => other.clone(),
-        })
+        self.attr_at(oid, attr, self.clock)
     }
 
     /// The value of an attribute at instant `t`. For a static attribute
@@ -920,6 +906,16 @@ impl Database {
     /// recorded); for a temporal attribute it is `f(t)` (or `null` outside
     /// the domain).
     pub fn attr_at(&self, oid: Oid, attr: &AttrName, t: Instant) -> Result<Value> {
+        self.attr_ref_at(oid, attr, t).cloned()
+    }
+
+    /// [`Database::attr_at`] without the clone: a borrow of the stored
+    /// value (`null` outside a temporal attribute's domain borrows a
+    /// static `Value::Null`). The query executor compares and hashes
+    /// through this, so a predicate over a string attribute allocates
+    /// nothing.
+    pub fn attr_ref_at(&self, oid: Oid, attr: &AttrName, t: Instant) -> Result<&Value> {
+        static NULL: Value = Value::Null;
         self.guard_object(oid)?;
         let o = self.object(oid)?;
         let v = o
@@ -932,8 +928,8 @@ impl Database {
                 attr: attr.clone(),
             })?;
         Ok(match v {
-            Value::Temporal(h) => h.value_at(t, self.clock).cloned().unwrap_or(Value::Null),
-            other => other.clone(),
+            Value::Temporal(h) => h.value_at(t, self.clock).unwrap_or(&NULL),
+            other => other,
         })
     }
 }

@@ -27,7 +27,15 @@
 //!   `max(256, members/8)` events, bounding replay length while keeping
 //!   total checkpoint memory linear in the event count;
 //! * `current` — the live member set (the sum of *all* events), serving
-//!   `t ≥` last event time (the overwhelmingly common "query at now").
+//!   every `t` nearer to the end of the log than to a checkpoint by
+//!   undoing the trailing events: the overwhelmingly common "query at
+//!   now" undoes nothing, or just the leave events a same-tick
+//!   termination recorded at `now + 1`.
+//!
+//! Counting members ([`Membership::count_at`]) never builds the set, and
+//! asking whether *one* oid is a member ([`Membership::is_member_at`])
+//! reads that oid's history alone — an index-seeded query needs only
+//! those two, so its cost does not follow the extent's size.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -108,74 +116,113 @@ impl ExtentIndex {
             .map(|e| (e.at, e.oid))
     }
 
+    /// How many events are effective at or before `t`, and the latest
+    /// checkpoint covering a prefix of them.
+    fn locate(&self, t: Instant) -> (usize, Option<&Checkpoint>) {
+        let idx = self.events.partition_point(|e| e.at <= t);
+        let ck = self
+            .checkpoints
+            .partition_point(|c| c.applied <= idx)
+            .checked_sub(1)
+            .map(|k| &self.checkpoints[k]);
+        (idx, ck)
+    }
+
+    /// Is the state after `idx` events nearer to `current` (undo the
+    /// trailing events) than to the checkpoint at `applied` (replay
+    /// forward)? A read at `now` right after a same-tick termination has
+    /// exactly the leave events recorded at `now + 1` to undo.
+    fn nearer_current(&self, idx: usize, applied: usize) -> bool {
+        self.events.len() - idx <= idx - applied
+    }
+
     /// The sorted member set at instant `t`, under clock `now`.
     fn members_at(&self, t: Instant, now: Instant) -> Vec<Oid> {
         if t > now || self.events.is_empty() {
             tchimera_obs::counter!("core.extent.at_current").inc();
             return Vec::new();
         }
-        // Number of events effective at or before `t`.
-        let idx = self.events.partition_point(|e| e.at <= t);
-        if idx == self.events.len() {
+        let (idx, ck) = self.locate(t);
+        if self.nearer_current(idx, ck.map_or(0, |c| c.applied)) {
             tchimera_obs::counter!("core.extent.at_current").inc();
-            return self.current.iter().copied().collect();
+            return merge(self.current.iter().copied(), &self.events[idx..], -1);
         }
         tchimera_obs::counter!("core.extent.at_replay").inc();
-        // Latest checkpoint covering a prefix of those events.
-        let ck = self
-            .checkpoints
-            .partition_point(|c| c.applied <= idx)
-            .checked_sub(1)
-            .map(|k| &self.checkpoints[k]);
+        tchimera_obs::counter!("core.extent.replayed_events")
+            .add((idx - ck.map_or(0, |c| c.applied)) as u64);
+        self.replay(idx, ck)
+    }
+
+    /// The member set after the first `idx` events, replayed forward from
+    /// checkpoint `ck` — never consults `current`, so the scrubber can
+    /// check the event log and the current-member set independently.
+    fn replay(&self, idx: usize, ck: Option<&Checkpoint>) -> Vec<Oid> {
         let (base, applied): (&[Oid], usize) =
             ck.map_or((&[], 0), |c| (&c.members, c.applied));
-        tchimera_obs::counter!("core.extent.replayed_events").add((idx - applied) as u64);
-        // Net per-oid delta over the replay window.
-        let mut net: BTreeMap<Oid, i32> = BTreeMap::new();
-        for e in &self.events[applied..idx] {
-            *net.entry(e.oid).or_insert(0) += e.delta;
-        }
-        // Merge the sorted base set with the sorted delta map.
-        let mut out = Vec::with_capacity(base.len() + net.len());
-        let mut deltas = net.into_iter().peekable();
-        let mut base_iter = base.iter().copied().peekable();
-        loop {
-            match (base_iter.peek().copied(), deltas.peek().map(|&(o, _)| o)) {
-                (Some(b), Some(d)) if b < d => {
-                    out.push(b);
-                    base_iter.next();
-                }
-                (Some(b), Some(d)) if b > d => {
-                    let (oid, n) = deltas.next().expect("peeked");
-                    debug_assert!(d == oid);
-                    if n > 0 {
-                        out.push(oid);
-                    }
-                }
-                (Some(b), Some(_)) => {
-                    // Same oid in base and delta window: member iff the
-                    // base count (1) plus the net change is positive.
-                    let (_, n) = deltas.next().expect("peeked");
-                    base_iter.next();
-                    if 1 + n > 0 {
-                        out.push(b);
-                    }
-                }
-                (Some(b), None) => {
-                    out.push(b);
-                    base_iter.next();
-                }
-                (None, Some(_)) => {
-                    let (oid, n) = deltas.next().expect("peeked");
-                    if n > 0 {
-                        out.push(oid);
-                    }
-                }
-                (None, None) => break,
-            }
-        }
-        out
+        merge(base.iter().copied(), &self.events[applied..idx], 1)
     }
+
+    /// `members_at(t, now).len()` without building the set: every oid's
+    /// events sum to 0 or 1 over any prefix of the log (joins and leaves
+    /// of one oid alternate), so the member count moves by the plain sum
+    /// of the deltas between two prefixes.
+    fn count_at(&self, t: Instant, now: Instant) -> usize {
+        if t > now || self.events.is_empty() {
+            return 0;
+        }
+        let (idx, ck) = self.locate(t);
+        let applied = ck.map_or(0, |c| c.applied);
+        let net = |events: &[Event]| events.iter().map(|e| i64::from(e.delta)).sum::<i64>();
+        let n = if self.nearer_current(idx, applied) {
+            self.current.len() as i64 - net(&self.events[idx..])
+        } else {
+            ck.map_or(0, |c| c.members.len()) as i64 + net(&self.events[applied..idx])
+        };
+        usize::try_from(n).unwrap_or(0)
+    }
+}
+
+/// Apply `sign ×` the net per-oid delta of `events` to the sorted member
+/// set `base`: forward replay from a checkpoint with `sign = 1`, undoing
+/// a trailing suffix from the current set with `−1`.
+fn merge(base: impl ExactSizeIterator<Item = Oid>, events: &[Event], sign: i32) -> Vec<Oid> {
+    let mut net: BTreeMap<Oid, i32> = BTreeMap::new();
+    for e in events {
+        *net.entry(e.oid).or_insert(0) += sign * e.delta;
+    }
+    // Merge the sorted base set with the sorted delta map.
+    let mut out = Vec::with_capacity(base.len() + net.len());
+    let mut deltas = net.into_iter().peekable();
+    let mut base = base.peekable();
+    loop {
+        match (base.peek().copied(), deltas.peek().copied()) {
+            (Some(b), Some((d, _))) if b < d => {
+                out.push(b);
+                base.next();
+            }
+            (Some(b), Some((d, n))) if b == d => {
+                // Same oid in base and delta window: member iff the base
+                // count (1) plus the net change is positive.
+                base.next();
+                deltas.next();
+                if 1 + n > 0 {
+                    out.push(b);
+                }
+            }
+            (_, Some((d, n))) => {
+                deltas.next();
+                if n > 0 {
+                    out.push(d);
+                }
+            }
+            (Some(b), None) => {
+                out.push(b);
+                base.next();
+            }
+            (None, None) => break,
+        }
+    }
+    out
 }
 
 /// The membership store of one class: per-oid boolean histories (the
@@ -253,6 +300,51 @@ impl Membership {
         out
     }
 
+    /// `members_at(t, now).len()` without materialising the set.
+    pub(crate) fn count_at(&self, t: Instant, now: Instant) -> usize {
+        let n = self.index.count_at(t, now);
+        debug_assert_eq!(n, self.members_at_scan(t, now).len(), "extent count diverged");
+        n
+    }
+
+    /// `members_during(lo, hi, now).len()`, allocating only for the oids
+    /// that join inside the window.
+    pub(crate) fn count_during(&self, lo: Instant, hi: Instant, now: Instant) -> usize {
+        let hi = hi.min(now);
+        if lo > hi {
+            return 0;
+        }
+        let mut joined: Vec<Oid> = self
+            .index
+            .joins_in(lo, hi)
+            .filter(|&(at, oid)| self.is_member_at(oid, at, now) && !self.is_member_at(oid, lo, now))
+            .map(|(_, oid)| oid)
+            .collect();
+        joined.sort_unstable();
+        joined.dedup();
+        let n = self.index.count_at(lo, now) + joined.len();
+        debug_assert_eq!(n, self.members_during_scan(lo, hi, now).len(), "extent count diverged");
+        n
+    }
+
+    /// Was `oid` a member at `t`? Read from its own history (the source
+    /// of truth) — `O(log runs)`, whatever the extent's size.
+    pub(crate) fn is_member_at(&self, oid: Oid, t: Instant, now: Instant) -> bool {
+        self.histories
+            .get(&oid)
+            .is_some_and(|h| h.is_defined_at(t, now))
+    }
+
+    /// Was `oid` a member at some instant of `[lo, hi]`?
+    pub(crate) fn is_member_during(&self, oid: Oid, lo: Instant, hi: Instant, now: Instant) -> bool {
+        let window = tchimera_temporal::Interval::new(lo, hi.min(now));
+        self.histories.get(&oid).is_some_and(|h| {
+            h.entries()
+                .iter()
+                .any(|e| e.interval(now).overlaps(window))
+        })
+    }
+
     /// Indexed window query: the sorted set of oids members at *some*
     /// instant of `[lo, hi]`. A member during the window either is a
     /// member at `lo` (runs are intervals, so any run covering a later
@@ -270,11 +362,7 @@ impl Membership {
         }
         let mut out = self.index.members_at(lo, now);
         for (at, oid) in self.index.joins_in(lo, hi) {
-            if self
-                .histories
-                .get(&oid)
-                .is_some_and(|h| h.is_defined_at(at, now))
-            {
+            if self.is_member_at(oid, at, now) {
                 out.push(oid);
             }
         }
@@ -296,16 +384,11 @@ impl Membership {
         hi: Instant,
         now: Instant,
     ) -> Vec<Oid> {
-        let window = tchimera_temporal::Interval::new(lo, hi.min(now));
         let mut v: Vec<Oid> = self
             .histories
-            .iter()
-            .filter(|(_, h)| {
-                h.entries()
-                    .iter()
-                    .any(|e| !e.interval(now).intersect(window).is_empty())
-            })
-            .map(|(&i, _)| i)
+            .keys()
+            .copied()
+            .filter(|&i| self.is_member_during(i, lo, hi, now))
             .collect();
         v.sort_unstable();
         v
@@ -383,17 +466,22 @@ impl Membership {
         }
         let n = probes.len() as u64 + 1;
         for &t in &probes {
-            if self.index.members_at(t, now) != self.members_at_scan(t, now) {
+            let indexed = if t > now {
+                Vec::new()
+            } else {
+                let (idx, ck) = self.index.locate(t);
+                self.index.replay(idx, ck)
+            };
+            if indexed != self.members_at_scan(t, now) {
                 return None;
             }
         }
-        // The current-member set is a derived structure of its own: the
-        // fast path serves it verbatim once the clock passes the last
-        // event, so it must equal the net-delta fold of the full event
+        // The current-member set is a derived structure of its own: reads
+        // near the end of the log are served from it (trailing events
+        // undone), so it must equal the net-delta fold of the full event
         // stream (exactly what a checkpoint-free replay would produce).
-        // Probing alone cannot see this: with an empty or future-dated
-        // event list `members_at` never consults `current`, leaving a
-        // corrupted entry latent until the next append.
+        // The probes above replay forward from checkpoints and never
+        // consult `current`, so the two checks are independent.
         let mut net: BTreeMap<Oid, i32> = BTreeMap::new();
         for e in &self.index.events {
             *net.entry(e.oid).or_insert(0) += e.delta;
@@ -436,9 +524,9 @@ impl Membership {
                     .expect("non-empty");
                 self.index.current.remove(&victim);
             }
-            // Flip a non-final event's delta (a final event is masked by
-            // the current-set fast path, so only earlier ones are
-            // observable — and therefore detectable).
+            // Flip a non-final event's delta (the verifier replays every
+            // prefix forward from its checkpoint, so the flip shows at
+            // the event's own instant).
             2 if n >= 2 => {
                 let i = (r as usize / 3) % (n - 1);
                 self.index.events[i].delta = -self.index.events[i].delta;
@@ -575,6 +663,71 @@ mod tests {
                 "diverged at t={probe}"
             );
         }
+    }
+
+    #[test]
+    fn counts_and_single_oid_lookups_agree_with_the_sets() {
+        let mut m = Membership::default();
+        for k in 0..2000u64 {
+            m.open(Oid(k % 700), t(k)).unwrap();
+            if k % 3 == 0 {
+                m.close_before(Oid((k / 2) % 700), t(k));
+            }
+            if k % 97 == 0 {
+                // Termination discipline: the leave lands at `k + 1`.
+                m.close(Oid((k / 3) % 700), t(k));
+            }
+        }
+        let now = t(2000);
+        // Probes on both sides of the undo-vs-replay routing decision.
+        for probe in [0, 1, 99, 500, 1234, 1900, 1999, 2000, 2001] {
+            let set = m.members_at_scan(t(probe), now);
+            assert_eq!(m.members_at(t(probe), now), set, "set at t={probe}");
+            assert_eq!(m.count_at(t(probe), now), set.len(), "count at t={probe}");
+            for oid in [0, 1, 350, 699, 700] {
+                assert_eq!(
+                    m.is_member_at(Oid(oid), t(probe), now),
+                    set.contains(&Oid(oid)),
+                    "oid {oid} at t={probe}"
+                );
+            }
+        }
+        for (lo, hi) in [(0, 0), (10, 40), (600, 1300), (1990, 2005), (2001, 2005), (40, 10)] {
+            let set = m.members_during_scan(t(lo), t(hi), now);
+            assert_eq!(m.members_during(t(lo), t(hi), now), set, "set in [{lo}, {hi}]");
+            assert_eq!(m.count_during(t(lo), t(hi), now), set.len(), "count in [{lo}, {hi}]");
+            for oid in [0, 1, 350, 699, 700] {
+                assert_eq!(
+                    m.is_member_during(Oid(oid), t(lo), t(hi), now),
+                    set.contains(&Oid(oid)),
+                    "oid {oid} in [{lo}, {hi}]"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn a_read_at_now_after_a_same_tick_termination_is_served_from_current() {
+        let mut m = Membership::default();
+        // Enough history that the alternative is a long checkpoint replay.
+        for k in 0..1000u64 {
+            m.open(Oid(k), t(1 + k / 10)).unwrap();
+        }
+        let now = t(200);
+        m.open(Oid(5000), now).unwrap();
+        m.close(Oid(5000), now); // leave recorded at now + 1
+        let (idx, ck) = m.index.locate(now);
+        assert_eq!(m.index.events.len() - idx, 1, "one trailing event past now");
+        assert!(
+            m.index.nearer_current(idx, ck.map_or(0, |c| c.applied)),
+            "undoing one event must beat replaying from the checkpoint"
+        );
+        let got = m.members_at(now, now);
+        assert!(got.contains(&Oid(5000)), "still a member through now");
+        assert_eq!(got, m.members_at_scan(now, now));
+        assert_eq!(m.count_at(now, now), got.len());
+        assert!(!m.members_at(now.next(), now.next()).contains(&Oid(5000)));
+        assert!(m.verify_index(now).is_some());
     }
 
     #[test]

@@ -436,22 +436,22 @@ pub fn eval_expr(
             Value::Bool(compare(*op, &lv, &rv))
         }
         Expr::And(l, r) => {
-            let lv = as_bool(eval_expr(db, binding, t, now, l)?)?;
+            let lv = as_bool(&eval_expr(db, binding, t, now, l)?)?;
             if !lv {
                 Value::Bool(false)
             } else {
-                Value::Bool(as_bool(eval_expr(db, binding, t, now, r)?)?)
+                Value::Bool(as_bool(&eval_expr(db, binding, t, now, r)?)?)
             }
         }
         Expr::Or(l, r) => {
-            let lv = as_bool(eval_expr(db, binding, t, now, l)?)?;
+            let lv = as_bool(&eval_expr(db, binding, t, now, l)?)?;
             if lv {
                 Value::Bool(true)
             } else {
-                Value::Bool(as_bool(eval_expr(db, binding, t, now, r)?)?)
+                Value::Bool(as_bool(&eval_expr(db, binding, t, now, r)?)?)
             }
         }
-        Expr::Not(inner) => Value::Bool(!as_bool(eval_expr(db, binding, t, now, inner)?)?),
+        Expr::Not(inner) => Value::Bool(!as_bool(&eval_expr(db, binding, t, now, inner)?)?),
         Expr::IsMember(v, c) => {
             let member = db
                 .schema()
@@ -466,7 +466,7 @@ pub fn eval_expr(
                 .into_iter()
                 .try_fold(true, |acc, tp| {
                     Ok::<bool, EvalError>(
-                        acc && as_bool(eval_expr(db, binding, tp, now, inner)?)?,
+                        acc && as_bool(&eval_expr(db, binding, tp, now, inner)?)?,
                     )
                 })?;
             Value::Bool(ok)
@@ -475,7 +475,7 @@ pub fn eval_expr(
             let scope = quantifier_scope(db, binding, t, now)?;
             let mut ok = false;
             for tp in event_points(db, binding, scope, now) {
-                if as_bool(eval_expr(db, binding, tp, now, inner)?)? {
+                if as_bool(&eval_expr(db, binding, tp, now, inner)?)? {
                     ok = true;
                     break;
                 }
@@ -512,9 +512,9 @@ pub(crate) fn quantifier_scope_oids(
     Ok(scope)
 }
 
-pub(crate) fn as_bool(v: Value) -> Result<bool, EvalError> {
+pub(crate) fn as_bool(v: &Value) -> Result<bool, EvalError> {
     match v {
-        Value::Bool(b) => Ok(b),
+        Value::Bool(b) => Ok(*b),
         Value::Null => Ok(false),
         _ => Err(EvalError::NotBoolean),
     }

@@ -4,12 +4,22 @@
 //!
 //! Execution pipeline:
 //!
-//! 1. fetch each variable's candidate extent (via the extent indexes);
-//! 2. resolve planned equality/membership predicates through the
-//!    temporal attribute-value index (`Database::attr_index_probe`) where
-//!    covered — the probe result is a superset that *narrows* the
-//!    candidates the next step even looks at, falling back to the plain
-//!    scan when uncovered;
+//! 1. size each variable's extent. A variable with a planned
+//!    equality/membership predicate is only *counted* (the extent index
+//!    answers `Class::ext_count_at` / `ext_count_during` without
+//!    building the set); every other variable's extent is fetched, sorted
+//!    by oid, from the extent index;
+//! 2. seed candidates. Each planned predicate is resolved through the
+//!    temporal attribute-value index (`Database::attr_index_probe`). A
+//!    covered variable's candidates are the probe's sorted oids —
+//!    intersected across its predicates — that were members of the class
+//!    at the query instant or in the query window, read off each oid's
+//!    own membership history (`Class::is_member_at` / `is_member_during`).
+//!    Its extent is never materialised, copied or walked: the read pays
+//!    for the answer, not for the class. The probe is a superset, so the
+//!    conjunct itself still runs on the candidates and rows never change.
+//!    An uncovered variable (static declaration, unknown class,
+//!    `use_index: false`) takes its fetched extent;
 //! 3. apply pushed-down prefilters per variable;
 //! 4. order variables by (post-prefilter) candidate-set size, preferring
 //!    variables hash-joinable to already-placed ones;
@@ -18,10 +28,20 @@
 //!    otherwise — applying each residual conjunct at the earliest level
 //!    where all its variables are bound;
 //! 6. project surviving bindings, then restore the reference evaluator's
-//!    enumeration order (each binding carries its candidate-position
-//!    tuple in declaration order — its "naive key").
+//!    enumeration order. Every candidate list is sorted by oid, as every
+//!    extent is, so that order is ascending oid tuples in declaration
+//!    order: a binding's oids *are* its "naive key", and the key is
+//!    copied out of the binding only when the placement order differs
+//!    from the declaration order and a final sort will read it.
 //!
-//! The outermost level is partitioned and, with the default-on `rayon`
+//! Evaluation borrows: `eval_cexpr` yields `Cow<Value>` — a literal
+//! borrows from the plan, an attribute read borrows from the database
+//! (`Database::attr_ref_at`) — so comparing `e.dept` with a literal
+//! allocates nothing; only rows, hash-join keys and `ORDER BY` keys are
+//! owned.
+//!
+//! The outermost level is partitioned when it has at least
+//! [`PAR_MIN_CANDIDATES`] candidates and, with the default-on `rayon`
 //! feature, partitions run in parallel; partitions are contiguous slices
 //! of the (ordered) base candidates, so concatenating their outputs
 //! preserves serial row order exactly.
@@ -34,17 +54,18 @@
 //! order than the reference evaluator's left-to-right `AND`, so a query
 //! whose filter *errors* (e.g. reading a static attribute dropped by a
 //! migration) can surface the error from a different binding, or error
-//! where short-circuiting would have hidden it. Index narrowing extends
+//! where short-circuiting would have hidden it. Index seeding extends
 //! the same caveat in the opposite direction: candidates the index rules
 //! out are never evaluated at all, so a conjunct that would *error* on
 //! such a candidate under the reference evaluator is skipped. Queries
 //! over total predicates — everything the typechecker can see — are
 //! exactly equivalent.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 
 use tchimera_core::{
-    AttrName, ClassId, Database, Instant, Interval, Oid, Value,
+    AttrName, Class, ClassId, Database, Instant, Interval, Oid, Value,
 };
 
 #[cfg(feature = "rayon")]
@@ -127,76 +148,89 @@ impl CExpr {
 
 /// Evaluate a compiled expression: `oids[i]` is the object bound to
 /// variable `i` (only slots of variables the expression mentions are
-/// read, except quantifiers, which scope over the full binding).
-pub(crate) fn eval_cexpr(
-    db: &Database,
+/// read, except quantifiers, which scope over the full binding). The
+/// result borrows wherever a value already exists — literals from the
+/// expression, attribute values from the database — and is owned only
+/// for computed booleans and bare oids, neither of which allocates.
+pub(crate) fn eval_cexpr<'a>(
+    db: &'a Database,
     oids: &[Oid],
     t: Instant,
     now: Instant,
-    e: &CExpr,
-) -> Result<Value, EvalError> {
+    e: &'a CExpr,
+) -> Result<Cow<'a, Value>, EvalError> {
+    let truth = |b: bool| Cow::Owned(Value::Bool(b));
     Ok(match e {
-        CExpr::Lit(v) => v.clone(),
-        CExpr::Var(i) => Value::Oid(oids[*i]),
-        CExpr::Attr(i, a) => db.attr_at(oids[*i], a, t)?,
-        CExpr::AttrAt(i, a, at) => db.attr_at(oids[*i], a, Instant(*at))?,
-        CExpr::Defined(inner) => {
-            let v = eval_cexpr(db, oids, t, now, inner)?;
-            Value::Bool(!v.is_null())
-        }
+        CExpr::Lit(v) => Cow::Borrowed(v),
+        CExpr::Var(i) => Cow::Owned(Value::Oid(oids[*i])),
+        CExpr::Attr(i, a) => Cow::Borrowed(db.attr_ref_at(oids[*i], a, t)?),
+        CExpr::AttrAt(i, a, at) => Cow::Borrowed(db.attr_ref_at(oids[*i], a, Instant(*at))?),
+        CExpr::Defined(inner) => truth(!eval_cexpr(db, oids, t, now, inner)?.is_null()),
         CExpr::Cmp(op, l, r) => {
             let lv = eval_cexpr(db, oids, t, now, l)?;
             let rv = eval_cexpr(db, oids, t, now, r)?;
-            Value::Bool(compare(*op, &lv, &rv))
+            truth(compare(*op, &lv, &rv))
         }
-        CExpr::And(l, r) => {
-            let lv = as_bool(eval_cexpr(db, oids, t, now, l)?)?;
-            if !lv {
-                Value::Bool(false)
-            } else {
-                Value::Bool(as_bool(eval_cexpr(db, oids, t, now, r)?)?)
-            }
-        }
-        CExpr::Or(l, r) => {
-            let lv = as_bool(eval_cexpr(db, oids, t, now, l)?)?;
-            if lv {
-                Value::Bool(true)
-            } else {
-                Value::Bool(as_bool(eval_cexpr(db, oids, t, now, r)?)?)
-            }
-        }
-        CExpr::Not(inner) => Value::Bool(!as_bool(eval_cexpr(db, oids, t, now, inner)?)?),
-        CExpr::IsMember(i, c) => {
-            let member = db
-                .schema()
+        CExpr::And(l, r) => truth(
+            eval_bool(db, oids, t, now, l)?
+                && eval_bool(db, oids, t, now, r)?,
+        ),
+        CExpr::Or(l, r) => truth(
+            eval_bool(db, oids, t, now, l)?
+                || eval_bool(db, oids, t, now, r)?,
+        ),
+        CExpr::Not(inner) => truth(!eval_bool(db, oids, t, now, inner)?),
+        CExpr::IsMember(i, c) => truth(
+            db.schema()
                 .class(c)
-                .map(|cl| cl.membership_of(oids[*i], now).contains(t))
-                .unwrap_or(false);
-            Value::Bool(member)
-        }
+                .is_ok_and(|cl| cl.is_member_at(oids[*i], t, now)),
+        ),
         CExpr::Always(inner) => {
             let scope = quantifier_scope_oids(db, oids, t, now)?;
-            let ok = event_points_oids(db, oids, scope, now)
-                .into_iter()
-                .try_fold(true, |acc, tp| {
-                    Ok::<bool, EvalError>(
-                        acc && as_bool(eval_cexpr(db, oids, tp, now, inner)?)?,
-                    )
-                })?;
-            Value::Bool(ok)
+            let mut ok = true;
+            for tp in event_points_oids(db, oids, scope, now) {
+                if !eval_bool(db, oids, tp, now, inner)? {
+                    ok = false;
+                    break;
+                }
+            }
+            truth(ok)
         }
         CExpr::Sometime(inner) => {
             let scope = quantifier_scope_oids(db, oids, t, now)?;
             let mut ok = false;
             for tp in event_points_oids(db, oids, scope, now) {
-                if as_bool(eval_cexpr(db, oids, tp, now, inner)?)? {
+                if eval_bool(db, oids, tp, now, inner)? {
                     ok = true;
                     break;
                 }
             }
-            Value::Bool(ok)
+            truth(ok)
         }
     })
+}
+
+/// `e` in a boolean context: `null` reads as `false`, any other
+/// non-boolean is an error.
+fn eval_bool(
+    db: &Database,
+    oids: &[Oid],
+    t: Instant,
+    now: Instant,
+    e: &CExpr,
+) -> Result<bool, EvalError> {
+    as_bool(eval_cexpr(db, oids, t, now, e)?.as_ref())
+}
+
+/// Does `e` evaluate to exactly `true` (not `null`, not an error)?
+fn holds(
+    db: &Database,
+    oids: &[Oid],
+    t: Instant,
+    now: Instant,
+    e: &CExpr,
+) -> Result<bool, EvalError> {
+    Ok(matches!(*eval_cexpr(db, oids, t, now, e)?, Value::Bool(true)))
 }
 
 /// Execution knobs. [`Default`] enables parallel partitioned scans when
@@ -286,13 +320,47 @@ pub struct ExecStats {
     pub naive_bindings: u128,
 }
 
-/// A candidate object together with its position in the raw extent — the
-/// position tuple (in declaration order) is the binding's "naive key",
-/// used to restore the reference evaluator's enumeration order.
-#[derive(Clone, Copy, Debug)]
-struct Cand {
-    oid: Oid,
-    pos: u32,
+/// Fewest base-level candidates worth splitting across threads. A
+/// partitioned run spawns its workers per query (the `rayon` shim is a
+/// thread scope, not a pool), which costs tens of microseconds before the
+/// first candidate is examined; below this size one thread finishes
+/// sooner. Measured on the benchmark host (2 vCPUs): two partitions lose
+/// by 36 µs at 540 candidates, break even near 2 000 and win 1.5× at
+/// 10 000 — `DESIGN.md` §11.2 has the table.
+pub const PAR_MIN_CANDIDATES: usize = 2048;
+
+/// The instants a query's variables range over: one (`NOW`, `AS OF t`)
+/// or a window (`DURING [a, b]`).
+#[derive(Clone, Copy)]
+enum Scope {
+    At(Instant),
+    During(Instant, Instant),
+}
+
+impl Scope {
+    /// The class extent in scope, sorted by oid.
+    fn extent(self, class: &Class, now: Instant) -> Vec<Oid> {
+        match self {
+            Scope::At(t) => class.ext_at(t, now),
+            Scope::During(a, b) => class.ext_during(a, b, now),
+        }
+    }
+
+    /// `extent(..).len()`, from the extent index's counts.
+    fn count(self, class: &Class, now: Instant) -> usize {
+        match self {
+            Scope::At(t) => class.ext_count_at(t, now),
+            Scope::During(a, b) => class.ext_count_during(a, b, now),
+        }
+    }
+
+    /// `extent(..).contains(oid)`, from the oid's own membership history.
+    fn contains(self, class: &Class, oid: Oid, now: Instant) -> bool {
+        match self {
+            Scope::At(t) => class.is_member_at(oid, t, now),
+            Scope::During(a, b) => class.is_member_during(oid, a, b, now),
+        }
+    }
 }
 
 /// One level of the binding pipeline: place `var`, probe `hash` (a join
@@ -310,9 +378,10 @@ enum Check {
 }
 
 /// A produced row before final ordering: the projected values, the
-/// optional `ORDER BY` key and the naive-order key.
+/// optional `ORDER BY` key and — only when a final sort will read it —
+/// the naive-order key (the binding's oids in declaration order).
 struct RowOut {
-    key: Vec<u32>,
+    key: Vec<Oid>,
     oval: Option<Value>,
     row: Vec<Value>,
 }
@@ -324,31 +393,28 @@ struct PartOut {
     levels: Vec<(u64, u64)>,
 }
 
-/// Flat storage for partial bindings: `n` oid slots and `n` naive-key
-/// slots per row (copies, not per-binding allocations).
+/// Flat storage for partial bindings: `n` oid slots per row (copies, not
+/// per-binding allocations).
 struct Partials {
     n: usize,
     oids: Vec<Oid>,
-    keys: Vec<u32>,
 }
 
 impl Partials {
     fn new(n: usize) -> Partials {
-        Partials { n, oids: Vec::new(), keys: Vec::new() }
+        Partials { n, oids: Vec::new() }
     }
 
     fn len(&self) -> usize {
         self.oids.len().checked_div(self.n).unwrap_or(0)
     }
 
-    fn push(&mut self, oids: &[Oid], keys: &[u32]) {
+    fn push(&mut self, oids: &[Oid]) {
         self.oids.extend_from_slice(oids);
-        self.keys.extend_from_slice(keys);
     }
 
-    fn row(&self, r: usize) -> (&[Oid], &[u32]) {
-        let s = r * self.n;
-        (&self.oids[s..s + self.n], &self.keys[s..s + self.n])
+    fn row(&self, r: usize) -> &[Oid] {
+        &self.oids[r * self.n..(r + 1) * self.n]
     }
 }
 
@@ -443,16 +509,19 @@ struct ExecCtx<'a> {
     now: Instant,
     /// Filter-evaluation instant for point-scope queries.
     t0: Instant,
-    cands: &'a [Vec<Cand>],
+    /// Candidates per variable, each sorted by oid.
+    cands: &'a [Vec<Oid>],
     levels: &'a [Level],
-    maps: &'a [Option<HashMap<Value, Vec<u32>>>],
-    /// All candidate indices per level (nested-loop iteration space).
-    all_indices: &'a [Vec<u32>],
+    /// Join tables per level: key value → that level's candidates.
+    maps: &'a [Option<HashMap<Value, Vec<Oid>>>],
     /// Cap on surviving bindings (LIMIT without ORDER BY, order-preserving
     /// placements only).
     cap_scan: Option<usize>,
     /// Bounded top-k buffer size (ORDER BY + LIMIT).
     topk: Option<usize>,
+    /// The placement order differs from the declaration order, so rows
+    /// must carry their naive key for the final sort.
+    keyed: bool,
     /// Shared budget meter (None = ungoverned execution).
     meter: Option<&'a Meter>,
 }
@@ -474,11 +543,9 @@ impl ExecCtx<'_> {
                     let pts =
                         event_points_oids(self.db, oids, self.window, self.now);
                     charge.cost(pts.len() as u64)?;
-                    let pass = pts.into_iter().any(|t| {
-                        eval_cexpr(self.db, oids, t, self.now, f)
-                            .map(|v| v == Value::Bool(true))
-                            .unwrap_or(false)
-                    });
+                    let pass = pts
+                        .into_iter()
+                        .any(|t| holds(self.db, oids, t, self.now, f).unwrap_or(false));
                     return Ok(pass);
                 }
             }
@@ -489,7 +556,7 @@ impl ExecCtx<'_> {
                 Check::Join(j) => &self.plan.joins[*j].whole,
                 Check::Resid(r) => &self.plan.residual[*r].expr,
             };
-            if eval_cexpr(self.db, oids, self.t0, self.now, e)? != Value::Bool(true) {
+            if !holds(self.db, oids, self.t0, self.now, e)? {
                 return Ok(false);
             }
         }
@@ -509,19 +576,17 @@ impl ExecCtx<'_> {
             levels: vec![(0, 0); nlevels],
         };
         let mut obuf = vec![Oid(0); n];
-        let mut kbuf = vec![0u32; n];
         let mut charge = Charge::new(self.meter);
 
         // Level 0: scan the base partition.
         let base = &self.levels[0];
         let mut partials = Partials::new(n);
-        for cand in &self.cands[base.var][lo..hi] {
+        for &oid in &self.cands[base.var][lo..hi] {
             out.levels[0].0 += 1;
             charge.bindings(1)?;
-            obuf[base.var] = cand.oid;
-            kbuf[base.var] = cand.pos;
+            obuf[base.var] = oid;
             if self.passes(0, &obuf, &mut charge)? {
-                partials.push(&obuf, &kbuf);
+                partials.push(&obuf);
                 out.levels[0].1 += 1;
                 if nlevels == 1 && self.cap_scan.is_some_and(|k| partials.len() >= k) {
                     break;
@@ -533,32 +598,27 @@ impl ExecCtx<'_> {
         for li in 1..nlevels {
             let lvl = &self.levels[li];
             let last = li + 1 == nlevels;
-            let cnds = &self.cands[lvl.var];
             let mut next = Partials::new(n);
             'rows: for r in 0..partials.len() {
-                let (po, pk) = partials.row(r);
-                obuf.copy_from_slice(po);
-                kbuf.copy_from_slice(pk);
-                let bucket: &[u32] = match lvl.hash {
+                obuf.copy_from_slice(partials.row(r));
+                let bucket: &[Oid] = match lvl.hash {
                     Some(ji) => {
                         let j = &plan.joins[ji];
                         let probe = if j.left == lvl.var { &j.right_key } else { &j.left_key };
                         let key = eval_cexpr(self.db, &obuf, self.t0, self.now, probe)?;
                         self.maps[li]
                             .as_ref()
-                            .and_then(|m| m.get(&key))
+                            .and_then(|m| m.get(&*key))
                             .map_or(&[], Vec::as_slice)
                     }
-                    None => &self.all_indices[li],
+                    None => &self.cands[lvl.var],
                 };
-                for &ci in bucket {
+                for &oid in bucket {
                     out.levels[li].0 += 1;
                     charge.bindings(1)?;
-                    let cand = cnds[ci as usize];
-                    obuf[lvl.var] = cand.oid;
-                    kbuf[lvl.var] = cand.pos;
+                    obuf[lvl.var] = oid;
                     if self.passes(li, &obuf, &mut charge)? {
-                        next.push(&obuf, &kbuf);
+                        next.push(&obuf);
                         out.levels[li].1 += 1;
                         if last && self.cap_scan.is_some_and(|k| next.len() >= k) {
                             break 'rows;
@@ -585,17 +645,20 @@ impl ExecCtx<'_> {
             .ok_or_else(|| EvalError::internal("empty evaluation window"))?;
         let q = &plan.q;
         for r in 0..partials.len() {
-            let (oids, keys) = partials.row(r);
+            let oids = partials.row(r);
             let mut row = Vec::with_capacity(q.projections.len());
             for ((_, p), &vi) in q.projections.iter().zip(&plan.proj_vars) {
                 row.push(eval_projection(self.db, oids[vi], p, t_eval, self.window, q)?);
             }
             charge.row(approx_row_bytes(&row))?;
             let oval = match &plan.order_key {
-                Some((e, _)) => Some(eval_cexpr(self.db, oids, t_eval, self.now, e)?),
+                Some((e, _)) => {
+                    Some(eval_cexpr(self.db, oids, t_eval, self.now, e)?.into_owned())
+                }
                 None => None,
             };
-            out.rows.push(RowOut { key: keys.to_vec(), oval, row });
+            let key = if self.keyed { oids.to_vec() } else { Vec::new() };
+            out.rows.push(RowOut { key, oval, row });
             if let Some(k) = self.topk {
                 // Bounded top-k: compact once the buffer doubles.
                 if out.rows.len() >= (2 * k).max(64) {
@@ -611,7 +674,9 @@ impl ExecCtx<'_> {
 
 /// Sort rows by the `ORDER BY` value (respecting direction), tie-broken
 /// by naive enumeration order — exactly the reference evaluator's stable
-/// sort over naive-ordered input.
+/// sort over naive-ordered input. Rows produced under an order-preserving
+/// placement carry no key: they already arrive in naive order, partition
+/// by partition, and the sort is stable.
 fn sort_rows(rows: &mut [RowOut], plan: &PlannedQuery) {
     let desc = plan.order_key.as_ref().map(|(_, d)| *d).unwrap_or(false);
     rows.sort_by(|a, b| {
@@ -640,10 +705,13 @@ pub fn execute_plan(
         tchimera_obs::counter!("query.eval.during").inc();
     }
     let now = db.now();
-    let window: Interval = match q.time {
-        TimeSpec::Now => Interval::point(now),
-        TimeSpec::AsOf(t) => Interval::point(Instant(t)),
-        TimeSpec::During(a, b) => Interval::new(Instant(a), Instant(b).min(now)),
+    let (scope, window) = match q.time {
+        TimeSpec::Now => (Scope::At(now), Interval::point(now)),
+        TimeSpec::AsOf(t) => (Scope::At(Instant(t)), Interval::point(Instant(t))),
+        TimeSpec::During(a, b) => (
+            Scope::During(Instant(a), Instant(b)),
+            Interval::new(Instant(a), Instant(b).min(now)),
+        ),
     };
     let t0 = window.lo().unwrap_or(Instant::ZERO);
 
@@ -657,34 +725,35 @@ pub fn execute_plan(
     };
     let mut stats = ExecStats::default();
 
-    // Raw extents per variable.
-    let mut raw: Vec<Vec<Oid>> = Vec::with_capacity(n);
+    // Size every extent. A variable the index may seed is only counted;
+    // the others are fetched now (sorted by oid).
+    let mut classes: Vec<&Class> = Vec::with_capacity(n);
+    let mut fetched: Vec<Option<Vec<Oid>>> = Vec::with_capacity(n);
     for (i, (class_id, var)) in q.vars.iter().enumerate() {
         db.guard_class(class_id)?;
         let class = db.schema().class(class_id)?;
-        let oids = match q.time {
-            TimeSpec::Now => class.ext_at(now, now),
-            TimeSpec::AsOf(t) => class.ext_at(Instant(t), now),
-            TimeSpec::During(a, b) => class.ext_during(Instant(a), Instant(b), now),
-        };
+        let seedable = opts.use_index && plan.index_preds.iter().any(|p| p.var == i);
+        let oids = (!seedable).then(|| scope.extent(class, now));
+        let extent = oids.as_ref().map_or_else(|| scope.count(class, now), Vec::len);
         stats.vars.push(VarStats {
             var: var.clone(),
             class: class_id.as_str().to_owned(),
-            extent: oids.len(),
+            extent,
             pushed: plan.prefilters[i].len(),
-            after: oids.len(),
+            after: extent,
             indexed: None,
         });
-        raw.push(oids);
+        classes.push(class);
+        fetched.push(oids);
     }
-    stats.naive_bindings = raw.iter().map(|r| r.len() as u128).product();
+    stats.naive_bindings = stats.vars.iter().map(|v| v.extent as u128).product();
 
     // Mirror the reference evaluator's early return on an empty extent
     // (it skips filter evaluation and the work counters entirely). An
     // empty window (reversed or entirely-future DURING bounds) can bind
     // nothing either, and returning here keeps the projection instant
     // (`window.hi()`) total for every later stage.
-    if raw.iter().any(Vec::is_empty) || window.is_empty() {
+    if stats.vars.iter().any(|v| v.extent == 0) || window.is_empty() {
         if plan.counting {
             result.rows.push(vec![Value::Int(0)]);
         }
@@ -701,14 +770,13 @@ pub fn execute_plan(
     let meter = opts.budget.as_ref().map(Meter::new);
     let mut charge = Charge::new(meter.as_ref());
 
-    // Index narrowing: resolve each planned equality/membership predicate
-    // through the attribute-value index. A covered probe yields a sorted
-    // superset of the objects that can satisfy the conjunct in the query
-    // window — the scan below then skips everything else, and the
-    // conjunct itself still runs on the survivors (prefilter or level
-    // check), so rows never change. Uncovered probes (no temporal
-    // declaration, unknown class) fall back to the plain scan.
-    let mut allowed: Vec<Option<std::collections::HashSet<Oid>>> = vec![None; n];
+    // Index seeding: resolve each planned equality/membership predicate
+    // through the attribute-value index. A covered probe yields the
+    // sorted oids that can satisfy the conjunct in the query window — a
+    // superset, so the conjunct itself still runs on them (prefilter or
+    // level check) and rows never change. Uncovered probes (no temporal
+    // declaration, unknown class) leave the variable to the extent scan.
+    let mut seeds: Vec<Option<Vec<Oid>>> = vec![None; n];
     if opts.use_index && !plan.index_preds.is_empty() {
         let mut scans = 0u64;
         let mut fallbacks = 0u64;
@@ -723,11 +791,13 @@ pub fn execute_plan(
                     scans += 1;
                     tchimera_obs::counter!("query.plan.index_candidates")
                         .add(oids.len() as u64);
-                    let set: std::collections::HashSet<Oid> = oids.into_iter().collect();
-                    match &mut allowed[p.var] {
-                        Some(prev) => prev.retain(|o| set.contains(o)),
-                        slot => *slot = Some(set),
-                    }
+                    seeds[p.var] = Some(match seeds[p.var].take() {
+                        Some(mut prev) => {
+                            prev.retain(|o| oids.binary_search(o).is_ok());
+                            prev
+                        }
+                        None => oids,
+                    });
                 }
                 None => fallbacks += 1,
             }
@@ -738,19 +808,26 @@ pub fn execute_plan(
         if fallbacks > 0 {
             tchimera_obs::counter!("query.plan.index_fallbacks").add(fallbacks);
         }
-        for (i, a) in allowed.iter().enumerate() {
-            if let Some(set) = a {
-                stats.vars[i].indexed = Some(set.len());
-            }
-        }
     }
 
-    // Prefilter candidates (single-variable queries keep their conjuncts
-    // as source-ordered level checks instead — exact naive semantics).
-    let mut cands: Vec<Vec<Cand>> = Vec::with_capacity(n);
-    for (i, r) in raw.iter().enumerate() {
-        let filtered =
-            prefilter_var(db, plan, i, r, window, now, allowed[i].as_ref(), &mut charge)?;
+    // Candidates: a seeded variable keeps the probed oids that are in its
+    // extent (asked of each oid's own membership history — the extent is
+    // never fetched); the others take their extent. Then the pushed-down
+    // prefilters (single-variable queries keep their conjuncts as
+    // source-ordered level checks instead — exact naive semantics).
+    let mut cands: Vec<Vec<Oid>> = Vec::with_capacity(n);
+    for i in 0..n {
+        let members = match seeds[i].take() {
+            Some(mut seed) => {
+                stats.vars[i].indexed = Some(seed.len());
+                seed.retain(|&oid| scope.contains(classes[i], oid, now));
+                seed
+            }
+            None => fetched[i]
+                .take()
+                .unwrap_or_else(|| scope.extent(classes[i], now)),
+        };
+        let filtered = prefilter_var(db, plan, i, members, window, now, &mut charge)?;
         stats.vars[i].after = filtered.len();
         cands.push(filtered);
     }
@@ -765,31 +842,30 @@ pub fn execute_plan(
     stats.order = order.clone();
 
     // Hash tables, built once over each joined level's candidates.
-    let mut maps: Vec<Option<HashMap<Value, Vec<u32>>>> = Vec::with_capacity(levels.len());
-    let mut all_indices: Vec<Vec<u32>> = Vec::with_capacity(levels.len());
+    let mut maps: Vec<Option<HashMap<Value, Vec<Oid>>>> = Vec::with_capacity(levels.len());
     {
         let mut buf = vec![Oid(0); n];
         for lvl in &levels {
-            let map = match lvl.hash {
+            maps.push(match lvl.hash {
                 Some(ji) => {
                     let j = &plan.joins[ji];
                     let build = if j.left == lvl.var { &j.left_key } else { &j.right_key };
-                    let mut m: HashMap<Value, Vec<u32>> = HashMap::new();
-                    for (ci, cand) in cands[lvl.var].iter().enumerate() {
+                    let mut m: HashMap<Value, Vec<Oid>> = HashMap::new();
+                    for &oid in &cands[lvl.var] {
                         charge.cost(1)?;
-                        buf[lvl.var] = cand.oid;
+                        buf[lvl.var] = oid;
                         let key = eval_cexpr(db, &buf, t0, now, build)?;
-                        m.entry(key).or_default().push(ci as u32);
+                        match m.get_mut(&*key) {
+                            Some(bucket) => bucket.push(oid),
+                            None => {
+                                m.insert(key.into_owned(), vec![oid]);
+                            }
+                        }
                     }
                     Some(m)
                 }
                 None => None,
-            };
-            all_indices.push(match map {
-                Some(_) => Vec::new(),
-                None => (0..cands[lvl.var].len() as u32).collect(),
             });
-            maps.push(map);
         }
     }
     let hash_levels = levels.iter().filter(|l| l.hash.is_some()).count();
@@ -811,7 +887,7 @@ pub fn execute_plan(
     let threads = rayon::current_num_threads();
     #[cfg(not(feature = "rayon"))]
     let threads = 1;
-    let default_p = if par && threads > 1 && base_len >= 64 { threads } else { 1 };
+    let default_p = if par && base_len >= PAR_MIN_CANDIDATES { threads } else { 1 };
     let p = opts.partitions.unwrap_or(default_p).clamp(1, base_len.max(1));
     let chunk = base_len.div_ceil(p);
     let ranges: Vec<(usize, usize)> = (0..p)
@@ -835,9 +911,9 @@ pub fn execute_plan(
         cands: &cands,
         levels: &levels,
         maps: &maps,
-        all_indices: &all_indices,
         cap_scan,
         topk,
+        keyed: needs_sort,
         meter: meter.as_ref(),
     };
     #[cfg(feature = "rayon")]
@@ -897,64 +973,43 @@ pub fn execute_plan(
     Ok((result, stats))
 }
 
-/// Apply a variable's pushed-down conjuncts over its raw extent. Under a
-/// point scope each conjunct must hold at the scope instant (errors
-/// propagate); under `DURING` a candidate survives if every conjunct
-/// holds at *some* event point of that object alone — a necessary
-/// condition for the joint existential filter checked later.
-///
-/// `allowed` is the index-resolved candidate set (if any): extent members
-/// outside it are skipped *before* any evaluation or charging — that skip
-/// is the examined-bindings saving the index buys. Positions (`Cand::pos`)
-/// stay relative to the raw extent, so naive row order is preserved.
-#[allow(clippy::too_many_arguments)]
+/// Apply a variable's pushed-down conjuncts to its candidates (the
+/// index-seeded members or the whole extent, sorted by oid either way).
+/// Under a point scope each conjunct must hold at the scope instant
+/// (errors propagate); under `DURING` a candidate survives if every
+/// conjunct holds at *some* event point of that object alone — a
+/// necessary condition for the joint existential filter checked later.
 fn prefilter_var(
     db: &Database,
     plan: &PlannedQuery,
     i: usize,
-    raw: &[Oid],
+    mut members: Vec<Oid>,
     window: Interval,
     now: Instant,
-    allowed: Option<&std::collections::HashSet<Oid>>,
     charge: &mut Charge<'_>,
-) -> Result<Vec<Cand>, EvalError> {
+) -> Result<Vec<Oid>, EvalError> {
     let pres = &plan.prefilters[i];
-    if pres.is_empty() && allowed.is_none() {
-        return Ok(raw
-            .iter()
-            .enumerate()
-            .map(|(pos, &oid)| Cand { oid, pos: pos as u32 })
-            .collect());
+    if pres.is_empty() {
+        return Ok(members);
     }
     let t_point = window
         .lo()
         .ok_or_else(|| EvalError::internal("empty evaluation window"))?;
-    let mut out = Vec::new();
     let mut buf = vec![Oid(0); plan.n];
-    for (pos, &oid) in raw.iter().enumerate() {
-        if allowed.is_some_and(|a| !a.contains(&oid)) {
-            continue;
-        }
-        if pres.is_empty() {
-            out.push(Cand { oid, pos: pos as u32 });
-            continue;
-        }
+    let mut kept = 0;
+    for k in 0..members.len() {
+        let oid = members[k];
         buf[i] = oid;
         let keep = if plan.during {
             let pts = event_points_oids(db, std::slice::from_ref(&oid), window, now);
             charge.cost(1 + pts.len() as u64)?;
-            pres.iter().all(|c| {
-                pts.iter().any(|&t| {
-                    eval_cexpr(db, &buf, t, now, c)
-                        .map(|v| v == Value::Bool(true))
-                        .unwrap_or(false)
-                })
-            })
+            pres.iter()
+                .all(|c| pts.iter().any(|&t| holds(db, &buf, t, now, c).unwrap_or(false)))
         } else {
             charge.cost(1)?;
             let mut keep = true;
             for c in pres {
-                if eval_cexpr(db, &buf, t_point, now, c)? != Value::Bool(true) {
+                if !holds(db, &buf, t_point, now, c)? {
                     keep = false;
                     break;
                 }
@@ -962,10 +1017,12 @@ fn prefilter_var(
             keep
         };
         if keep {
-            out.push(Cand { oid, pos: pos as u32 });
+            members[kept] = oid;
+            kept += 1;
         }
     }
-    Ok(out)
+    members.truncate(kept);
+    Ok(members)
 }
 
 #[cfg(test)]
@@ -1051,6 +1108,28 @@ mod tests {
             assert_eq!(one.rows, three.rows, "{src}");
             assert_eq!(one.rows, par.rows, "{src}");
             assert_eq!(s3.partitions, 3, "{src}");
+        }
+    }
+
+    #[test]
+    fn only_large_candidate_sets_are_partitioned_by_default() {
+        #[cfg(feature = "rayon")]
+        let threads = rayon::current_num_threads();
+        #[cfg(not(feature = "rayon"))]
+        let threads = 1;
+        let db = dept_db(PAR_MIN_CANDIDATES as i64);
+        // 1 in 10 is rare: the seeded point read is far below the
+        // threshold, the unfiltered scan sits exactly on it.
+        for (src, partitions) in [
+            ("select x from emp x where x.dept = 'rare'", 1),
+            ("select x from emp x where x.v >= 0", threads),
+        ] {
+            let q = sel(src);
+            let plan = plan_select(&q);
+            let (r, stats) = execute_plan(&db, &plan, &ExecOptions::default()).unwrap();
+            assert_eq!(stats.partitions, partitions, "{src}");
+            let (one, _) = execute_plan(&db, &plan, &serial(1)).unwrap();
+            assert_eq!(r.rows, one.rows, "{src}");
         }
     }
 

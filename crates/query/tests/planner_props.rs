@@ -80,6 +80,20 @@ fn build_db(ops: &[OpSeed]) -> Database {
                     let _ = db.terminate_object(o);
                 }
             }
+            // Demotion: leaves `mgr` holding its values; a later kind-5
+            // step re-hires it (a non-contiguous `mgr` membership).
+            8 => {
+                if let Some(o) = pick(y) {
+                    let _ = db.migrate(o, &ClassId::from("emp"), Attrs::new());
+                }
+            }
+            // A whole lifespan inside one tick: still a member at `now`.
+            9 => {
+                let init = attrs([("a", Value::Int(x)), ("b", Value::Int(x.rem_euclid(3)))]);
+                let oid = db.create_object(&ClassId::from("emp"), init).unwrap();
+                db.terminate_object(oid).unwrap();
+                oids.push(oid);
+            }
             _ => {
                 db.tick_by(u64::from(z % 3) + 1);
             }
@@ -237,7 +251,7 @@ proptest! {
     /// evaluator, and insensitive to partition boundaries and rayon.
     #[test]
     fn planner_matches_naive_evaluator(
-        ops in prop::collection::vec((0u8..8, -2i64..4, 0u8..16, 0u8..8), 4..36),
+        ops in prop::collection::vec((0u8..10, -2i64..4, 0u8..16, 0u8..8), 4..36),
         nvars in 1usize..4,
         vclasses in prop::collection::vec(0u8..2, 3),
         time in (0u8..3, 0u64..20, 0u64..16),

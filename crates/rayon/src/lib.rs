@@ -11,16 +11,20 @@
 //! `map/collect` is observationally identical to its serial counterpart.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// Import surface mirroring `rayon::prelude`.
 pub mod prelude {
     pub use crate::{IntoParallelRefIterator, ParIter, ParMap};
 }
 
-/// Number of worker threads used for parallel execution.
+/// Number of worker threads used for parallel execution. Read from the
+/// machine once per process, as real rayon sizes its global pool once:
+/// `available_parallelism` re-reads cgroup files on every call (≈ 29 µs
+/// in a container), which a per-query caller cannot afford.
 pub fn current_num_threads() -> usize {
-    std::thread::available_parallelism().map_or(1, |n| n.get())
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
 }
 
 /// Run two closures, potentially in parallel, returning both results.

@@ -4,7 +4,7 @@
 use tchimera_core::{
     attrs, Attrs, ClassDef, ClassId, Constraint, Database, Instant, Interval, Oid, Type, Value,
 };
-use tchimera_query::{Interpreter, Outcome};
+use tchimera_query::{eval_select_naive, parse, Interpreter, Outcome, ReplicaSession, Stmt};
 use tchimera_storage::{PersistentDatabase, TemporalIndex};
 
 /// Build the staff database used across these tests, via the public API.
@@ -309,4 +309,95 @@ fn view_as_composes_with_queries() {
     assert_eq!(view, Value::record([("address", Value::str("Genova"))]));
     let sup_t = db.type_of(&ClassId::from("person")).unwrap();
     assert!(db.value_in_type(&view, &sup_t, db.now()));
+}
+
+/// Tier-1 smoke of the index-seeded read path (the member-crate suites
+/// `attr_index_props` / `planner_props` / `read_path_counts` hold the
+/// full property): through both front doors, every scope's rows equal
+/// the reference evaluator's, row for row and in order, on a population
+/// where the attribute index and the class extent disagree — a whole
+/// lifespan inside one tick, an object demoted out of the class that
+/// still holds the value, a re-hired member.
+#[test]
+fn seeded_reads_match_the_reference_evaluator_through_both_front_doors() {
+    let mut interp = Interpreter::new();
+    interp
+        .run_script(
+            "define class emp (dept: temporal(string), v: temporal(integer)); \
+             define class mgr under emp (bonus: temporal(integer)); \
+             advance to 1;",
+        )
+        .unwrap();
+    for i in 0..120 {
+        let dept = if i % 8 == 0 { "rare" } else { "common" };
+        interp
+            .run(&format!("create emp (dept := '{dept}', v := {})", i % 7))
+            .unwrap();
+        if i % 40 == 39 {
+            interp.run("tick 1").unwrap();
+        }
+    }
+    interp
+        .run_script(
+            "migrate #0 to mgr (bonus := 1); migrate #8 to mgr (bonus := 2); \
+             migrate #1 to mgr (bonus := 3); tick 1; \
+             migrate #0 to emp; set #16.dept := 'common'; set #3.dept := 'rare'; tick 1; \
+             migrate #0 to mgr (bonus := 4); terminate #24; tick 1; \
+             create emp (dept := 'rare', v := 3); terminate #120; \
+             create mgr (dept := 'rare', v := 5, bonus := 6); terminate #121;",
+        )
+        .unwrap();
+    // No tick: #120 and #121 were created and terminated at `now`.
+    let now = interp.db().now().ticks();
+    let mut session = ReplicaSession::new();
+    let mut seeded = 0;
+    for class in ["emp", "mgr"] {
+        for scope in [
+            String::new(),
+            format!(" as of {}", now - 2),
+            format!(" as of {}", now - 1),
+            format!(" during [{}, {}]", now - 3, now - 1),
+            format!(" during [{}, {}]", now, now + 5),
+        ] {
+            for filter in [
+                "x.dept = 'rare'".to_owned(),
+                "x.dept = 'rare' or x.dept = 'nowhere'".to_owned(),
+                format!("x.dept at {} = 'rare'", now - 2),
+                "x.dept = 'rare' and x.v > 2".to_owned(),
+            ] {
+                for tail in ["", " order by x.v desc limit 3"] {
+                    let src = format!("select x, x.v from {class} x{scope} where {filter}{tail}");
+                    let q = match parse(&src).unwrap() {
+                        Stmt::Select(q) => q,
+                        other => panic!("{src}: {other:?}"),
+                    };
+                    let want = eval_select_naive(interp.db(), &q).unwrap();
+                    let primary = match interp.run(&src) {
+                        Ok(Outcome::Table(t)) => t,
+                        other => panic!("{src}: {other:?}"),
+                    };
+                    assert_eq!(primary.rows, want.rows, "Interpreter: {src}");
+                    let replica = match session.run(interp.db(), &src) {
+                        Ok(Outcome::Table(t)) => t,
+                        other => panic!("{src}: {other:?}"),
+                    };
+                    assert_eq!(replica.rows, want.rows, "ReplicaSession: {src}");
+                    seeded += usize::from(!want.rows.is_empty());
+                }
+            }
+        }
+    }
+    assert!(seeded >= 40, "only {seeded} statements had an answer to compare");
+    // The same-tick lifespans are in the answer at `now`, gone from the extent after.
+    match interp.run("select x from emp x where x.dept = 'rare'").unwrap() {
+        Outcome::Table(t) => {
+            assert!(t.rows.contains(&vec![Value::Oid(Oid(120))]));
+            assert!(t.rows.contains(&vec![Value::Oid(Oid(121))]));
+        }
+        other => panic!("{other:?}"),
+    }
+    match interp.run("explain select x from mgr x where x.dept = 'rare'").unwrap() {
+        Outcome::Explain(text) => assert!(text.contains("IndexScan"), "{text}"),
+        other => panic!("{other:?}"),
+    }
 }
