@@ -436,7 +436,6 @@ impl Database {
             *slot = value;
         }
         if may_shrink {
-            tchimera_obs::counter!("core.refindex.rebuilds").inc();
             self.reindex_refs(oid);
         } else {
             tchimera_obs::counter!("core.refindex.incremental").inc();
@@ -862,6 +861,7 @@ impl Database {
     /// `O(object state)` — mutation paths prefer [`RefIndex::add_refs`]
     /// and fall back here only when references may have been removed.
     pub(crate) fn reindex_refs(&mut self, oid: Oid) {
+        tchimera_obs::counter!("core.refindex.rebuilds").inc();
         let refs = self
             .objects
             .get(&oid)

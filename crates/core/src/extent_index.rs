@@ -106,6 +106,32 @@ impl ExtentIndex {
         }
     }
 
+    /// The index over a complete, time-sorted event log. Checkpoints
+    /// fall where [`ExtentIndex::record`] would have put them had the
+    /// events arrived one by one: the member count it reads off its live
+    /// set is the running sum of the deltas here (one oid's joins and
+    /// leaves alternate), and each checkpoint's member set is the
+    /// previous one replayed forward — no live set is kept along the way.
+    fn from_sorted(events: Vec<Event>) -> ExtentIndex {
+        let mut ix = ExtentIndex {
+            events,
+            ..ExtentIndex::default()
+        };
+        let (mut members, mut applied) = (0i64, 0usize);
+        for n in 1..=ix.events.len() {
+            members += i64::from(ix.events[n - 1].delta);
+            let gap = usize::try_from(members / 8).unwrap_or(0);
+            if n - applied >= MIN_CHECKPOINT_GAP.max(gap) {
+                let members = ix.replay(n, ix.checkpoints.last());
+                ix.checkpoints.push(Checkpoint { applied: n, members });
+                applied = n;
+            }
+        }
+        tchimera_obs::counter!("core.extent.checkpoints").add(ix.checkpoints.len() as u64);
+        ix.current = (ix.replay(ix.events.len(), ix.checkpoints.last()).into_iter()).collect();
+        ix
+    }
+
     /// Join events strictly after `lo` and at or before `hi`.
     fn joins_in(&self, lo: Instant, hi: Instant) -> impl Iterator<Item = (Instant, Oid)> + '_ {
         let a = self.events.partition_point(|e| e.at <= lo);
@@ -427,17 +453,6 @@ impl Membership {
         &self.histories
     }
 
-    /// Rebuild a membership store (histories **and** the time-sorted
-    /// index) from bare per-oid histories, as when importing a state
-    /// snapshot. Every run contributes a join event at its start and —
-    /// for closed runs `[s, e]` — a leave event at `e + 1`, exactly the
-    /// instants the live [`open`](Membership::open) /
-    /// [`close`](Membership::close) /
-    /// [`close_before`](Membership::close_before) paths would have
-    /// recorded. Events are replayed in time order, leaves before joins
-    /// at the same instant (the live close-then-reopen order), so the
-    /// index's current-member set matches the one incremental maintenance
-    /// would have produced.
     /// Assert-free divergence check between the time-sorted index and the
     /// per-oid histories (the source of truth). Probes every instant at
     /// which either representation claims a membership change, plus
@@ -538,22 +553,32 @@ impl Membership {
         }
     }
 
+    /// Build a membership store (histories **and** the time-sorted
+    /// index) from bare per-oid histories — the bulk builder behind
+    /// [`Database::import_state`](crate::Database::import_state) and the
+    /// scrubber's rebuild rung. Every run contributes a join event at
+    /// its start and — for closed runs `[s, e]` — a leave event at
+    /// `e + 1`, exactly the instants the live
+    /// [`open`](Membership::open) / [`close`](Membership::close) /
+    /// [`close_before`](Membership::close_before) paths record. One sort
+    /// puts them in time order, leaves before joins at the same instant
+    /// (the live close-then-reopen order); one sweep over the sorted log
+    /// places the checkpoints.
     pub(crate) fn from_histories(histories: HashMap<Oid, TemporalValue<()>>) -> Membership {
-        let mut events: Vec<(Instant, Oid, i32)> = Vec::new();
+        let mut events: Vec<Event> = Vec::with_capacity(histories.len());
         for (&oid, h) in &histories {
             for e in h.entries() {
-                events.push((e.start, oid, 1));
+                events.push(Event { at: e.start, oid, delta: 1 });
                 if let tchimera_temporal::TimeBound::Fixed(end) = e.end {
-                    events.push((end.next(), oid, -1));
+                    events.push(Event { at: end.next(), oid, delta: -1 });
                 }
             }
         }
-        events.sort_unstable_by_key(|&(at, oid, delta)| (at, delta, oid));
-        let mut index = ExtentIndex::default();
-        for (at, oid, delta) in events {
-            index.record(at, oid, delta);
+        events.sort_unstable_by_key(|e| (e.at, e.delta, e.oid));
+        Membership {
+            histories,
+            index: ExtentIndex::from_sorted(events),
         }
-        Membership { histories, index }
     }
 }
 
@@ -704,6 +729,36 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn bulk_build_answers_like_incremental_maintenance() {
+        let mut m = Membership::default();
+        for k in 0..3000u64 {
+            m.open(Oid(k % 900), t(k)).unwrap();
+            if k % 3 == 0 {
+                m.close_before(Oid((k / 2) % 900), t(k));
+            }
+            if k % 97 == 0 {
+                m.close(Oid((k / 3) % 900), t(k));
+            }
+        }
+        let now = t(3000);
+        let bulk = Membership::from_histories(m.histories.clone());
+        // Long enough to place checkpoints, and to route probes to both
+        // of them and to the current set.
+        assert!(bulk.index.checkpoints.len() > 2);
+        assert!(bulk.index.checkpoints.windows(2).all(|w| w[0].applied < w[1].applied));
+        assert_eq!(bulk.index.current, m.index.current);
+        for probe in (0..=3001).step_by(7).chain([255, 256, 257, 2999, 3000]) {
+            assert_eq!(bulk.members_at(t(probe), now), m.members_at(t(probe), now), "t={probe}");
+            assert_eq!(bulk.count_at(t(probe), now), m.count_at(t(probe), now), "t={probe}");
+        }
+        assert_eq!(bulk.members_during(t(100), t(140), now), m.members_during(t(100), t(140), now));
+        assert!(bulk.verify_index(now).is_some());
+        // Nothing to index is nothing to build.
+        let empty = Membership::from_histories(HashMap::new());
+        assert!(empty.members_at(now, now).is_empty() && empty.verify_index(now).is_some());
     }
 
     #[test]

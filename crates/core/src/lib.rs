@@ -84,7 +84,7 @@ pub use schema::Schema;
 #[cfg(any(test, feature = "testing"))]
 pub use scrub::{MemFault, SimMem};
 pub use scrub::{Quarantine, ScrubFinding, ScrubReport};
-pub use state::{ClassState, DatabaseState, MembershipState, ObjectState, RunState, StateError};
+pub use state::{ClassState, DatabaseState, StateError};
 pub use types::{BasicType, Type};
 pub use value::Value;
 

@@ -30,6 +30,7 @@ pub const CORE_METRICS: &[&str] = &[
     "core.consistency.workers",
     "core.digest.builds",
     "core.digest.rehashed",
+    "core.digest.walks",
     "core.extent.at_current",
     "core.extent.at_replay",
     "core.extent.checkpoints",

@@ -12,8 +12,10 @@
 use std::collections::{BTreeSet, HashMap};
 
 use crate::ident::Oid;
+use crate::object::Object;
 
-/// The inverse reference graph, maintained by [`RefIndex::update`] after
+/// The inverse reference graph: built whole by [`RefIndex::build`],
+/// maintained by [`RefIndex::update`] / [`RefIndex::add_refs`] after
 /// each object mutation.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct RefIndex {
@@ -25,6 +27,30 @@ pub(crate) struct RefIndex {
 }
 
 impl RefIndex {
+    /// The index of a whole object population: one pass collects every
+    /// object's reference set, one sort groups the edges by target.
+    pub(crate) fn build<'a>(objects: impl Iterator<Item = &'a Object>) -> RefIndex {
+        let mut fwd = HashMap::new();
+        let mut edges: Vec<(Oid, Oid)> = Vec::new();
+        for o in objects {
+            let refs = o.all_refs();
+            if !refs.is_empty() {
+                edges.extend(refs.iter().map(|&target| (target, o.oid)));
+                fwd.insert(o.oid, refs);
+            }
+        }
+        edges.sort_unstable();
+        let mut rev = HashMap::new();
+        let mut rest = edges.as_slice();
+        while let Some(&(target, _)) = rest.first() {
+            // Sorted by target first: its edges are a prefix of the rest.
+            let (group, others) = rest.split_at(rest.partition_point(|e| e.0 == target));
+            rev.insert(target, group.iter().map(|&(_, referrer)| referrer).collect());
+            rest = others;
+        }
+        RefIndex { fwd, rev }
+    }
+
     /// Reconcile the index with `referrer`'s current outgoing reference
     /// set (`new_refs` must be sorted and distinct, as produced by
     /// `Object::all_refs`). Cost is linear in the two reference lists.
@@ -194,6 +220,32 @@ mod tests {
         ix.add_refs(Oid(2), vec![]);
         assert_eq!(ix.targets_of(Oid(1)), &[Oid(10), Oid(20), Oid(30)]);
         assert!(ix.targets_of(Oid(2)).is_empty());
+    }
+
+    #[test]
+    fn bulk_build_equals_one_update_per_object() {
+        use crate::value::Value;
+        let object = |oid: u64, refs: &[u64]| Object {
+            oid: Oid(oid),
+            lifespan: tchimera_temporal::Lifespan::starting_at(tchimera_temporal::Instant(0)),
+            attrs: [("refs".into(), Value::set(refs.iter().map(|&r| Value::Oid(Oid(r)))))].into(),
+            class_history: Default::default(),
+        };
+        let objects = [
+            object(1, &[10, 20]),
+            object(2, &[20]),
+            object(3, &[]),
+            object(4, &[20, 10, 4]),
+        ];
+        let bulk = RefIndex::build(objects.iter());
+        let mut incremental = RefIndex::default();
+        for o in &objects {
+            incremental.update(o.oid, o.all_refs());
+        }
+        assert_eq!(bulk, incremental);
+        assert_eq!(referrers(&bulk, Oid(20)), vec![Oid(1), Oid(2), Oid(4)]);
+        assert!(bulk.targets_of(Oid(3)).is_empty());
+        assert_eq!(RefIndex::build([].iter()), RefIndex::default());
     }
 
     #[test]

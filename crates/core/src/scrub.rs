@@ -373,10 +373,7 @@ impl Database {
             if charge(cost) {
                 report.steps += 1;
                 report.items += cost;
-                let mut fresh = RefIndex::default();
-                for o in self.objects.values() {
-                    fresh.update(o.oid, o.all_refs());
-                }
+                let fresh = RefIndex::build(self.objects.values());
                 if self.refs != fresh {
                     report.divergences += 1;
                     tchimera_obs::counter!("core.scrub.divergences").inc();

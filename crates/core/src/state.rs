@@ -1,17 +1,20 @@
-//! State serialization hooks: a flat, plain-data image of the full
-//! database state, convertible to and from a live [`Database`].
+//! The state image: the base state of a [`Database`], detached from it.
 //!
-//! The storage layer uses this to write **snapshots** (checkpoints): a
-//! [`DatabaseState`] captures everything observable — the clock, every
-//! class (declarations, lifespan, c-attribute values, per-oid membership
-//! histories) and every object (lifespan, attributes, class history) —
-//! plus the little bookkeeping state (`next_oid`, hierarchy counters)
-//! needed so a database restored from the image behaves *identically* to
-//! the original under every subsequent operation.
+//! The storage layer writes a [`DatabaseState`] as a **snapshot**
+//! (checkpoint) and ships it to a replica that fell behind. It holds the
+//! base state in the model's own types — every [`Object`] as it is, every
+//! membership history as the `TemporalValue<()>` the class keeps — plus
+//! the clock and the little bookkeeping (`next_oid`, hierarchy counters)
+//! that makes a database restored from the image behave *identically* to
+//! the original under every subsequent operation. There is no second
+//! representation to translate to or from: decoding an image builds the
+//! objects [`Database::import_state`] then moves into place.
 //!
-//! Derived structures that are pure functions of the primary state (the
-//! reverse-reference index, the time-sorted extent index checkpoints) are
-//! not stored; [`Database::import_state`] rebuilds them.
+//! Derived structures — the time-sorted extent indexes, the
+//! reverse-reference index — are functions of the base state and are not
+//! in the image; `import_state` builds each in one bulk pass
+//! (`Membership::from_histories`, `RefIndex::build`), the same builders
+//! the scrubber's rebuild rung uses. The digest table starts cold.
 //!
 //! The **state digest** lives here too: a 64-bit fingerprint of the same
 //! observable state the image captures, defined so that it can be
@@ -22,7 +25,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::sync::{Mutex, MutexGuard};
 
-use tchimera_temporal::{HistoryError, Instant, Lifespan, TemporalEntry, TemporalValue, TimeBound};
+use tchimera_temporal::{Instant, Lifespan, TemporalValue};
 
 use crate::class::{AttrDecl, Class, ClassKind, MethodSig};
 use crate::database::Database;
@@ -32,26 +35,6 @@ use crate::object::Object;
 use crate::ref_index::RefIndex;
 use crate::schema::Schema;
 use crate::value::Value;
-
-/// A run of a temporal history: `[start, end]` with its value.
-#[derive(Clone, Debug, PartialEq)]
-pub struct RunState<V> {
-    /// Run start.
-    pub start: Instant,
-    /// Run end (fixed, or still open at `now`).
-    pub end: TimeBound,
-    /// The value held over the run.
-    pub value: V,
-}
-
-/// The membership history of one oid in one class extent.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MembershipState {
-    /// The member.
-    pub oid: Oid,
-    /// Its membership runs (`()`-valued boolean history).
-    pub runs: Vec<RunState<()>>,
-}
 
 /// The full state of one class (Definition 4.1 plus derived features).
 #[derive(Clone, Debug, PartialEq)]
@@ -83,22 +66,9 @@ pub struct ClassState {
     /// ISA connected-component id.
     pub hierarchy: u32,
     /// Per-oid membership histories (`ext`), sorted by oid.
-    pub ext: Vec<MembershipState>,
+    pub ext: Vec<(Oid, TemporalValue<()>)>,
     /// Per-oid instance-of histories (`proper-ext`), sorted by oid.
-    pub proper_ext: Vec<MembershipState>,
-}
-
-/// The full state of one object (Definition 5.1).
-#[derive(Clone, Debug, PartialEq)]
-pub struct ObjectState {
-    /// The object identifier.
-    pub oid: Oid,
-    /// The object lifespan.
-    pub lifespan: Lifespan,
-    /// The attribute record.
-    pub attrs: Vec<(AttrName, Value)>,
-    /// The most-specific-class history.
-    pub class_history: Vec<RunState<ClassId>>,
+    pub proper_ext: Vec<(Oid, TemporalValue<()>)>,
 }
 
 /// The complete, self-contained image of a database.
@@ -113,14 +83,14 @@ pub struct DatabaseState {
     /// Every class (tombstones included), sorted by id.
     pub classes: Vec<ClassState>,
     /// Every object (terminated included), sorted by oid.
-    pub objects: Vec<ObjectState>,
+    pub objects: Vec<Object>,
 }
 
-/// Errors raised while importing a [`DatabaseState`].
+/// Errors raised while importing a [`DatabaseState`]. Its histories and
+/// attribute records are well-formed by type; what an image can still
+/// get wrong is how its parts fit together.
 #[derive(Debug)]
 pub enum StateError {
-    /// A temporal history in the image was ill-formed.
-    History(HistoryError),
     /// A structural invariant of the image was violated.
     Corrupt(&'static str),
 }
@@ -128,7 +98,6 @@ pub enum StateError {
 impl fmt::Display for StateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            StateError::History(e) => write!(f, "state image holds an ill-formed history: {e}"),
             StateError::Corrupt(what) => write!(f, "corrupt state image: {what}"),
         }
     }
@@ -136,59 +105,21 @@ impl fmt::Display for StateError {
 
 impl std::error::Error for StateError {}
 
-impl From<HistoryError> for StateError {
-    fn from(e: HistoryError) -> Self {
-        StateError::History(e)
-    }
-}
-
-fn export_history<V: Clone + Eq>(h: &TemporalValue<V>) -> Vec<RunState<V>> {
-    h.entries()
-        .iter()
-        .map(|e| RunState {
-            start: e.start,
-            end: e.end,
-            value: e.value.clone(),
-        })
-        .collect()
-}
-
-fn import_history<V: Clone + Eq>(runs: Vec<RunState<V>>) -> Result<TemporalValue<V>, StateError> {
-    Ok(TemporalValue::from_entries(
-        runs.into_iter()
-            .map(|r| TemporalEntry {
-                start: r.start,
-                end: r.end,
-                value: r.value,
-            })
-            .collect(),
-    )?)
-}
-
-fn export_membership(m: &Membership) -> Vec<MembershipState> {
-    let mut out: Vec<MembershipState> = m
-        .histories()
-        .iter()
-        .map(|(&oid, h)| MembershipState {
-            oid,
-            runs: export_history(h),
-        })
+fn export_membership(m: &Membership) -> Vec<(Oid, TemporalValue<()>)> {
+    let mut out: Vec<_> = (m.histories().iter())
+        .map(|(&oid, h)| (oid, h.clone()))
         .collect();
     // HashMap iteration order is nondeterministic; sort so two exports of
     // the same database are byte-identical when serialized.
-    out.sort_by_key(|m| m.oid);
+    out.sort_unstable_by_key(|&(oid, _)| oid);
     out
 }
 
-fn import_membership(states: Vec<MembershipState>) -> Result<Membership, StateError> {
-    let mut histories = std::collections::HashMap::with_capacity(states.len());
-    for s in states {
-        if histories
-            .insert(s.oid, import_history(s.runs)?)
-            .is_some()
-        {
-            return Err(StateError::Corrupt("duplicate oid in membership"));
-        }
+fn import_membership(pairs: Vec<(Oid, TemporalValue<()>)>) -> Result<Membership, StateError> {
+    let n = pairs.len();
+    let histories: HashMap<Oid, TemporalValue<()>> = pairs.into_iter().collect();
+    if histories.len() != n {
+        return Err(StateError::Corrupt("duplicate oid in membership"));
     }
     Ok(Membership::from_histories(histories))
 }
@@ -208,27 +139,11 @@ impl Database {
                 lifespan: c.lifespan,
                 own_attrs: c.own_attrs.values().cloned().collect(),
                 all_attrs: c.all_attrs.values().cloned().collect(),
-                own_methods: c
-                    .own_methods
-                    .iter()
-                    .map(|(n, s)| (n.clone(), s.clone()))
-                    .collect(),
-                all_methods: c
-                    .all_methods
-                    .iter()
-                    .map(|(n, s)| (n.clone(), s.clone()))
-                    .collect(),
+                own_methods: c.own_methods.clone().into_iter().collect(),
+                all_methods: c.all_methods.clone().into_iter().collect(),
                 c_attrs: c.c_attrs.values().cloned().collect(),
-                c_methods: c
-                    .c_methods
-                    .iter()
-                    .map(|(n, s)| (n.clone(), s.clone()))
-                    .collect(),
-                c_attr_values: c
-                    .c_attr_values
-                    .iter()
-                    .map(|(n, v)| (n.clone(), v.clone()))
-                    .collect(),
+                c_methods: c.c_methods.clone().into_iter().collect(),
+                c_attr_values: c.c_attr_values.clone().into_iter().collect(),
                 superclasses: c.superclasses.clone(),
                 subclasses: c.subclasses.clone(),
                 hierarchy: c.hierarchy,
@@ -236,31 +151,22 @@ impl Database {
                 proper_ext: export_membership(&c.proper_ext),
             })
             .collect();
-        let objects = self
-            .objects
-            .values()
-            .map(|o| ObjectState {
-                oid: o.oid,
-                lifespan: o.lifespan,
-                attrs: o.attrs.iter().map(|(n, v)| (n.clone(), v.clone())).collect(),
-                class_history: export_history(&o.class_history),
-            })
-            .collect();
         DatabaseState {
             clock: self.clock,
             next_oid: self.next_oid,
             next_hierarchy: self.schema.next_hierarchy,
             classes,
-            objects,
+            objects: self.objects.values().cloned().collect(),
         }
     }
 
     /// Rebuild a live database from an exported image. The result is
     /// observably identical to the database that produced the image
     /// (same state digest) and behaves identically under every
-    /// subsequent operation. Derived indexes (reverse references, the
-    /// time-sorted extent index) are reconstructed from the primary
-    /// state.
+    /// subsequent operation. The image's objects and histories become
+    /// the base state as they are; each derived index (reverse
+    /// references, the time-sorted extent indexes) is built from it in
+    /// one bulk pass.
     pub fn import_state(state: DatabaseState) -> Result<Database, StateError> {
         let mut classes = BTreeMap::new();
         for cs in state.classes {
@@ -303,41 +209,32 @@ impl Database {
                 return Err(StateError::Corrupt("duplicate class id"));
             }
         }
-        let mut objects = BTreeMap::new();
-        for os in state.objects {
-            if os.oid.0 >= state.next_oid {
-                return Err(StateError::Corrupt("object oid beyond next_oid"));
-            }
-            let object = Object {
-                oid: os.oid,
-                lifespan: os.lifespan,
-                attrs: os.attrs.into_iter().collect(),
-                class_history: import_history(os.class_history)?,
-            };
-            if objects.insert(os.oid, object).is_some() {
-                return Err(StateError::Corrupt("duplicate oid"));
-            }
+        let n = state.objects.len();
+        // Sorted input (what `export_state` writes) builds the map in
+        // one pass.
+        let objects: BTreeMap<Oid, Object> =
+            state.objects.into_iter().map(|o| (o.oid, o)).collect();
+        if objects.len() != n {
+            return Err(StateError::Corrupt("duplicate oid"));
         }
-        let mut db = Database {
+        if objects.last_key_value().is_some_and(|(oid, _)| oid.0 >= state.next_oid) {
+            return Err(StateError::Corrupt("object oid beyond next_oid"));
+        }
+        Ok(Database {
             schema: Schema {
                 classes,
                 next_hierarchy: state.next_hierarchy,
                 generation: crate::schema::next_generation(),
             },
+            refs: RefIndex::build(objects.values()),
             objects,
             clock: state.clock,
             next_oid: state.next_oid,
-            refs: RefIndex::default(),
             admission: std::sync::Arc::default(),
             attr_idx: Default::default(),
             quarantine: std::sync::Arc::default(),
             digest: DigestCache::default(),
-        };
-        let oids: Vec<Oid> = db.objects.keys().copied().collect();
-        for oid in oids {
-            db.reindex_refs(oid);
-        }
-        Ok(db)
+        })
     }
 }
 
@@ -648,6 +545,7 @@ impl Database {
     /// comparison and for verifying a state that was just loaded.
     #[must_use]
     pub fn digest_from_scratch(&self) -> u64 {
+        tchimera_obs::counter!("core.digest.walks").inc();
         let classes = (self.schema.classes.values())
             .fold(hash_clock(self.clock), |sum, c| sum.wrapping_add(class_components(c)));
         (self.objects.values()).fold(classes, |sum, o| sum.wrapping_add(hash_object(o)))
@@ -740,44 +638,13 @@ mod tests {
         db
     }
 
-    /// Observable-equality helper mirroring the storage crate's digest
-    /// (kept independent so core does not depend on storage).
-    fn observably_equal(a: &Database, b: &Database) -> bool {
-        if a.now() != b.now() || a.object_count() != b.object_count() {
-            return false;
-        }
-        for (ca, cb) in a.schema().classes().zip(b.schema().classes()) {
-            if ca.id != cb.id
-                || ca.lifespan != cb.lifespan
-                || ca.c_attr_values != cb.c_attr_values
-                || ca.all_attrs != cb.all_attrs
-            {
-                return false;
-            }
-            let mut ma: Vec<Oid> = ca.ever_members().collect();
-            let mut mb: Vec<Oid> = cb.ever_members().collect();
-            ma.sort();
-            mb.sort();
-            if ma != mb {
-                return false;
-            }
-            for &i in &ma {
-                if ca.membership_of(i, a.now()) != cb.membership_of(i, b.now())
-                    || ca.proper_membership_of(i, a.now()) != cb.proper_membership_of(i, b.now())
-                {
-                    return false;
-                }
-            }
-        }
-        a.objects().zip(b.objects()).all(|(oa, ob)| oa == ob)
-    }
-
     #[test]
     fn export_import_round_trip() {
         let db = populated();
         let state = db.export_state();
         let back = Database::import_state(state).unwrap();
-        assert!(observably_equal(&db, &back));
+        assert_eq!(back.export_state(), db.export_state());
+        assert_eq!(back.digest_from_scratch(), db.digest_from_scratch());
         // Extent queries answer identically through the rebuilt index.
         for t in [0u64, 10, 15, 20, 25, 30] {
             let t = Instant(t);
@@ -808,7 +675,7 @@ mod tests {
             db.define_class(ClassDef::new("vehicle")).unwrap();
             db.set_attr(k, &"salary".into(), Value::Int(9)).unwrap();
         }
-        assert!(observably_equal(&a, &b));
+        assert_eq!(a.export_state(), b.export_state());
         assert!(b.check_invariants().is_empty());
     }
 
@@ -942,24 +809,16 @@ mod tests {
         let mut s = db.export_state();
         s.next_oid = 0;
         assert!(Database::import_state(s).is_err());
-        // Ill-formed history (overlapping runs).
+        // The same oid twice in one extent.
         let mut s = db.export_state();
-        s.objects[0].class_history = vec![
-            RunState {
-                start: Instant(5),
-                end: TimeBound::Fixed(Instant(10)),
-                value: ClassId::from("person"),
-            },
-            RunState {
-                start: Instant(7),
-                end: TimeBound::Now,
-                value: ClassId::from("person"),
-            },
-        ];
+        let dup = s.classes[0].ext[0].clone();
+        s.classes[0].ext.push(dup);
         assert!(matches!(
             Database::import_state(s),
-            Err(StateError::History(_))
+            Err(StateError::Corrupt("duplicate oid in membership"))
         ));
+        // (An ill-formed history or attribute record cannot be put in an
+        // image at all: the codec's decoder is where those are refused.)
         let err = StateError::Corrupt("x");
         assert!(err.to_string().contains("corrupt"));
     }

@@ -2,7 +2,8 @@
 //! operation sequences, the time-sorted extent index, the
 //! reverse-reference index and the parallel consistency checker must be
 //! observationally identical to their naive linear-scan / serial
-//! counterparts.
+//! counterparts — and an index built in bulk from a state image must be
+//! observationally identical to the one maintained write by write.
 
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -56,6 +57,12 @@ fn run_ops(ops: &[Op]) -> (Database, Vec<Oid>) {
     let mut db = Database::new();
     build_schema(&mut db);
     let mut oids: Vec<Oid> = Vec::new();
+    apply_ops(&mut db, &mut oids, ops);
+    (db, oids)
+}
+
+/// Continue a workload on `db`, whose objects so far are `oids`.
+fn apply_ops(db: &mut Database, oids: &mut Vec<Oid>, ops: &[Op]) {
     for op in ops {
         match op {
             Op::Tick(n) => {
@@ -97,7 +104,6 @@ fn run_ops(ops: &[Op]) -> (Database, Vec<Oid>) {
             }
         }
     }
-    (db, oids)
 }
 
 /// Naive reverse-reference computation: scan every object's state.
@@ -227,6 +233,58 @@ proptest! {
             composed.extend(db.check_object_refs(o.oid).unwrap().errors);
         }
         prop_assert_eq!(composed, global.errors);
+    }
+
+    /// Bulk build ≡ incremental build, for the extent indexes and the
+    /// reverse-reference index alike: a database imported from a state
+    /// image (`Membership::from_histories`, `RefIndex::build`) answers
+    /// every extent and referrer query like the database whose indexes
+    /// followed each write — right after the import, and after both went
+    /// on through the same further writes.
+    #[test]
+    fn bulk_built_indexes_equal_incrementally_maintained_ones(
+        before in prop::collection::vec(arb_op(), 1..80),
+        after in prop::collection::vec(arb_op(), 0..40),
+        probes in prop::collection::vec((0u64..120, 0u64..120), 6),
+    ) {
+        let (mut live, mut oids) = run_ops(&before);
+        let mut bulk = Database::import_state(live.export_state()).expect("import");
+        let mut bulk_oids = oids.clone();
+        for stage in ["imported", "continued"] {
+            let now = live.now();
+            prop_assert_eq!(bulk.now(), now);
+            for class in CLASSES {
+                let (l, b) = (
+                    live.class(&ClassId::from(class)).unwrap(),
+                    bulk.class(&ClassId::from(class)).unwrap(),
+                );
+                let edges = probes.iter().copied().chain([(0, now.ticks()), (now.ticks(), now.ticks() + 1)]);
+                for (x, y) in edges {
+                    let (t, lo, hi) = (Instant(x), Instant(x.min(y)), Instant(x.max(y)));
+                    prop_assert_eq!(b.ext_at(t, now), l.ext_at(t, now), "{}: ext_at `{}` {:?}", stage, class, t);
+                    prop_assert_eq!(b.ext_at(t, now), b.ext_at_scan(t, now));
+                    prop_assert_eq!(b.proper_ext_at(t, now), l.proper_ext_at(t, now), "{}: proper_ext_at `{}` {:?}", stage, class, t);
+                    prop_assert_eq!(b.ext_count_at(t, now), l.ext_count_at(t, now));
+                    prop_assert_eq!(b.ext_during(lo, hi, now), l.ext_during(lo, hi, now), "{}: ext_during `{}` [{:?},{:?}]", stage, class, lo, hi);
+                }
+            }
+            for &target in &oids {
+                prop_assert_eq!(bulk.referrers_of(target), live.referrers_of(target), "{}: referrers_of({})", stage, target);
+            }
+            prop_assert_eq!(bulk.digest_from_scratch(), live.digest_from_scratch());
+            // The scrubber, which rebuilds each index through the same
+            // bulk builders, finds no index to repair on either side.
+            for db in [&mut bulk, &mut live] {
+                let report = db.scrub_cycle();
+                prop_assert!(
+                    report.extent_rebuilds == 0 && !report.refindex_rebuilt,
+                    "{}: an index failed its scrub: {:?}", stage, report.findings
+                );
+            }
+            apply_ops(&mut live, &mut oids, &after);
+            apply_ops(&mut bulk, &mut bulk_oids, &after);
+            prop_assert_eq!(&bulk_oids, &oids);
+        }
     }
 
     /// The (by default parallel) database checker returns the same

@@ -4,12 +4,19 @@
 //! length-prefixed UTF-8, and every composite type carries a one-byte tag.
 //! The codec is the wire format of the operation log (`crate::log`) and is
 //! fully round-trip tested (including property tests over random values).
+//!
+//! Decoding produces the model's own types, validated: a history comes
+//! back as a canonical [`TemporalValue`], an attribute record as a map
+//! whose names arrived strictly ascending. Class, attribute and method
+//! names are interned per [`Reader`], so an image that names `salary`
+//! twenty thousand times allocates it once.
 
+use std::collections::HashMap;
 use std::fmt;
 
 use tchimera_core::{
     AttrDecl, AttrName, Attrs, ClassDef, ClassId, Instant, Interval, Lifespan, MethodName,
-    MethodSig, Oid, TemporalEntry, TemporalValue, TimeBound, Type, Value,
+    MethodSig, Oid, Symbol, TemporalEntry, TemporalValue, TimeBound, Type, Value,
 };
 
 /// Errors raised while decoding.
@@ -53,12 +60,25 @@ impl std::error::Error for CodecError {}
 pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
+    /// Names already decoded from this reader's input.
+    names: HashMap<&'a str, Symbol>,
 }
 
 impl<'a> Reader<'a> {
     /// Wrap a byte slice.
     pub fn new(buf: &'a [u8]) -> Reader<'a> {
-        Reader { buf, pos: 0 }
+        Reader {
+            buf,
+            pos: 0,
+            names: HashMap::new(),
+        }
+    }
+
+    /// Continue with `buf`, another piece of the same input (the next
+    /// record of a log): names interned so far stay interned.
+    pub(crate) fn restart(&mut self, buf: &'a [u8]) {
+        self.buf = buf;
+        self.pos = 0;
     }
 
     /// Bytes not yet consumed.
@@ -84,6 +104,21 @@ impl<'a> Reader<'a> {
         let s = &self.buf[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
+    }
+
+    /// A length-prefixed UTF-8 string, borrowed from the input.
+    fn str(&mut self) -> Result<&'a str, CodecError> {
+        let n = read_u64(self)? as usize;
+        std::str::from_utf8(self.bytes(n)?).map_err(|_| CodecError::InvalidUtf8)
+    }
+
+    /// A length-prefixed name: one shared [`Symbol`] per distinct name
+    /// in this reader's input.
+    fn name(&mut self) -> Result<Symbol, CodecError> {
+        let name = self.str()?;
+        Ok((self.names.entry(name))
+            .or_insert_with(|| Symbol::from(name))
+            .clone())
     }
 }
 
@@ -133,7 +168,9 @@ pub(crate) fn read_u64(r: &mut Reader<'_>) -> Result<u64, CodecError> {
     let mut shift = 0u32;
     loop {
         let b = r.byte()?;
-        if shift >= 64 {
+        // The tenth byte has room for bit 63 alone: a higher bit, or a
+        // continuation, does not fit in 64 bits.
+        if shift == 63 && b > 1 {
             return Err(CodecError::VarintOverflow);
         }
         v |= u64::from(b & 0x7f) << shift;
@@ -142,6 +179,11 @@ pub(crate) fn read_u64(r: &mut Reader<'_>) -> Result<u64, CodecError> {
         }
         shift += 7;
     }
+}
+
+fn write_str(out: &mut Vec<u8>, s: &str) {
+    write_u64(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
 }
 
 fn zigzag(v: i64) -> u64 {
@@ -211,13 +253,10 @@ impl Codec for f64 {
 
 impl Codec for String {
     fn encode(&self, out: &mut Vec<u8>) {
-        write_u64(out, self.len() as u64);
-        out.extend_from_slice(self.as_bytes());
+        write_str(out, self);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        let n = read_u64(r)? as usize;
-        let b = r.bytes(n)?;
-        String::from_utf8(b.to_vec()).map_err(|_| CodecError::InvalidUtf8)
+        r.str().map(str::to_owned)
     }
 }
 
@@ -366,13 +405,13 @@ impl Codec for Oid {
 }
 
 macro_rules! name_codec {
-    ($ty:ty) => {
+    ($ty:ident) => {
         impl Codec for $ty {
             fn encode(&self, out: &mut Vec<u8>) {
-                self.as_str().to_owned().encode(out);
+                write_str(out, self.as_str());
             }
             fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-                Ok(<$ty>::from(String::decode(r)?))
+                r.name().map($ty)
             }
         }
     };
@@ -415,11 +454,7 @@ impl Codec for Type {
             }
             Type::Record(fs) => {
                 out.push(5);
-                write_u64(out, fs.len() as u64);
-                for (n, t) in fs {
-                    n.encode(out);
-                    t.encode(out);
-                }
+                fs.encode(out);
             }
             Type::Temporal(t) => {
                 out.push(6);
@@ -443,21 +478,17 @@ impl Codec for Type {
             2 => Type::Object(ClassId::decode(r)?),
             3 => Type::set_of(Type::decode(r)?),
             4 => Type::list_of(Type::decode(r)?),
-            5 => {
-                let n = read_u64(r)? as usize;
-                let mut fs = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    fs.push((AttrName::decode(r)?, Type::decode(r)?));
-                }
-                Type::record_of(fs)
-            }
+            5 => Type::Record(decode_fields(r)?),
             6 => Type::temporal(Type::decode(r)?),
             tag => return Err(CodecError::InvalidTag { what: "type", tag }),
         })
     }
 }
 
-impl Codec for TemporalValue<Value> {
+/// A history is its runs in order, each `start, end, value`. Decoding
+/// validates (runs disjoint, only the last one open) and canonicalizes,
+/// so whatever comes back satisfies the invariants of [`TemporalValue`].
+impl<V: Codec + Clone + Eq> Codec for TemporalValue<V> {
     fn encode(&self, out: &mut Vec<u8>) {
         write_u64(out, self.entries().len() as u64);
         for e in self.entries() {
@@ -472,7 +503,7 @@ impl Codec for TemporalValue<Value> {
         for _ in 0..n {
             let start = Instant::decode(r)?;
             let end = TimeBound::decode(r)?;
-            let value = Value::decode(r)?;
+            let value = V::decode(r)?;
             entries.push(TemporalEntry { start, end, value });
         }
         TemporalValue::from_entries(entries).map_err(|_| CodecError::Corrupt("history"))
@@ -521,11 +552,7 @@ impl Codec for Value {
             }
             Value::Record(fs) => {
                 out.push(10);
-                write_u64(out, fs.len() as u64);
-                for (n, v) in fs {
-                    n.encode(out);
-                    v.encode(out);
-                }
+                fs.encode(out);
             }
             Value::Temporal(h) => {
                 out.push(11);
@@ -546,14 +573,7 @@ impl Codec for Value {
             7 => Value::Oid(Oid::decode(r)?),
             8 => Value::set(Vec::<Value>::decode(r)?),
             9 => Value::List(Vec::<Value>::decode(r)?),
-            10 => {
-                let n = read_u64(r)? as usize;
-                let mut fs = Vec::with_capacity(n.min(64));
-                for _ in 0..n {
-                    fs.push((AttrName::decode(r)?, Value::decode(r)?));
-                }
-                Value::record(fs)
-            }
+            10 => Value::Record(decode_fields(r)?),
             11 => Value::Temporal(TemporalValue::decode(r)?),
             tag => return Err(CodecError::InvalidTag { what: "value", tag }),
         })
@@ -622,14 +642,19 @@ pub(crate) fn encode_attrs(attrs: &Attrs, out: &mut Vec<u8>) {
 
 /// Decode an attribute-binding map.
 pub(crate) fn decode_attrs(r: &mut Reader<'_>) -> Result<Attrs, CodecError> {
-    let n = read_u64(r)? as usize;
-    let mut m = Attrs::new();
-    for _ in 0..n {
-        let name = AttrName::decode(r)?;
-        let v = Value::decode(r)?;
-        m.insert(name, v);
+    Ok(decode_fields(r)?.into_iter().collect())
+}
+
+/// Decode `name, item` pairs — a record type, a record value, an
+/// attribute map. The encoder writes each in name order, so names that do
+/// not arrive strictly ascending (a duplicate included) encode nothing
+/// the model can hold.
+fn decode_fields<T: Codec>(r: &mut Reader<'_>) -> Result<Vec<(AttrName, T)>, CodecError> {
+    let fields = Vec::<(AttrName, T)>::decode(r)?;
+    if fields.windows(2).any(|w| w[0].0 >= w[1].0) {
+        return Err(CodecError::Corrupt("field names out of order"));
     }
-    Ok(m)
+    Ok(fields)
 }
 
 #[cfg(test)]
@@ -770,6 +795,87 @@ mod tests {
         let overflow = vec![0xffu8; 11];
         let mut r = Reader::new(&overflow);
         assert_eq!(read_u64(&mut r), Err(CodecError::VarintOverflow));
+        // The tenth byte carries bit 63 and nothing else: the canonical
+        // `u64::MAX` ends in 0x01; bits above it used to be dropped.
+        let mut max = vec![0xffu8; 9];
+        max.push(0x01);
+        assert_eq!(u64::MAX.to_bytes(), max);
+        assert_eq!(u64::from_bytes(&max), Ok(u64::MAX));
+        *max.last_mut().unwrap() = 0x7f;
+        assert_eq!(u64::from_bytes(&max), Err(CodecError::VarintOverflow));
+    }
+
+    #[test]
+    fn names_are_interned_per_reader() {
+        let mut bytes = Vec::new();
+        for name in ["salary", "dept", "salary"] {
+            AttrName::from(name).encode(&mut bytes);
+        }
+        ClassId::from("salary").encode(&mut bytes);
+        let mut r = Reader::new(&bytes);
+        let a = AttrName::decode(&mut r).unwrap();
+        let b = AttrName::decode(&mut r).unwrap();
+        let c = AttrName::decode(&mut r).unwrap();
+        let d = ClassId::decode(&mut r).unwrap();
+        assert!(r.is_empty());
+        assert_eq!((a.as_str(), b.as_str()), ("salary", "dept"));
+        // Equal names share one allocation, whatever kind of name they are.
+        assert!(std::ptr::eq(a.as_str(), c.as_str()));
+        assert!(std::ptr::eq(a.as_str(), d.as_str()));
+        // Invalid UTF-8 is refused before it is remembered.
+        assert_eq!(AttrName::from_bytes(&[2, 0xff, 0xfe]), Err(CodecError::InvalidUtf8));
+    }
+
+    #[test]
+    fn decode_validates_what_it_builds() {
+        let run = |start: u64, end: TimeBound, class: &str, out: &mut Vec<u8>| {
+            Instant(start).encode(out);
+            end.encode(out);
+            ClassId::from(class).encode(out);
+        };
+        // Overlapping runs are not a history, of any value type.
+        let mut bytes = vec![2];
+        run(5, TimeBound::Fixed(Instant(10)), "person", &mut bytes);
+        run(7, TimeBound::Now, "person", &mut bytes);
+        assert_eq!(
+            TemporalValue::<ClassId>::from_bytes(&bytes),
+            Err(CodecError::Corrupt("history"))
+        );
+        // Nor is an open run followed by another.
+        let mut bytes = vec![2];
+        run(5, TimeBound::Now, "person", &mut bytes);
+        run(9, TimeBound::Now, "employee", &mut bytes);
+        assert!(TemporalValue::<ClassId>::from_bytes(&bytes).is_err());
+        // A well-formed one comes back as written.
+        let mut h = TemporalValue::new();
+        h.set_from(Instant(5), ClassId::from("person")).unwrap();
+        h.set_from(Instant(9), ClassId::from("employee")).unwrap();
+        round_trip(h);
+        let mut m = TemporalValue::new();
+        m.set_from(Instant(3), ()).unwrap();
+        m.close(Instant(8));
+        round_trip(m);
+
+        // Attribute names arrive strictly ascending, or not at all.
+        let record = |names: &[&str]| {
+            let mut out = vec![names.len() as u8];
+            for n in names {
+                AttrName::from(*n).encode(&mut out);
+                Value::Int(1).encode(&mut out);
+            }
+            out
+        };
+        let decode = |bytes: &[u8]| decode_attrs(&mut Reader::new(bytes));
+        assert_eq!(decode(&record(&["a", "b"])).unwrap().len(), 2);
+        let out_of_order = CodecError::Corrupt("field names out of order");
+        for bad in [&["b", "a"][..], &["a", "a"][..]] {
+            assert_eq!(decode(&record(bad)), Err(out_of_order.clone()));
+            // The same pairs as a record value (tag 10): refused, where
+            // the duplicate used to panic in `Value::record`.
+            let mut value = vec![10];
+            value.extend(record(bad));
+            assert_eq!(Value::from_bytes(&value), Err(out_of_order.clone()));
+        }
     }
 
     #[test]

@@ -15,8 +15,12 @@
 //! operations the snapshot covers. Recovery then follows a ladder that
 //! can lose *time* but never *correctness*:
 //!
-//! 1. snapshot loads, its image imports, and the imported state's digest
-//!    matches the recorded one → start there, replay only the log suffix;
+//! 1. snapshot loads (magic, length, CRC over every byte), decodes and
+//!    its image imports → start there, replay only the log suffix. The
+//!    recorded digest is not re-derived here: the CRC already vouches for
+//!    the bytes, and walking the state against the digest is the
+//!    scrubber's job ([`PersistentDatabase::scrub_cycle`]), not a cost of
+//!    every open;
 //! 2. snapshot missing/corrupt but the log was never compacted (base 0)
 //!    → full-log replay from the empty database;
 //! 3. snapshot unusable *and* the log prefix was compacted away → a loud
@@ -239,13 +243,11 @@ impl PersistentDatabase {
         let (mut log, scan) = OpLog::open_with(Arc::clone(&vfs), path)?;
         let base = scan.base_op;
 
-        // Rung 1: a loadable snapshot whose imported state digest-matches
-        // the digest recorded when it was written.
+        // Rung 1: a CRC-valid, decodable snapshot whose image imports.
         let usable = match load_snapshot(&vfs, &snap_path) {
-            Ok(snap) if snap.ops_covered >= base => match Database::import_state(snap.state) {
-                Ok(db) if digest_database(&db) == snap.digest => Some((db, snap.ops_covered)),
-                _ => None,
-            },
+            Ok(snap) if snap.ops_covered >= base => Database::import_state(snap.state)
+                .ok()
+                .map(|db| (db, snap.ops_covered)),
             _ => None,
         };
 
@@ -255,7 +257,7 @@ impl PersistentDatabase {
                 if skip > scan.ops.len() {
                     // The snapshot is ahead of the surviving log (a crash
                     // ate the log between snapshot install and
-                    // compaction). The snapshot is durable and verified:
+                    // compaction). The snapshot is durable and intact:
                     // realign the log to it.
                     log.compact_to(covered)?;
                     (db, covered as usize, 0, true)
@@ -509,7 +511,16 @@ impl PersistentDatabase {
     /// empty database when never compacted).
     fn rebuild_from_storage(&self) -> Result<Database, EngineError> {
         let buf = self.vfs.read(self.log.path()).map_err(LogError::from)?;
-        let scan = OpLog::scan_bytes(&buf);
+        self.fold_scan(&OpLog::scan_bytes(&buf), false)
+    }
+
+    /// Fold the operations of `scan` over the state they start from: the
+    /// empty database, or — when the log was compacted — this node's
+    /// snapshot, loaded and imported once. With `verify` the imported
+    /// image is also walked against its recorded digest (the scrubber's
+    /// snapshot check; a mismatch is a [`SnapshotError`] like any other
+    /// unusable snapshot).
+    fn fold_scan(&self, scan: &LogScan, verify: bool) -> Result<Database, EngineError> {
         let base = scan.base_op;
         let (mut db, covered) = if base == 0 {
             (Database::new(), 0)
@@ -520,7 +531,13 @@ impl PersistentDatabase {
                     "snapshot behind the compaction horizon",
                 )));
             }
-            (Database::import_state(snap.state)?, snap.ops_covered)
+            let db = Database::import_state(snap.state)?;
+            if verify && digest_database(&db) != snap.digest {
+                return Err(EngineError::Snapshot(SnapshotError::Corrupt(
+                    "state image does not match its recorded digest",
+                )));
+            }
+            (db, snap.ops_covered)
         };
         // `skip` may exceed the scan when the snapshot is ahead of the
         // log (crash between snapshot install and compaction): the
@@ -793,9 +810,12 @@ impl PersistentDatabase {
     /// 2. **Durable media** — the log is re-scanned through the `Vfs`
     ///    (CRC re-verification; damage funnels through the same
     ///    `storage.log.scan.damaged` path as recovery) and the snapshot
-    ///    is re-loaded and digest-checked.
-    /// 3. **State ↔ history equivalence** — when durable history is
-    ///    complete, the live state's digest is compared against a full
+    ///    is re-loaded, imported and walked against its recorded digest —
+    ///    the check [`PersistentDatabase::open_with_config`] leaves to
+    ///    this cycle.
+    /// 3. **State ↔ history equivalence** — the scanned suffix is folded
+    ///    over that same import; when durable history is complete, the
+    ///    live state's digest is compared against this
     ///    re-materialization; divergence adopts the rebuilt state
     ///    (rung 2) and lifts any quarantine.
     /// 4. **Durability repair** — when durable history is *incomplete*
@@ -821,32 +841,27 @@ impl PersistentDatabase {
             Ok(buf) => Some(OpLog::scan_bytes(&buf)),
             Err(_) => None,
         };
-        let (durable_total, base) = match &scan {
+        let durable_total = match &scan {
             Some(s) => {
                 if s.torn_tail {
                     report.log_damage += 1;
                 }
-                (s.base_op as usize + s.ops.len(), s.base_op)
+                s.base_op as usize + s.ops.len()
             }
             None => {
                 report.log_damage += 1;
-                (0, 0)
+                0
             }
         };
-        if base > 0 {
-            report.snapshot_ok = match self.load_own_snapshot() {
-                Ok(snap) => match Database::import_state(snap.state) {
-                    Ok(db) => digest_database(&db) == snap.digest,
-                    Err(_) => false,
-                },
-                Err(_) => false,
-            };
-        }
-
-        let rebuilt = if report.snapshot_ok {
-            self.rebuild_from_storage().ok()
-        } else {
-            None
+        // One load, one import: the snapshot is verified and the scanned
+        // suffix folded over the very state that was verified.
+        let rebuilt = match scan.as_ref().map(|s| self.fold_scan(s, true)) {
+            Some(Ok(db)) => Some(db),
+            Some(Err(EngineError::Snapshot(_) | EngineError::State(_))) => {
+                report.snapshot_ok = false;
+                None
+            }
+            _ => None,
         };
         report.durable_complete =
             rebuilt.is_some() && report.log_damage == 0 && durable_total == self.op_count();
@@ -1002,8 +1017,8 @@ pub struct StorageScrubReport {
     /// (reported through the same `storage.log.scan.damaged` path as
     /// recovery scans).
     pub log_damage: usize,
-    /// The snapshot (when one exists) loaded, imported, and matched its
-    /// recorded digest.
+    /// The snapshot (when the log depends on one) loaded, imported,
+    /// matched its recorded digest and reaches the log's first record.
     pub snapshot_ok: bool,
     /// Every logical operation is reconstructible from durable storage.
     pub durable_complete: bool,

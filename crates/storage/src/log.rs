@@ -29,29 +29,61 @@ pub const LOG_MAGIC: &[u8; 8] = b"TCLOG001";
 /// Byte length of the compaction header (magic + u64 base + u32 CRC).
 const HEADER_LEN: u64 = 20;
 
-/// CRC-32 (IEEE 802.3), bitwise implementation with a lazily built table.
+/// Slicing-by-8 tables of CRC-32 (IEEE 802.3, reflected `0xEDB88320`):
+/// `CRC_TABLES[0]` is the byte-at-a-time table; `CRC_TABLES[k][b]` is the
+/// CRC of byte `b` followed by `k` zero bytes.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut t = [[0u32; 256]; 8];
+    let mut i = 0;
+    while i < 256 {
+        let mut c = i as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
+            bit += 1;
+        }
+        t[0][i] = c;
+        i += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = t[k - 1][i];
+            t[k][i] = t[0][(prev & 0xff) as usize] ^ (prev >> 8);
+            i += 1;
+        }
+        k += 1;
+    }
+    t
+};
+
+/// CRC-32 (IEEE 802.3) of `data`.
 pub(crate) fn crc32(data: &[u8]) -> u32 {
-    fn table() -> &'static [u32; 256] {
-        use std::sync::OnceLock;
-        static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-        TABLE.get_or_init(|| {
-            let mut t = [0u32; 256];
-            for (i, e) in t.iter_mut().enumerate() {
-                let mut c = i as u32;
-                for _ in 0..8 {
-                    c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-                }
-                *e = c;
-            }
-            t
-        })
+    crc32_extend(0, data)
+}
+
+/// The CRC-32 of `head ++ data`, given `crc = crc32(head)`: a checksum
+/// over several pieces never needs them copied into one buffer.
+pub(crate) fn crc32_extend(crc: u32, data: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
+    let mut c = !crc;
+    let mut words = data.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        c = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][w[4] as usize]
+            ^ t[2][w[5] as usize]
+            ^ t[1][w[6] as usize]
+            ^ t[0][w[7] as usize];
     }
-    let t = table();
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in data {
-        c = t[((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
+    for &b in words.remainder() {
+        c = t[0][((c ^ u32::from(b)) & 0xff) as usize] ^ (c >> 8);
     }
-    c ^ 0xFFFF_FFFF
+    !c
 }
 
 /// The directory holding `path`, for post-create/rename fsyncs.
@@ -255,6 +287,9 @@ impl OpLog {
             }
         }
         let mut ops = Vec::new();
+        // One reader for the whole scan: a name is interned once per log,
+        // not once per record.
+        let mut r = Reader::new(&[]);
         while damage.is_none() && pos < buf.len() {
             if buf.len() - pos < 8 {
                 damage = Some(TailDamage {
@@ -280,7 +315,7 @@ impl OpLog {
                 });
                 break;
             }
-            let mut r = Reader::new(payload);
+            r.restart(payload);
             // A CRC-valid but undecodable record is damage at this offset
             // like any other — truncate and report, never abort recovery.
             match Operation::decode(&mut r) {
@@ -605,5 +640,13 @@ mod tests {
         // Standard test vector: CRC-32("123456789") = 0xCBF43926.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32(b"The quick brown fox jumps over the lazy dog"), 0x414F_A339);
+        // Eight bytes at a time, a byte at a time and in pieces agree.
+        let data: Vec<u8> = (0..1021u32).map(|i| (i * 31 % 251) as u8).collect();
+        let bytewise = data.iter().fold(0, |crc, b| crc32_extend(crc, &[*b]));
+        assert_eq!(crc32(&data), bytewise);
+        for cut in [0, 1, 7, 8, 9, 500, 1021] {
+            assert_eq!(crc32_extend(crc32(&data[..cut]), &data[cut..]), bytewise);
+        }
     }
 }

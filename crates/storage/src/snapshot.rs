@@ -4,8 +4,12 @@
 //! after its first `ops_covered` logged operations, plus the state digest
 //! of that database. Recovery loads the last good snapshot and replays
 //! only the log suffix; when the snapshot is damaged it is *detected*
-//! (magic, length, CRC, payload decode, digest) and recovery falls back
-//! to full-log replay — a bad snapshot can cost time, never correctness.
+//! (magic, length, CRC, payload decode) and recovery falls back to
+//! full-log replay — a bad snapshot can cost time, never correctness.
+//! The bytes are verified once, by the CRC, and decoded once, straight
+//! into the model's types; the recorded digest is for whoever distrusts
+//! more than the medium (the scrubber walks the image against it, a
+//! replica the image it was shipped).
 //!
 //! File format (all integers little-endian):
 //!
@@ -29,12 +33,12 @@ use std::path::Path;
 use std::sync::Arc;
 
 use tchimera_core::{
-    AttrDecl, AttrName, ClassId, ClassState, DatabaseState, Instant, Lifespan, MembershipState,
-    MethodName, MethodSig, ObjectState, Oid, RunState, TimeBound, Value,
+    AttrDecl, AttrName, ClassId, ClassState, DatabaseState, Instant, Lifespan, MethodName,
+    MethodSig, Object, Oid, TemporalValue, Value,
 };
 
-use crate::codec::{Codec, CodecError, Reader};
-use crate::log::{crc32, parent_dir};
+use crate::codec::{decode_attrs, encode_attrs, Codec, CodecError, Reader};
+use crate::log::{crc32, crc32_extend, parent_dir};
 use crate::vfs::Vfs;
 
 /// Magic prefix of a snapshot file; its last two bytes are the format
@@ -59,6 +63,12 @@ pub enum SnapshotError {
     /// decode failure, digest mismatch). Recovery treats this as "no
     /// usable snapshot", never as state.
     Corrupt(&'static str),
+    /// The image is too large for the header's 32-bit length field.
+    /// Nothing was written.
+    TooLarge {
+        /// Encoded size of the image.
+        bytes: usize,
+    },
 }
 
 impl std::fmt::Display for SnapshotError {
@@ -67,6 +77,10 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::Io(e) => write!(f, "snapshot I/O error: {e}"),
             SnapshotError::Missing => write!(f, "no snapshot present"),
             SnapshotError::Corrupt(what) => write!(f, "corrupt snapshot: {what}"),
+            SnapshotError::TooLarge { bytes } => write!(
+                f,
+                "state image of {bytes} bytes exceeds the snapshot format's 4 GiB limit"
+            ),
         }
     }
 }
@@ -83,7 +97,9 @@ impl From<io::Error> for SnapshotError {
 pub struct Snapshot {
     /// Number of log operations the image covers.
     pub ops_covered: u64,
-    /// `digest_database` of the captured state (verified at load).
+    /// `digest_database` of the captured state, as recorded by the
+    /// writer. Covered by the CRC like every other byte; *not* compared
+    /// with the image here.
     pub digest: u64,
     /// The captured database image.
     pub state: DatabaseState,
@@ -99,16 +115,21 @@ pub fn write_snapshot(
     digest: u64,
 ) -> Result<(), SnapshotError> {
     let _span = tchimera_obs::span!("storage.snapshot.install", ops_covered = ops_covered);
-    let payload = state.to_bytes();
-    let mut buf = Vec::with_capacity(HEADER_LEN + payload.len());
+    // The image is encoded in place behind a header whose last two
+    // fields are filled in once its length is known.
+    let mut buf = Vec::with_capacity(HEADER_LEN);
     buf.extend_from_slice(SNAP_MAGIC);
     buf.extend_from_slice(&ops_covered.to_le_bytes());
     buf.extend_from_slice(&digest.to_le_bytes());
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    let mut covered = buf[8..28].to_vec();
-    covered.extend_from_slice(&payload);
-    buf.extend_from_slice(&crc32(&covered).to_le_bytes());
-    buf.extend_from_slice(&payload);
+    buf.resize(HEADER_LEN, 0);
+    state.encode(&mut buf);
+    // The buffer lives on through the install below, next to whatever
+    // copies the filesystem makes of it: give its growth slack back first.
+    buf.shrink_to_fit();
+    let payload_len = payload_len_field(buf.len() - HEADER_LEN)?;
+    buf[24..28].copy_from_slice(&payload_len.to_le_bytes());
+    let crc = crc32_extend(crc32(&buf[8..28]), &buf[HEADER_LEN..]);
+    buf[28..32].copy_from_slice(&crc.to_le_bytes());
     let tmp = path.with_extension("snap.tmp");
     let mut f = vfs.open_trunc(&tmp)?;
     f.write_all(&buf)?;
@@ -117,6 +138,14 @@ pub fn write_snapshot(
     vfs.rename(&tmp, path)?;
     vfs.sync_dir(&parent_dir(path))?;
     Ok(())
+}
+
+/// The header's `payload_len` field for an image of `len` bytes. A
+/// length that does not fit would wrap, and the file could never load
+/// again ("payload length mismatch") — after `checkpoint` had compacted
+/// the log away on the strength of it.
+fn payload_len_field(len: usize) -> Result<u32, SnapshotError> {
+    u32::try_from(len).map_err(|_| SnapshotError::TooLarge { bytes: len })
 }
 
 /// Load and fully validate the snapshot at `path`. Any damage — torn
@@ -154,9 +183,7 @@ fn load_snapshot_inner(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<Snapshot, Snap
         return Err(SnapshotError::Corrupt("payload length mismatch"));
     }
     let payload = &buf[HEADER_LEN..];
-    let mut covered = buf[8..28].to_vec();
-    covered.extend_from_slice(payload);
-    if crc32(&covered) != crc {
+    if crc32_extend(crc32(&buf[8..28]), payload) != crc {
         return Err(SnapshotError::Corrupt("checksum mismatch"));
     }
     let state =
@@ -171,34 +198,6 @@ fn load_snapshot_inner(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<Snapshot, Snap
 // ---------------------------------------------------------------------
 // Codec for the state image
 // ---------------------------------------------------------------------
-
-impl<V: Codec> Codec for RunState<V> {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.start.encode(out);
-        self.end.encode(out);
-        self.value.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(RunState {
-            start: Instant::decode(r)?,
-            end: TimeBound::decode(r)?,
-            value: V::decode(r)?,
-        })
-    }
-}
-
-impl Codec for MembershipState {
-    fn encode(&self, out: &mut Vec<u8>) {
-        self.oid.encode(out);
-        self.runs.encode(out);
-    }
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(MembershipState {
-            oid: Oid::decode(r)?,
-            runs: Vec::<RunState<()>>::decode(r)?,
-        })
-    }
-}
 
 impl Codec for ClassState {
     fn encode(&self, out: &mut Vec<u8>) {
@@ -233,25 +232,25 @@ impl Codec for ClassState {
             superclasses: Vec::<ClassId>::decode(r)?,
             subclasses: Vec::<ClassId>::decode(r)?,
             hierarchy: u32::decode(r)?,
-            ext: Vec::<MembershipState>::decode(r)?,
-            proper_ext: Vec::<MembershipState>::decode(r)?,
+            ext: Vec::<(Oid, TemporalValue<()>)>::decode(r)?,
+            proper_ext: Vec::<(Oid, TemporalValue<()>)>::decode(r)?,
         })
     }
 }
 
-impl Codec for ObjectState {
+impl Codec for Object {
     fn encode(&self, out: &mut Vec<u8>) {
         self.oid.encode(out);
         self.lifespan.encode(out);
-        self.attrs.encode(out);
+        encode_attrs(&self.attrs, out);
         self.class_history.encode(out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(ObjectState {
+        Ok(Object {
             oid: Oid::decode(r)?,
             lifespan: Lifespan::decode(r)?,
-            attrs: Vec::<(AttrName, Value)>::decode(r)?,
-            class_history: Vec::<RunState<ClassId>>::decode(r)?,
+            attrs: decode_attrs(r)?,
+            class_history: TemporalValue::<ClassId>::decode(r)?,
         })
     }
 }
@@ -270,7 +269,7 @@ impl Codec for DatabaseState {
             next_oid: u64::decode(r)?,
             next_hierarchy: u32::decode(r)?,
             classes: Vec::<ClassState>::decode(r)?,
-            objects: Vec::<ObjectState>::decode(r)?,
+            objects: Vec::<Object>::decode(r)?,
         })
     }
 }
@@ -320,6 +319,20 @@ mod tests {
         assert_eq!(back.to_bytes(), bytes);
         let rebuilt = Database::import_state(back).unwrap();
         assert_eq!(digest_database(&rebuilt), digest_database(&db));
+    }
+
+    #[test]
+    fn an_image_the_length_field_cannot_hold_is_refused() {
+        assert_eq!(payload_len_field(0).unwrap(), 0);
+        assert_eq!(payload_len_field(u32::MAX as usize).unwrap(), u32::MAX);
+        let over = u32::MAX as usize + 1;
+        match payload_len_field(over) {
+            Err(e @ SnapshotError::TooLarge { bytes }) => {
+                assert_eq!(bytes, over);
+                assert!(e.to_string().contains("4 GiB"));
+            }
+            other => panic!("a 4 GiB image must be refused, got {other:?}"),
+        }
     }
 
     #[test]

@@ -1,10 +1,13 @@
 //! Property test: for ANY random workload, executing through the
 //! persistent engine and recovering from the log yields a database with
-//! the same state digest as the live one — i.e. recovery is exact.
+//! the same state digest as the live one — i.e. recovery is exact. With
+//! a checkpoint somewhere along the way, recovery starts from the
+//! snapshot, replays exactly the tail, is just as exact, and the first
+//! scrub cycle (which is where the snapshot's digest is checked) is clean.
 
 use proptest::prelude::*;
 use tchimera_core::{attrs, Attrs, ClassDef, ClassId, Oid, Type, Value};
-use tchimera_storage::{digest_database, PersistentDatabase};
+use tchimera_storage::{digest_database, snapshot_path, PersistentDatabase};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -31,13 +34,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn recovery_is_exact_for_any_workload(ops in prop::collection::vec(arb_op(), 1..40), salt in 0u64..u64::MAX) {
+    fn recovery_is_exact_for_any_workload(
+        ops in prop::collection::vec(arb_op(), 1..40),
+        // Checkpoint before this op; past the end: never, full replay.
+        cut in 0usize..60,
+        salt in 0u64..u64::MAX,
+    ) {
         let path = std::env::temp_dir().join(format!(
             "tchimera-prop-{}-{salt}.log",
             std::process::id()
         ));
         let _ = std::fs::remove_file(&path);
-        let live_digest = {
+        let _ = std::fs::remove_file(snapshot_path(&path));
+        let (live_digest, tail) = {
             let mut pdb = PersistentDatabase::open(&path).unwrap();
             pdb.define_class(ClassDef::new("person").attr("address", Type::STRING)).unwrap();
             pdb.define_class(
@@ -45,7 +54,12 @@ proptest! {
             ).unwrap();
             pdb.define_class(ClassDef::new("manager").isa("employee")).unwrap();
             let mut oids: Vec<Oid> = Vec::new();
-            for op in &ops {
+            let mut checkpointed_at = None;
+            for (k, op) in ops.iter().enumerate() {
+                if k == cut {
+                    pdb.checkpoint().unwrap();
+                    checkpointed_at = Some(pdb.op_count());
+                }
                 match op {
                     Op::Tick(n) => {
                         let t = tchimera_core::Instant(pdb.db().now().ticks() + n);
@@ -84,13 +98,20 @@ proptest! {
                 }
             }
             pdb.sync().unwrap();
-            pdb.state_digest()
+            (pdb.state_digest(), checkpointed_at.map(|at| pdb.op_count() - at))
         };
-        let recovered = PersistentDatabase::open(&path).unwrap();
+        let mut recovered = PersistentDatabase::open(&path).unwrap();
+        prop_assert_eq!(recovered.recovered_from_snapshot(), tail.is_some());
+        if let Some(tail) = tail {
+            prop_assert_eq!(recovered.recovered_replayed(), tail);
+        }
         prop_assert_eq!(recovered.state_digest(), live_digest);
         // The recovered database also satisfies the paper's invariants.
         prop_assert!(recovered.db().check_invariants().is_empty());
         prop_assert!(digest_database(recovered.db()) == live_digest);
+        let scrub = recovered.scrub_cycle();
+        prop_assert!(scrub.clean(), "recovered store does not scrub clean: {:?}", scrub);
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(snapshot_path(&path)).ok();
     }
 }
