@@ -12,8 +12,9 @@
 //! # Shape
 //!
 //! One [`AttrIndex`] per attribute *name* (not per class: names are
-//! shared across a hierarchy and the executor intersects probe results
-//! with the class extent anyway). Each entry is a [`Holding`]:
+//! shared across a hierarchy and the executor checks each probed oid
+//! against the class's membership history anyway). Each entry is a
+//! [`Holding`]:
 //!
 //! * closed runs land in a coalesced [`IntervalSet`];
 //! * the current open run is a single `open_since` instant — it reads as
@@ -23,10 +24,25 @@
 //!   for statics ([`Database::attr_at`] answers the current value for any
 //!   `t`), so the only sound interval is "everywhere".
 //!
-//! A probe returns a **superset** of the true answer (sorted, deduped):
-//! membership of a holding interval is a necessary condition, and the
-//! executor re-evaluates the full predicate on every candidate — exactly
-//! the recheck discipline the `DURING` path already uses.
+//! # Contract: a probe is exact
+//!
+//! For an attribute the class declares temporal, a probe returns — sorted
+//! and deduped — *precisely* the oids whose slot reads one of the values
+//! at the instant of a point window ([`Database::attr_at`] `∈ values`),
+//! and for a wider window precisely those whose slot read one at some
+//! instant of it. A temporal attribute is a function from instants to
+//! values and a holding is that function's runs of one value, so
+//! [`Holding::hits`] is `value_at` asked of the index instead of the
+//! object. The query executor relies on this: a conjunct a covered probe
+//! answered is not evaluated again on the candidates (`DESIGN.md` §13.3),
+//! so an off-by-one in a write hook below is a wrong row, not a wasted
+//! recheck. What a probe does **not** answer is class membership — the
+//! index is keyed by name — which the caller asks of each oid's own
+//! membership history. Static declarations stay uncovered (`None`): a
+//! static slot has no history to be exact about, and one dropped by a
+//! migration makes the scan *error* where an index would just be shorter.
+//! The scrubber's rebuild-and-compare ([`Database::attridx_scrub`]) is
+//! the safety net for a cached index that diverged.
 //!
 //! # Maintenance
 //!
@@ -82,8 +98,9 @@ impl Holding {
         !self.always && self.open_since.is_none() && self.closed.is_empty()
     }
 
-    /// Does any holding interval overlap `window`? (Necessary condition
-    /// for the object to satisfy an equality on the value in `window`.)
+    /// Does any holding interval overlap `window`, i.e. did the object
+    /// hold the value at some instant of it? Exact, not an approximation:
+    /// the executor does not re-read the object (module docs).
     fn hits(&self, window: Interval, now: Instant) -> bool {
         if self.always {
             return true;
@@ -239,8 +256,8 @@ impl AttrIndex {
         });
     }
 
-    /// The objects holding any of `values` at some instant of `window`
-    /// (sorted, deduped; a superset — callers re-evaluate the predicate).
+    /// Exactly the objects holding any of `values` at some instant of
+    /// `window` (sorted, deduped).
     fn probe(&self, values: &[Value], window: Interval, now: Instant) -> Vec<Oid> {
         let mut out = Vec::new();
         for v in values {
@@ -344,19 +361,19 @@ impl AttrIndexCache {
 }
 
 impl Database {
-    /// Probe the temporal attribute-value index: the objects that held
-    /// any of `values` in `attr` at some instant of `window` — a sorted,
-    /// deduped **superset** of the true answer (callers must re-evaluate
-    /// the predicate; holding-interval overlap is a necessary condition,
-    /// not sufficient, and the result is not intersected with the class
-    /// extent).
+    /// Probe the temporal attribute-value index: sorted and deduped,
+    /// exactly the objects whose `attr` slot read one of `values` at some
+    /// instant of `window` — for a point window, exactly those with
+    /// `attr_at(oid, attr, t) ∈ values` (the module docs state the
+    /// contract). The result is *not* restricted to `class`'s members:
+    /// the index is keyed by attribute name, and the caller checks each
+    /// oid against the class's membership history.
     ///
     /// Returns `None` — *index does not cover the probe* — when `window`
     /// or `values` is empty, any probe value is `null`, the class or
-    /// attribute is unknown, or the declaration is not temporal (static
-    /// declarations are excluded because dropped static values leave no
-    /// trace to index soundly). The caller then falls back to the scan
-    /// path.
+    /// attribute is unknown, or the declaration is not temporal (a static
+    /// slot has no history to be exact about). The caller then falls back
+    /// to the scan path.
     ///
     /// The index for `attr` is built on first probe (`O(total runs)`) and
     /// cached; the cache holds at most `ATTR_INDEX_CAP` =
@@ -380,16 +397,21 @@ impl Database {
         let now = self.clock;
         let generation = self.schema.generation();
         let mut inner = self.attr_idx.lock();
+        // The write hooks read the key set through `len` / `bloom`: it is
+        // republished when this probe changes it, never on a plain hit.
+        let mut keys_changed = false;
         if inner.generation != generation {
             if !inner.entries.is_empty() {
                 tchimera_obs::counter!("core.attridx.invalidations").inc();
                 inner.entries.clear();
+                keys_changed = true;
             }
             inner.generation = generation;
         }
         inner.tick += 1;
         let tick = inner.tick;
         if !inner.entries.contains_key(attr) {
+            keys_changed = true;
             if inner.entries.len() >= ATTR_INDEX_CAP {
                 if let Some(victim) = inner
                     .entries
@@ -416,12 +438,10 @@ impl Database {
         entry.last_used = tick;
         tchimera_obs::counter!("core.attridx.probes").inc();
         let out = entry.index.probe(values, window, now);
-        self.publish_attridx_len(&inner);
+        if keys_changed {
+            self.attr_idx.publish_len(&inner);
+        }
         Some(out)
-    }
-
-    fn publish_attridx_len(&self, inner: &CacheInner) {
-        self.attr_idx.publish_len(inner);
     }
 
     /// Might a live index be maintained for `attr`? Lock-free (two atomic
@@ -782,6 +802,81 @@ mod tests {
                 .unwrap();
         }
         assert!(evictions() > before, "cap + 1 builds must evict");
+    }
+
+    #[test]
+    fn a_probe_hit_does_not_republish_the_key_set() {
+        let mut db = Database::new();
+        db.define_class(
+            ClassDef::new("employee")
+                .attr("dept", Type::temporal(Type::STRING))
+                .attr("site", Type::temporal(Type::STRING)),
+        )
+        .unwrap();
+        let (class, dept) = (ClassId::from("employee"), AttrName::from("dept"));
+        let a = db
+            .create_object(&class, attrs([("dept", Value::str("r&d")), ("site", Value::str("n"))]))
+            .unwrap();
+        assert_eq!(probe_now(&db, &class, &dept, "r&d"), vec![a]);
+        assert!(db.attridx_covers(&dept));
+        // Sentinels no publish would write: a hit must leave both alone.
+        db.attr_idx.bloom.store(u64::MAX, Ordering::Release);
+        db.attr_idx.len.store(99, Ordering::Release);
+        for _ in 0..1_000 {
+            assert_eq!(probe_now(&db, &class, &dept, "r&d"), vec![a]);
+        }
+        assert_eq!(db.attr_idx.bloom.load(Ordering::Acquire), u64::MAX);
+        assert_eq!(db.attr_idx.len.load(Ordering::Acquire), 99);
+        // A build changes the key set and republishes it; the write hook
+        // still sees both attributes.
+        let site = AttrName::from("site");
+        assert_eq!(probe_now(&db, &class, &site, "n"), vec![a]);
+        assert_eq!(db.attr_idx.len.load(Ordering::Acquire), 2);
+        assert_eq!(
+            db.attr_idx.bloom.load(Ordering::Acquire),
+            bloom_bit(&dept) | bloom_bit(&site)
+        );
+        db.tick();
+        db.set_attr(a, &dept, Value::str("ops")).unwrap();
+        assert_eq!(probe_now(&db, &class, &dept, "ops"), vec![a]);
+        assert_eq!(probe_now(&db, &class, &dept, "r&d"), Vec::<Oid>::new());
+    }
+
+    /// A covered probe is the answer to its conjunct — no executor
+    /// re-reads the object behind a holder — so index damage is a wrong
+    /// row in either direction: a phantom holder adds one, a lost holder
+    /// drops one. One scrub cycle finds both (the cached index no longer
+    /// equals a rebuild from base state) and drops the entry; the next
+    /// probe rebuilds it.
+    #[test]
+    fn scrub_detects_and_rebuilds_phantom_and_missing_holders() {
+        type Damage = fn(&mut AttrIndex, Oid, Oid);
+        let phantom: Damage = |index, _, b| {
+            index.holding_mut(b, &Value::str("r&d")).open_since = Some(Instant(0));
+        };
+        let missing: Damage = |index, a, _| {
+            index.values.get_mut(&Value::str("r&d")).unwrap().remove(&a);
+        };
+        for (damage, wrong) in [(phantom, 2), (missing, 0)] {
+            let (mut db, class, dept) = dept_db();
+            let a = db.create_object(&class, attrs([("dept", Value::str("r&d"))])).unwrap();
+            let b = db.create_object(&class, attrs([("dept", Value::str("sales"))])).unwrap();
+            db.tick();
+            assert_eq!(probe_now(&db, &class, &dept, "r&d"), vec![a]);
+            assert!(db.scrub_cycle().clean());
+
+            let mut inner = db.attr_idx.lock();
+            damage(&mut inner.entries.get_mut(&dept).unwrap().index, a, b);
+            drop(inner);
+            assert_eq!(probe_now(&db, &class, &dept, "r&d").len(), wrong, "the damage shows");
+
+            let report = db.scrub_cycle();
+            assert_eq!((report.attridx_checked, report.attridx_dropped), (1, 1));
+            assert!(report.fully_repaired());
+            assert!(!db.attridx_active(), "the diverged entry is dropped");
+            assert_eq!(probe_now(&db, &class, &dept, "r&d"), vec![a], "rebuilt on the next probe");
+            assert!(db.scrub_cycle().clean());
+        }
     }
 
     #[test]

@@ -16,17 +16,26 @@
 //!    at the query instant or in the query window, read off each oid's
 //!    own membership history (`Class::is_member_at` / `is_member_during`).
 //!    Its extent is never materialised, copied or walked: the read pays
-//!    for the answer, not for the class. The probe is a superset, so the
-//!    conjunct itself still runs on the candidates and rows never change.
-//!    An uncovered variable (static declaration, unknown class,
-//!    `use_index: false`) takes its fetched extent;
-//! 3. apply pushed-down prefilters per variable;
+//!    for the answer, not for the class. A covered probe is exact
+//!    (`DESIGN.md` §13.3) — precisely the oids whose slot equals one of
+//!    the values at the instant, or at some instant of the window — so
+//!    the conjunct it answered is *dropped* from steps 3 and 5 instead of
+//!    being re-evaluated against every candidate's object: at `NOW` /
+//!    `AS OF t` (and for `attr AT t`) every top-level conjunct that is a
+//!    covered [`crate::plan::IndexPred`]; under `DURING` only a conjunct
+//!    that is the whole filter, because the window filter is one
+//!    existential over all conjuncts jointly. While any class is
+//!    quarantined every conjunct stays: evaluating it is what refuses a
+//!    candidate whose most specific class is fenced. An uncovered
+//!    variable (static declaration, unknown class, `use_index: false`)
+//!    takes its fetched extent and evaluates everything;
+//! 3. apply the remaining pushed-down prefilters per variable;
 //! 4. order variables by (post-prefilter) candidate-set size, preferring
 //!    variables hash-joinable to already-placed ones;
 //! 5. build bindings level by level — hash join where an equality
 //!    conjunct links the new variable to a placed one, nested loop
-//!    otherwise — applying each residual conjunct at the earliest level
-//!    where all its variables are bound;
+//!    otherwise — applying each remaining residual conjunct at the
+//!    earliest level where all its variables are bound;
 //! 6. project surviving bindings, then restore the reference evaluator's
 //!    enumeration order. Every candidate list is sorted by oid, as every
 //!    extent is, so that order is ascending oid tuples in declaration
@@ -37,8 +46,8 @@
 //! Evaluation borrows: `eval_cexpr` yields `Cow<Value>` — a literal
 //! borrows from the plan, an attribute read borrows from the database
 //! (`Database::attr_ref_at`) — so comparing `e.dept` with a literal
-//! allocates nothing; only rows, hash-join keys and `ORDER BY` keys are
-//! owned.
+//! allocates nothing; only rows, hash-join keys and the `ORDER BY` keys
+//! of produced rows are owned.
 //!
 //! The outermost level is partitioned when it has at least
 //! [`PAR_MIN_CANDIDATES`] candidates and, with the default-on `rayon`
@@ -47,8 +56,10 @@
 //! preserves serial row order exactly.
 //!
 //! `LIMIT` without `ORDER BY` stops enumerating once `limit` bindings
-//! survive (per partition); `ORDER BY … LIMIT k` keeps a bounded top-k
-//! buffer instead of sorting every row.
+//! survive (per partition). `ORDER BY … LIMIT k` materialises late: a
+//! partition orders its surviving bindings by `(order key, oids)` — the
+//! key borrowed from the database, the oids being the naive order — and
+//! projects (and is charged for) its best k only.
 //!
 //! Error-surface caveat: the planner evaluates conjuncts in a different
 //! order than the reference evaluator's left-to-right `AND`, so a query
@@ -57,7 +68,9 @@
 //! where short-circuiting would have hidden it. Index seeding extends
 //! the same caveat in the opposite direction: candidates the index rules
 //! out are never evaluated at all, so a conjunct that would *error* on
-//! such a candidate under the reference evaluator is skipped. Queries
+//! such a candidate under the reference evaluator is skipped (an
+//! answered conjunct cannot error on a candidate the probe returned: its
+//! slot is what the index read). Queries
 //! over total predicates — everything the typechecker can see — are
 //! exactly equivalent.
 
@@ -281,6 +294,9 @@ pub struct VarStats {
     /// candidates: `k` is the size of the index-resolved candidate set
     /// (before intersecting with the extent). `None` = scan path.
     pub indexed: Option<usize>,
+    /// Conjuncts of this variable the probe answered exactly, so they
+    /// were never evaluated against a candidate (`EXPLAIN`: `IndexOnly`).
+    pub answered: usize,
 }
 
 /// Per-level (variable placement) execution counts for `EXPLAIN`.
@@ -463,11 +479,11 @@ fn choose_order(
 /// where all its variables are bound. The first equality closing at a
 /// level whose endpoint is the level's variable becomes its hash probe;
 /// further equalities and residuals become plain checks, applied in
-/// source order.
-fn build_levels(plan: &PlannedQuery, order: &[usize]) -> Vec<Level> {
+/// source order. Residuals the index probe `answered` get no check.
+fn build_levels(plan: &PlannedQuery, order: &[usize], answered: &[bool]) -> Vec<Level> {
     let mut placed = vec![false; plan.n];
     let mut join_used = vec![false; plan.joins.len()];
-    let mut resid_used = vec![false; plan.residual.len()];
+    let mut resid_used = answered.to_vec();
     let mut levels = Vec::with_capacity(order.len());
     for (li, &v) in order.iter().enumerate() {
         placed[v] = true;
@@ -514,6 +530,9 @@ struct ExecCtx<'a> {
     levels: &'a [Level],
     /// Join tables per level: key value → that level's candidates.
     maps: &'a [Option<HashMap<Value, Vec<Oid>>>],
+    /// The `DURING` filter still owed on complete bindings: `None` when
+    /// there is none or the index probe answered it.
+    full_filter: Option<&'a CExpr>,
     /// Cap on surviving bindings (LIMIT without ORDER BY, order-preserving
     /// placements only).
     cap_scan: Option<usize>,
@@ -539,7 +558,7 @@ impl ExecCtx<'_> {
             // Joint existential re-check of the whole filter: pushdown
             // under DURING is only a necessary condition.
             if last {
-                if let Some(f) = &self.plan.full_filter {
+                if let Some(f) = self.full_filter {
                     let pts =
                         event_points_oids(self.db, oids, self.window, self.now);
                     charge.cost(pts.len() as u64)?;
@@ -644,28 +663,38 @@ impl ExecCtx<'_> {
             .hi()
             .ok_or_else(|| EvalError::internal("empty evaluation window"))?;
         let q = &plan.q;
-        for r in 0..partials.len() {
+        // `ORDER BY` keys borrow from the database. Under `LIMIT k` only
+        // the partition's best k bindings — ties in naive order, which is
+        // the binding's own oids — are projected and charged as rows.
+        let mut picked: Vec<usize> = (0..partials.len()).collect();
+        let mut ovals: Vec<Cow<'_, Value>> = Vec::new();
+        if let Some((e, desc)) = &plan.order_key {
+            for r in 0..partials.len() {
+                ovals.push(eval_cexpr(self.db, partials.row(r), t_eval, self.now, e)?);
+            }
+            if let Some(k) = self.topk {
+                let by_key = |a: &usize, b: &usize| {
+                    let o = ovals[*a].cmp(&ovals[*b]);
+                    (if *desc { o.reverse() } else { o })
+                        .then_with(|| partials.row(*a).cmp(partials.row(*b)))
+                };
+                if (1..picked.len()).contains(&k) {
+                    picked.select_nth_unstable_by(k - 1, by_key);
+                }
+                picked.truncate(k);
+                picked.sort_unstable_by(by_key);
+            }
+        }
+        for r in picked {
             let oids = partials.row(r);
             let mut row = Vec::with_capacity(q.projections.len());
             for ((_, p), &vi) in q.projections.iter().zip(&plan.proj_vars) {
                 row.push(eval_projection(self.db, oids[vi], p, t_eval, self.window, q)?);
             }
             charge.row(approx_row_bytes(&row))?;
-            let oval = match &plan.order_key {
-                Some((e, _)) => {
-                    Some(eval_cexpr(self.db, oids, t_eval, self.now, e)?.into_owned())
-                }
-                None => None,
-            };
+            let oval = ovals.get(r).map(|v| v.as_ref().clone());
             let key = if self.keyed { oids.to_vec() } else { Vec::new() };
             out.rows.push(RowOut { key, oval, row });
-            if let Some(k) = self.topk {
-                // Bounded top-k: compact once the buffer doubles.
-                if out.rows.len() >= (2 * k).max(64) {
-                    sort_rows(&mut out.rows, plan);
-                    out.rows.truncate(k);
-                }
-            }
         }
         charge.flush()?;
         Ok(out)
@@ -742,6 +771,7 @@ pub fn execute_plan(
             pushed: plan.prefilters[i].len(),
             after: extent,
             indexed: None,
+            answered: 0,
         });
         classes.push(class);
         fetched.push(oids);
@@ -771,13 +801,22 @@ pub fn execute_plan(
     let mut charge = Charge::new(meter.as_ref());
 
     // Index seeding: resolve each planned equality/membership predicate
-    // through the attribute-value index. A covered probe yields the
-    // sorted oids that can satisfy the conjunct in the query window — a
-    // superset, so the conjunct itself still runs on them (prefilter or
-    // level check) and rows never change. Uncovered probes (no temporal
-    // declaration, unknown class) leave the variable to the extent scan.
+    // through the attribute-value index. A covered probe yields exactly
+    // the sorted oids whose slot satisfies the conjunct in its window, so
+    // the conjunct is answered and dropped from the checks below: at a
+    // point scope always, under `DURING` when it is the whole filter (the
+    // joint existential of several conjuncts is not separable). With a
+    // class in quarantine every conjunct stays, because evaluating it is
+    // what fences a candidate whose most specific class is quarantined.
+    // Uncovered probes (no temporal declaration, unknown class) leave the
+    // variable to the extent scan.
     let mut seeds: Vec<Option<Vec<Oid>>> = vec![None; n];
+    let mut skip_pre: Vec<Vec<bool>> =
+        plan.prefilters.iter().map(|p| vec![false; p.len()]).collect();
+    let mut skip_resid = vec![false; plan.residual.len()];
+    let mut full_filter = plan.full_filter.as_ref();
     if opts.use_index && !plan.index_preds.is_empty() {
+        let fenced = !db.quarantine().is_empty();
         let mut scans = 0u64;
         let mut fallbacks = 0u64;
         for p in &plan.index_preds {
@@ -798,6 +837,17 @@ pub fn execute_plan(
                         }
                         None => oids,
                     });
+                    if !fenced && (p.whole || !plan.during) {
+                        stats.vars[p.var].answered += 1;
+                        if plan.during {
+                            full_filter = None;
+                        }
+                        if n > 1 {
+                            skip_pre[p.var][p.slot] = true;
+                        } else if !plan.during {
+                            skip_resid[p.slot] = true;
+                        }
+                    }
                 }
                 None => fallbacks += 1,
             }
@@ -827,7 +877,8 @@ pub fn execute_plan(
                 .take()
                 .unwrap_or_else(|| scope.extent(classes[i], now)),
         };
-        let filtered = prefilter_var(db, plan, i, members, window, now, &mut charge)?;
+        let filtered =
+            prefilter_var(db, plan, i, &skip_pre[i], members, window, &mut charge)?;
         stats.vars[i].after = filtered.len();
         cands.push(filtered);
     }
@@ -838,7 +889,7 @@ pub fn execute_plan(
     let sizes: Vec<usize> = cands.iter().map(Vec::len).collect();
     let order = choose_order(n, &sizes, &plan.joins, &q.vars);
     let needs_sort = order.iter().enumerate().any(|(i, &v)| i != v);
-    let levels = build_levels(plan, &order);
+    let levels = build_levels(plan, &order, &skip_resid);
     stats.order = order.clone();
 
     // Hash tables, built once over each joined level's candidates.
@@ -911,6 +962,7 @@ pub fn execute_plan(
         cands: &cands,
         levels: &levels,
         maps: &maps,
+        full_filter,
         cap_scan,
         topk,
         keyed: needs_sort,
@@ -973,23 +1025,33 @@ pub fn execute_plan(
     Ok((result, stats))
 }
 
-/// Apply a variable's pushed-down conjuncts to its candidates (the
-/// index-seeded members or the whole extent, sorted by oid either way).
-/// Under a point scope each conjunct must hold at the scope instant
-/// (errors propagate); under `DURING` a candidate survives if every
-/// conjunct holds at *some* event point of that object alone — a
-/// necessary condition for the joint existential filter checked later.
+/// Apply a variable's pushed-down conjuncts — all but those the index
+/// probe answered (`skip`) — to its candidates (the index-seeded members
+/// or the whole extent, sorted by oid either way). Under a point scope
+/// each conjunct must hold at the scope instant (errors propagate); under
+/// `DURING` a candidate survives if every conjunct holds at *some* event
+/// point of that object alone — a necessary condition for the joint
+/// existential filter checked later.
 fn prefilter_var(
     db: &Database,
     plan: &PlannedQuery,
     i: usize,
+    skip: &[bool],
     mut members: Vec<Oid>,
     window: Interval,
-    now: Instant,
     charge: &mut Charge<'_>,
 ) -> Result<Vec<Oid>, EvalError> {
-    let pres = &plan.prefilters[i];
+    let now = db.now();
+    let pres: Vec<&CExpr> = plan.prefilters[i]
+        .iter()
+        .zip(skip)
+        .filter_map(|(c, &answered)| (!answered).then_some(c))
+        .collect();
     if pres.is_empty() {
+        // Answered conjuncts cost a point read what they did evaluated.
+        if !plan.during && !skip.is_empty() {
+            charge.cost(members.len() as u64)?;
+        }
         return Ok(members);
     }
     let t_point = window
@@ -1008,7 +1070,7 @@ fn prefilter_var(
         } else {
             charge.cost(1)?;
             let mut keep = true;
-            for c in pres {
+            for c in &pres {
                 if !holds(db, &buf, t_point, now, c)? {
                     keep = false;
                     break;
@@ -1243,21 +1305,31 @@ mod tests {
     #[test]
     fn explain_renders_index_scan() {
         let db = dept_db(50);
-        let q = sel("select x from emp x where x.dept = 'rare'");
-        let plan = plan_select(&q);
-        let (_, stats) = execute_plan(&db, &plan, &serial(1)).unwrap();
-        let txt = crate::plan::render_explain(&plan, &stats, false);
-        assert!(txt.contains("IndexScan"), "{txt}");
-        assert!(txt.contains("index->"), "{txt}");
+        let explain = |src: &str, opts: &ExecOptions| {
+            let plan = plan_select(&sel(src));
+            let (_, stats) = execute_plan(&db, &plan, opts).unwrap();
+            crate::plan::render_explain(&plan, &stats, false)
+        };
+        // The probe answered the only conjunct: nothing is checked.
+        let txt = explain("select x from emp x where x.dept = 'rare'", &serial(1));
+        assert!(txt.contains("IndexOnly x: examined=5 out=5 checks=0"), "{txt}");
+        assert!(txt.contains("index->5"), "{txt}");
+        // The second conjunct is still owed per candidate.
+        let txt = explain("select x from emp x where x.dept = 'rare' and x.v > 20", &serial(1));
+        assert!(txt.contains("IndexOnly x: examined=5 out=2 checks=1"), "{txt}");
+        // Several conjuncts under DURING are one joint existential: the
+        // probe seeds, the filter still runs.
+        let txt = explain(
+            "select x from emp x during [1, 2] where x.dept = 'rare' and x.v > 20",
+            &serial(1),
+        );
+        assert!(txt.contains("IndexScan x: examined=5 out=2"), "{txt}");
+        assert!(txt.contains("index->5"), "{txt}");
         // The scan path renders a plain scan.
-        let (_, stats) = execute_plan(
-            &db,
-            &plan,
-            &ExecOptions { use_index: false, ..serial(1) },
-        )
-        .unwrap();
-        let txt = crate::plan::render_explain(&plan, &stats, false);
-        assert!(!txt.contains("IndexScan"), "{txt}");
+        let off = ExecOptions { use_index: false, ..serial(1) };
+        let txt = explain("select x from emp x where x.dept = 'rare'", &off);
+        assert!(txt.contains("scan x: examined=50 out=5 checks=1"), "{txt}");
+        assert!(!txt.contains("Index"), "{txt}");
     }
 
     #[test]

@@ -21,6 +21,9 @@
 //!   of the whole binding, so per-variable pushdown is only a *necessary*
 //!   condition: the executor still re-checks the full filter on surviving
 //!   bindings, and no hash joins are extracted.
+//! * An index-eligible conjunct ([`IndexPred`]) records where it was
+//!   planned, so the executor can drop it when the exact index probe has
+//!   answered it — under `DURING` only if it is the whole filter.
 //! * Single-variable queries keep their conjuncts in source order as
 //!   residual checks, preserving the reference evaluator's left-to-right
 //!   `AND` semantics exactly.
@@ -62,11 +65,13 @@ pub struct JoinPred {
 /// `v.attr at t = lit`, or an `OR` chain of such shapes over the same
 /// `(var, attr, at)`.
 ///
-/// The planner only records the *shape* — whether an index actually
-/// covers the probe (declaration temporal, class known) is decided at
-/// execution time, falling back to the scan path otherwise. The probe is
-/// a necessary condition: the conjunct itself still runs as a prefilter
-/// or residual on the narrowed candidates, so rows are unchanged.
+/// The planner only records the *shape* and where the conjunct landed —
+/// whether an index actually covers the probe (declaration temporal,
+/// class known) is decided at execution time, falling back to the scan
+/// path otherwise. A covered probe is *exact* (`DESIGN.md` §13.3), so the
+/// executor drops the conjunct it answered instead of re-evaluating it on
+/// the candidates: always at a point scope, and under `DURING` when the
+/// conjunct is the [`whole`](IndexPred::whole) filter.
 #[derive(Clone, Debug)]
 pub struct IndexPred {
     /// Variable index the predicate constrains.
@@ -78,6 +83,15 @@ pub struct IndexPred {
     pub at: Option<u64>,
     /// Literal values of the equality (one) or membership disjunction.
     pub values: Vec<Value>,
+    /// Where the conjunct was planned: its index in `prefilters[var]`
+    /// (several range variables) or in `residual` (one variable at a point
+    /// scope). Unused for one variable under `DURING`, whose conjuncts
+    /// live in `full_filter` only.
+    pub slot: usize,
+    /// The conjunct is the entire `WHERE`. Only then does answering it
+    /// answer a `DURING` filter, whose existential quantifies over all
+    /// conjuncts jointly.
+    pub whole: bool,
 }
 
 /// A conjunct the planner could not push down or turn into a join.
@@ -191,7 +205,7 @@ fn index_pred_of(e: &Expr, names: &[String]) -> Option<IndexPred> {
             return None;
         }
         let var = names.iter().position(|n| n == var)?;
-        Some(IndexPred { var, attr: attr.clone(), at, values: vec![value] })
+        Some(IndexPred { var, attr: attr.clone(), at, values: vec![value], slot: 0, whole: false })
     }
     match e {
         Expr::Or(l, r) => {
@@ -225,6 +239,7 @@ pub fn plan_select(q: &Select) -> PlannedQuery {
     if let Some(filter) = &q.filter {
         let mut conjuncts = Vec::new();
         split_conjuncts(filter, &mut conjuncts);
+        let whole = conjuncts.len() == 1;
         for (pos, c) in conjuncts.into_iter().enumerate() {
             let mut used = vec![false; n];
             let mut quant = false;
@@ -233,14 +248,14 @@ pub fn plan_select(q: &Select) -> PlannedQuery {
                 (0..n).filter(|&i| used[i]).collect();
             let expr = CExpr::compile(c, &names);
 
-            // Index-answerable equality/membership shapes narrow the
-            // candidate set before any scan, in every scope (a DURING
-            // probe is a necessary condition, rechecked like the other
-            // pushdowns); the conjunct still runs below, so this changes
-            // the candidates examined, never the rows.
+            // Index-answerable equality/membership shapes seed the
+            // candidate set before any scan, in every scope. The slot is
+            // where the conjunct is pushed just below, so the executor
+            // can drop it once a covered probe has answered it.
             if !quant && cvars.len() == 1 {
                 if let Some(p) = index_pred_of(c, &names) {
-                    index_preds.push(p);
+                    let slot = if n > 1 { prefilters[p.var].len() } else { residual.len() };
+                    index_preds.push(IndexPred { slot, whole, ..p });
                 }
             }
 
@@ -440,6 +455,8 @@ pub fn render_explain(plan: &PlannedQuery, stats: &ExecStats, cache_hit: bool) -
         let name = plan.q.vars[l.var].1.as_str();
         let kind = if l.hash {
             "hash-join"
+        } else if stats.vars[l.var].answered > 0 {
+            "IndexOnly"
         } else if stats.vars[l.var].indexed.is_some() {
             "IndexScan"
         } else if l.first {

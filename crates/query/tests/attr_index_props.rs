@@ -1,9 +1,11 @@
 //! Attribute-value index equivalence properties (DESIGN.md §13): for
 //! randomly generated databases and index-heavy queries, the executor
-//! with index narrowing enabled returns exactly the rows — values *and*
+//! with index seeding enabled returns exactly the rows — values *and*
 //! order — of the reference evaluator and of the scan path
 //! (`use_index: false`), across `NOW`, `AS OF` and `DURING` scopes and
-//! regardless of partitioning or parallelism.
+//! regardless of partitioning or parallelism. A covered probe is the
+//! answer to its conjunct — the executor no longer re-evaluates it — so
+//! these properties are what holds the probe to its exactness contract.
 //!
 //! The index is deliberately activated *mid-workload* (a warm probe
 //! after a prefix of the mutations), so the remaining `set_attr` churn,
@@ -13,7 +15,9 @@
 //! the cache and never serves stale candidates.
 
 use proptest::prelude::*;
-use tchimera_core::{attrs, Attrs, ClassDef, ClassId, Database, Instant, Oid, Type, Value};
+use tchimera_core::{
+    attrs, Attrs, ClassDef, ClassId, Database, Instant, Interval, Oid, Type, Value,
+};
 use tchimera_query::ast::{CmpOp, Expr, Literal, Projection, Select, TimeSpec};
 use tchimera_query::exec::{execute_plan, ExecOptions};
 use tchimera_query::plan::plan_select;
@@ -28,8 +32,13 @@ const VAR_NAMES: [&str; 3] = ["x", "y", "z"];
 
 /// Same shape as the planner properties: `emp` with a temporal integer
 /// `a`, a static integer `b` and a temporal reference `r`; `mgr` isa
-/// `emp` with nothing of its own, so migrations never drop attributes
-/// and evaluation stays total.
+/// `emp` and adds a temporal integer `c`. A demotion closes `c`'s history
+/// and keeps it in the object (or drops the slot, when the whole run sat
+/// inside the tick), a later promotion resumes or re-initialises it; no
+/// *static* attribute is ever dropped, so evaluation stays total as long
+/// as only `mgr` variables read `c`. `other` is outside the hierarchy and
+/// declares the same attribute *names*: the index is keyed by name, so
+/// its objects sit in the same index as the employees'.
 fn define_schema(db: &mut Database) {
     db.define_class(
         ClassDef::new("emp")
@@ -38,7 +47,16 @@ fn define_schema(db: &mut Database) {
             .attr("r", Type::temporal(Type::object("emp"))),
     )
     .unwrap();
-    db.define_class(ClassDef::new("mgr").isa("emp")).unwrap();
+    db.define_class(
+        ClassDef::new("mgr").isa("emp").attr("c", Type::temporal(Type::INTEGER)),
+    )
+    .unwrap();
+    db.define_class(
+        ClassDef::new("other")
+            .attr("a", Type::temporal(Type::INTEGER))
+            .attr("c", Type::temporal(Type::INTEGER)),
+    )
+    .unwrap();
 }
 
 fn apply_op(db: &mut Database, oids: &mut Vec<Oid>, op: OpSeed) {
@@ -85,33 +103,32 @@ fn apply_op(db: &mut Database, oids: &mut Vec<Oid>, op: OpSeed) {
     }
 }
 
-/// A minimal probe-triggering query: `select x from emp x where x.a = 0`.
-/// Running it through the planned pipeline with the index enabled builds
-/// (and thereby *activates*) the attribute-value index on `a`, so every
-/// later mutation exercises the incremental write hooks.
+/// Probe `a` and `c` once: the first probe of an attribute builds (and
+/// thereby *activates*) its index, so every later mutation exercises the
+/// incremental write hooks. Asked of the database directly — a query over
+/// a still-empty extent returns before it probes.
 fn warm_index(db: &Database) {
-    let q = Select {
-        projections: vec![("x".to_owned(), Projection::Var)],
-        vars: vec![(ClassId::from("emp"), "x".to_owned())],
-        time: TimeSpec::Now,
-        filter: Some(Expr::Cmp(
-            CmpOp::Eq,
-            Box::new(Expr::Attr("x".into(), "a".into())),
-            Box::new(Expr::Lit(Literal::Int(0))),
-        )),
-        order: None,
-        limit: None,
-    };
-    let plan = plan_select(&q);
-    execute_plan(db, &plan, &ExecOptions::default()).expect("warm probe is total");
+    for (class, attr) in [("emp", "a"), ("mgr", "c")] {
+        db.attr_index_probe(
+            &ClassId::from(class),
+            &attr.into(),
+            &[Value::Int(0)],
+            Interval::point(db.now()),
+        )
+        .expect("temporal declarations are covered");
+    }
+}
+
+fn eq_attr(v: usize, attr: &str, k: i64) -> Expr {
+    Expr::Cmp(
+        CmpOp::Eq,
+        Box::new(Expr::Attr(VAR_NAMES[v].into(), attr.into())),
+        Box::new(Expr::Lit(Literal::Int(k))),
+    )
 }
 
 fn eq_a(v: usize, k: i64) -> Expr {
-    Expr::Cmp(
-        CmpOp::Eq,
-        Box::new(Expr::Attr(VAR_NAMES[v].into(), "a".into())),
-        Box::new(Expr::Lit(Literal::Int(k))),
-    )
+    eq_attr(v, "a", k)
 }
 
 /// Decode one conjunct; weighted toward index-eligible shapes.
@@ -220,52 +237,90 @@ proptest! {
     }
 }
 
-/// One step of a population built to trip the index-seeded path: the
-/// probe answers per attribute *name*, the extent per *class*, so every
-/// way the two can disagree is generated on purpose —
+/// One step of a population built to trip the index-only path. The probe
+/// answers per attribute *name*, the extent per *class*, and no conjunct
+/// re-reads the object behind a holder any more, so every way the probe
+/// and the extent can disagree, and every run boundary the holdings have
+/// to get right by themselves, is generated on purpose —
 ///
 /// * create-then-terminate inside one tick (the leave event lands at
 ///   `now + 1`, the object is still a member at `now`);
 /// * demotion `mgr → emp`: the object leaves `mgr` but keeps holding its
-///   `a` value, so a probe for `mgr x where x.a = k` returns it;
+///   `a` value, so a probe for `mgr x where x.a = k` returns it; its `c`
+///   history is closed at `now − 1` and kept, or the slot dropped when
+///   the run began this tick;
 /// * promotion after a demotion: a re-hired, non-contiguous `mgr`
-///   membership.
+///   membership whose `c` history resumes (or is re-initialised);
+/// * a same-instant replace (two `set`s in one tick: the first run leaves
+///   no trace) and `set` then `terminate` in one tick (a run of length
+///   one, `[now, now]`);
+/// * a write of `null` (closes the run, opens nothing);
+/// * a holder of the same value under the same attribute names in the
+///   unrelated class `other`.
 fn apply_hostile_op(db: &mut Database, oids: &mut Vec<Oid>, op: OpSeed) {
     let (kind, x, y, _) = op;
     let pick = |oids: &[Oid], sel: u8| -> Option<Oid> {
         (!oids.is_empty()).then(|| oids[sel as usize % oids.len()])
     };
-    let emp = ClassId::from("emp");
+    let (emp, mgr) = (ClassId::from("emp"), ClassId::from("mgr"));
     let init = attrs([("a", Value::Int(x)), ("b", Value::Int(x.rem_euclid(3)))]);
+    let bonus = || attrs([("c", Value::Int(x))]);
     match kind {
-        0 | 1 => oids.push(db.create_object(&emp, init).unwrap()),
-        2 => {
+        0..=3 => oids.push(db.create_object(&emp, init).unwrap()),
+        4 => {
             let oid = db.create_object(&emp, init).unwrap();
             if y % 2 == 0 {
-                db.migrate(oid, &ClassId::from("mgr"), Attrs::new()).unwrap();
+                db.migrate(oid, &mgr, bonus()).unwrap();
             }
             db.terminate_object(oid).unwrap();
             oids.push(oid);
         }
-        3 => {
+        5 => {
             if let Some(o) = pick(oids, y) {
                 let _ = db.set_attr(o, &"a".into(), Value::Int(x));
             }
         }
-        4 => {
+        6 | 7 => {
             if let Some(o) = pick(oids, y) {
-                let _ = db.migrate(o, &ClassId::from("mgr"), Attrs::new());
+                let _ = db.migrate(o, &mgr, if y % 3 == 0 { Attrs::new() } else { bonus() });
             }
         }
-        5 => {
+        8 => {
             if let Some(o) = pick(oids, y) {
                 let _ = db.migrate(o, &emp, Attrs::new());
             }
         }
-        6 => {
+        9 => {
             if let Some(o) = pick(oids, y) {
                 let _ = db.terminate_object(o);
             }
+        }
+        10 => {
+            if let Some(o) = pick(oids, y) {
+                let _ = db.set_attr(o, &"a".into(), Value::Int(x));
+                let _ = db.set_attr(o, &"a".into(), Value::Int(x + 1));
+            }
+        }
+        11 => {
+            if let Some(o) = pick(oids, y) {
+                let _ = db.set_attr(o, &"a".into(), Value::Int(x));
+                let _ = db.terminate_object(o);
+            }
+        }
+        12 => {
+            if let Some(o) = pick(oids, y) {
+                let _ = db.set_attr(o, &"a".into(), Value::Null);
+            }
+        }
+        13 => {
+            // Only a current `mgr` declares `c`; anyone else refuses.
+            if let Some(o) = pick(oids, y) {
+                let _ = db.set_attr(o, &"c".into(), Value::Int(x));
+            }
+        }
+        14 => {
+            let init = attrs([("a", Value::Int(x)), ("c", Value::Int(x))]);
+            db.create_object(&ClassId::from("other"), init).unwrap();
         }
         _ => {
             db.tick();
@@ -273,39 +328,65 @@ fn apply_hostile_op(db: &mut Database, oids: &mut Vec<Oid>, op: OpSeed) {
     }
 }
 
-/// `v.a = k` in one of the index-answerable shapes.
-fn seeded_conjunct(v: usize, shape: u8, k: i64, at: u64) -> Expr {
+/// `v.attr = k` in one of the index-answerable shapes.
+fn seeded_conjunct(v: usize, attr: &str, shape: u8, k: i64, at: u64) -> Expr {
     match shape % 3 {
-        0 => eq_a(v, k),
+        0 => eq_attr(v, attr, k),
         1 => Expr::Or(
-            Box::new(eq_a(v, k)),
-            Box::new(Expr::Or(Box::new(eq_a(v, k + 1)), Box::new(eq_a(v, k + 2)))),
+            Box::new(eq_attr(v, attr, k)),
+            Box::new(Expr::Or(
+                Box::new(eq_attr(v, attr, k + 1)),
+                Box::new(eq_attr(v, attr, k + 2)),
+            )),
         ),
         _ => Expr::Cmp(
             CmpOp::Eq,
-            Box::new(Expr::AttrAt(VAR_NAMES[v].into(), "a".into(), at)),
+            Box::new(Expr::AttrAt(VAR_NAMES[v].into(), attr.into(), at)),
             Box::new(Expr::Lit(Literal::Int(k))),
         ),
     }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(96))]
+    #![proptest_config(ProptestConfig::with_cases(768))]
 
-    /// Index-seeded `NOW`, `AS OF t`, `DURING [a, b]` and `attr AT t`
-    /// reads equal the reference evaluator row for row and in order on
+    /// Index-only `NOW`, `AS OF t`, `DURING [a, b]` and `attr AT t` reads
+    /// equal the reference evaluator row for row and in order on
     /// populations where probe and extent disagree, whatever the
-    /// partitioning — and the scan path agrees too.
+    /// partitioning — and the scan path agrees too. Instants count back
+    /// from `now + 1`, so they fall after `now`, on the ticks the
+    /// population wrote at, and (at 0) before the first creation; windows
+    /// are 1–6 ticks anywhere on that axis (so they end one tick before a
+    /// run, start one tick after it, or straddle its boundary), and a
+    /// variable carries one exact conjunct, two, or one the probe cannot
+    /// answer beside one it can.
+    ///
+    /// Nothing re-evaluates an answered conjunct, so this is the test an
+    /// off-by-one in the index has to fail. Mutation-checked, each of
+    /// these fails it: in `AttrIndex::record_set_temporal`, closing the
+    /// displaced run at `now` or at `now − 2` instead of `now − 1`, or
+    /// keeping a trace of a run replaced within its own instant; in
+    /// `record_terminate`, closing at `now − 1`; in `Holding::hits`,
+    /// testing the open run against `[open_since + 1, now]` or
+    /// `[open_since, now + 1]`, looking for a closed run from `lo + 1`,
+    /// or accepting one that starts a tick after the window; a reconcile
+    /// that forgets the object's old entries; and dropping the
+    /// executor's membership check.
     #[test]
     fn seeded_reads_match_naive_where_probe_and_extent_disagree(
-        ops in prop::collection::vec((0u8..8, -1i64..3, 0u8..16, 0u8..1), 8..48),
+        ops in prop::collection::vec((0u8..18, 0i64..2, 0u8..16, 0u8..1), 8..48),
         warm_frac in 0usize..4,
-        classes in (0u8..2, 0u8..2),
-        nvars in 1usize..3,
-        time in (0u8..3, 0u64..14, 0u64..6),
-        shapes in ((0u8..3, -1i64..3, 0u64..14), (0u8..3, -1i64..3, 0u64..14)),
+        classes in (0u8..3, 0u8..3),
+        nvars in 1usize..4,
+        time in (0u8..3, 0u64..8, 0u64..6),
+        shapes in (
+            (0u8..8, 0i64..2, 0u64..8),
+            (0u8..8, 0i64..2, 0u64..8),
+            // A second conjunct on `x`: none, exact, or unanswerable.
+            (0u8..4, 0u8..8, 0i64..2, 0u64..8),
+        ),
         order in (0u8..3, 0u8..2),
-        limit in (0u8..2, 0u64..4),
+        limit in (0u8..2, 1u64..5),
     ) {
         let mut db = Database::new();
         define_schema(&mut db);
@@ -319,17 +400,34 @@ proptest! {
             apply_hostile_op(&mut db, &mut oids, op);
         }
         // No closing tick: trailing same-tick terminations stay members.
+        let back = |d: u64| (db.now().ticks() + 1).saturating_sub(d);
 
-        let class = |c: u8| ClassId::from(if c == 0 { "emp" } else { "mgr" });
-        let vars: Vec<(ClassId, String)> = [classes.0, classes.1][..nvars]
+        // One variable twice as often as two.
+        let nvars = nvars.div_ceil(2);
+        let class = |c: u8| if c < 2 { "emp" } else { "mgr" };
+        let classes = [class(classes.0), class(classes.1)];
+        let vars: Vec<(ClassId, String)> = classes[..nvars]
             .iter()
             .enumerate()
-            .map(|(i, &c)| (class(c), VAR_NAMES[i].to_owned()))
+            .map(|(i, &c)| (ClassId::from(c), VAR_NAMES[i].to_owned()))
             .collect();
-        let filter = [shapes.0, shapes.1][..nvars]
+        // `c` is declared by `mgr` only.
+        let attr = |v: usize, shape: u8| if shape >= 6 && classes[v] == "mgr" { "c" } else { "a" };
+        let mut conjuncts: Vec<Expr> = [shapes.0, shapes.1][..nvars]
             .iter()
             .enumerate()
-            .map(|(v, &(shape, k, at))| seeded_conjunct(v, shape, k, at))
+            .map(|(v, &(shape, k, at))| seeded_conjunct(v, attr(v, shape), shape, k, back(at)))
+            .collect();
+        let (second, shape, k, at) = shapes.2;
+        match second {
+            0 | 1 => {}
+            2 => conjuncts.push(seeded_conjunct(0, attr(0, shape), shape, k, back(at))),
+            _ => conjuncts.push(Expr::Not(Box::new(eq_a(0, k)))),
+        }
+        let exact = conjuncts.len() - usize::from(second == 3);
+        let whole = conjuncts.len() == 1;
+        let filter = conjuncts
+            .into_iter()
             .reduce(|acc, c| Expr::And(Box::new(acc), Box::new(c)));
         let q = Select {
             projections: vec![
@@ -339,8 +437,8 @@ proptest! {
             vars,
             time: match time.0 {
                 0 => TimeSpec::Now,
-                1 => TimeSpec::AsOf(time.1),
-                _ => TimeSpec::During(time.1, time.1 + time.2),
+                1 => TimeSpec::AsOf(back(time.1)),
+                _ => TimeSpec::During(back(time.1), back(time.1) + time.2),
             },
             filter,
             order: (order.0 > 0).then(|| tchimera_query::ast::OrderBy {
@@ -353,7 +451,7 @@ proptest! {
         check_select(db.schema(), &q).expect("generated queries are well typed");
         let naive = eval_select_naive(&db, &q).expect("workload is total");
         let plan = plan_select(&q);
-        prop_assert_eq!(plan.index_preds.len(), nvars);
+        prop_assert_eq!(plan.index_preds.len(), exact);
         for opts in [
             ExecOptions::default(),
             ExecOptions { parallel: false, partitions: Some(1), ..Default::default() },
@@ -363,9 +461,24 @@ proptest! {
         ] {
             let (r, stats) = execute_plan(&db, &plan, &opts).expect("workload is total");
             prop_assert_eq!(&r.rows, &naive.rows);
-            // Seeded unless an extent in scope was empty (early return).
-            if opts.use_index && stats.vars.iter().all(|v| v.extent > 0) {
-                prop_assert!(stats.vars.iter().all(|v| v.indexed.is_some()));
+            // Seeded unless an extent in scope was empty (early return),
+            // and every exact conjunct answered by its probe — under
+            // `DURING` only when it is the whole filter.
+            if stats.vars.iter().all(|v| v.extent > 0) && !stats.levels.is_empty() {
+                let answered: usize = stats.vars.iter().map(|v| v.answered).sum();
+                let checks: usize = stats.levels.iter().map(|l| l.checks).sum();
+                if !opts.use_index {
+                    prop_assert!(stats.vars.iter().all(|v| v.indexed.is_none()));
+                    prop_assert_eq!(answered, 0);
+                } else {
+                    prop_assert!(stats.vars.iter().all(|v| v.indexed.is_some()));
+                    if matches!(q.time, TimeSpec::During(..)) {
+                        prop_assert_eq!(answered, usize::from(whole));
+                    } else {
+                        prop_assert_eq!(answered, exact);
+                        prop_assert_eq!(checks, usize::from(nvars == 1 && second == 3));
+                    }
+                }
             }
         }
     }
@@ -385,10 +498,16 @@ fn seeded_read_of_a_quarantined_class_is_refused() {
     }
     db.tick_by(1);
     warm_index(&db);
-    let q = build_query(1, &[0], (0, 0, 0), &[(6, 0, 0, 1, 0)]);
-    let plan = plan_select(&q);
+    // Only the oid is projected: with the conjunct answered by the probe
+    // nothing in this read opens an object.
+    let oid_only = |k: i64| Select {
+        projections: vec![("x".to_owned(), Projection::Var)],
+        ..build_query(1, &[0], (0, 0, 0), &[(6, 0, 0, k, 0)])
+    };
+    let plan = plan_select(&oid_only(1));
     let (rows, stats) = execute_plan(&db, &plan, &ExecOptions::default()).expect("healthy");
     assert!(stats.vars[0].indexed.is_some() && !rows.rows.is_empty());
+    assert_eq!((stats.vars[0].answered, stats.levels[0].checks), (1, 0), "index-only");
 
     let emp = ClassId::from("emp");
     assert!(db.quarantine_class(&emp));
@@ -403,8 +522,44 @@ fn seeded_read_of_a_quarantined_class_is_refused() {
             other => panic!("expected Quarantined, got {other:?}"),
         }
     }
-    // A class above the fence keeps serving; lifting it restores the read.
+    // Lifting it restores the read.
     assert!(db.unquarantine_class(&emp));
+    let (again, stats) = execute_plan(&db, &plan, &ExecOptions::default()).expect("lifted");
+    assert_eq!(again.rows, rows.rows);
+    assert_eq!((stats.vars[0].answered, stats.levels[0].checks), (1, 0), "index-only again");
+
+    // The fence of a *subclass* reaches an `emp` read too: one holder is
+    // promoted to `mgr`, `mgr` is quarantined, and the read — which no
+    // longer opens its holders to answer `x.a = 1` — is still refused on
+    // that object, because with any class fenced the conjunct is kept and
+    // evaluating it is what asks the object's own class.
+    let mgr = ClassId::from("mgr");
+    let holder = match &rows.rows[0][0] {
+        Value::Oid(o) => *o,
+        other => panic!("first projection is the oid, got {other:?}"),
+    };
+    db.migrate(holder, &mgr, Attrs::new()).unwrap();
+    let (promoted, _) = execute_plan(&db, &plan, &ExecOptions::default()).expect("healthy");
+    assert_eq!(promoted.rows, rows.rows, "a manager is an employee");
+    assert!(db.quarantine_class(&mgr));
+    for opts in [
+        ExecOptions::default(),
+        ExecOptions { use_index: false, ..Default::default() },
+    ] {
+        match execute_plan(&db, &plan, &opts) {
+            Err(tchimera_query::EvalError::Model(tchimera_core::ModelError::Quarantined {
+                class,
+            })) => assert_eq!(class, mgr),
+            other => panic!("expected Quarantined, got {other:?}"),
+        }
+    }
+    // Holders of another value include no manager: that read is served,
+    // every conjunct evaluated (nothing is index-only behind a fence).
+    let (served, stats) =
+        execute_plan(&db, &plan_select(&oid_only(2)), &ExecOptions::default()).expect("no manager");
+    assert!(!served.rows.is_empty());
+    assert_eq!((stats.vars[0].answered, stats.levels[0].checks), (0, 1));
+    assert!(db.unquarantine_class(&mgr));
     let (again, _) = execute_plan(&db, &plan, &ExecOptions::default()).expect("lifted");
     assert_eq!(again.rows, rows.rows);
 }

@@ -7,6 +7,14 @@
 //! move across the read). The scan path (`use_index: false`) still walks
 //! the whole extent.
 //!
+//! It also pays for the rows it returns: a conjunct the probe answered is
+//! not a check any more (`LevelStats::checks`), and `ORDER BY … LIMIT 10`
+//! materialises ten rows whether 50 or 800 candidates competed. The
+//! governor's units are pinned as literals: bindings and the probe and
+//! per-candidate charges are what they were before the probe became the
+//! answer; what fell is what is no longer done — the rows a top-k read
+//! does not build and the event points a `DURING` read does not walk.
+//!
 //! One `#[test]`, so nothing else in this binary touches the process-wide
 //! obs registry between two counter reads.
 
@@ -18,8 +26,8 @@ use tchimera_query::{eval_select_naive, parse, EvalError, ExecBudget, QueryResul
 
 const HOLDERS: i64 = 50;
 
-/// `n` employees; the first [`HOLDERS`] are in the rare department.
-fn emp_db(n: i64) -> Database {
+/// `n` employees; the first `holders` are in the rare department.
+fn emp_db(n: i64, holders: i64) -> Database {
     let mut db = Database::new();
     db.define_class(
         ClassDef::new("emp")
@@ -29,7 +37,7 @@ fn emp_db(n: i64) -> Database {
     .unwrap();
     db.advance_to(Instant(1)).unwrap();
     for i in 0..n {
-        let dept = if i < HOLDERS { "rare" } else { "common" };
+        let dept = if i < holders { "rare" } else { "common" };
         db.create_object(
             &ClassId::from("emp"),
             attrs([("dept", Value::str(dept)), ("v", Value::Int(i))]),
@@ -58,17 +66,19 @@ fn serial(use_index: bool, budget: Option<ExecBudget>) -> ExecOptions {
     ExecOptions { parallel: false, partitions: Some(1), budget, use_index }
 }
 
-/// Governor cost units one execution charges: the smallest `max_cost`
-/// it completes under (one partition, far below the reconcile stride, so
-/// the final flush sees the exact total).
-fn units_charged(db: &Database, plan: &PlannedQuery, use_index: bool) -> u64 {
-    let passes = |max_cost: u64| {
-        let budget = ExecBudget { max_cost, ..ExecBudget::unlimited() };
-        match execute_plan(db, plan, &serial(use_index, Some(budget))) {
-            Ok(_) => true,
-            Err(EvalError::Budget { .. }) => false,
-            Err(e) => panic!("unexpected error: {e}"),
-        }
+/// The smallest limit of one budget resource an execution completes
+/// under, i.e. what it charges of it (one partition, far below the
+/// reconcile stride, so the final flush sees the exact total).
+fn charged(
+    db: &Database,
+    plan: &PlannedQuery,
+    use_index: bool,
+    budget: impl Fn(u64) -> ExecBudget,
+) -> u64 {
+    let passes = |limit: u64| match execute_plan(db, plan, &serial(use_index, Some(budget(limit)))) {
+        Ok(_) => true,
+        Err(EvalError::Budget { .. }) => false,
+        Err(e) => panic!("unexpected error: {e}"),
     };
     let (mut lo, mut hi) = (0u64, 1 << 20);
     assert!(passes(hi) && !passes(lo));
@@ -83,6 +93,11 @@ fn units_charged(db: &Database, plan: &PlannedQuery, use_index: bool) -> u64 {
     hi
 }
 
+/// Governor cost units one execution charges.
+fn units_charged(db: &Database, plan: &PlannedQuery, use_index: bool) -> u64 {
+    charged(db, plan, use_index, |max_cost| ExecBudget { max_cost, ..ExecBudget::unlimited() })
+}
+
 struct Measured {
     rows: QueryResult,
     stats: ExecStats,
@@ -92,7 +107,7 @@ struct Measured {
 }
 
 fn measure(n: i64, src: &str) -> Measured {
-    let db = emp_db(n);
+    let db = emp_db(n, HOLDERS);
     let q = select(src);
     let plan = plan_select(&q);
     // Build the attribute index outside the measured read.
@@ -125,11 +140,20 @@ fn measure(n: i64, src: &str) -> Measured {
 
 #[test]
 fn an_index_seeded_read_costs_the_same_at_any_extent_size() {
-    for src in [
-        "select e from emp e where e.dept = 'rare'",
-        "select e, e.v from emp e where e.dept = 'rare' order by e.v desc limit 10",
-        "select e from emp e as of 1 where e.dept = 'rare'",
-        "select e from emp e during [1, 2] where e.dept = 'rare'",
+    // (statement, checks left per candidate, cost units; the scan path
+    // keeps every conjunct, except that the joint `DURING` filter was
+    // never counted as a level check). A unit is
+    // charged per probe (1 + holders), per binding and per row: 151 =
+    // 1 + 50 + 50 + 50, as before the probe answered the conjunct. The
+    // top-k read builds 10 rows, not 50 (was 151); the `DURING` read no
+    // longer walks two event points per candidate (was 251); the last
+    // statement keeps its `v > 24` check and returns 25 rows.
+    for (src, checks, units, scan_checks) in [
+        ("select e from emp e where e.dept = 'rare'", 0, 151, 1),
+        ("select e, e.v from emp e where e.dept = 'rare' order by e.v desc limit 10", 0, 111, 1),
+        ("select e from emp e as of 1 where e.dept = 'rare'", 0, 151, 1),
+        ("select e from emp e during [1, 2] where e.dept = 'rare'", 0, 151, 0),
+        ("select e from emp e where e.dept = 'rare' and e.v > 24", 1, 126, 2),
     ] {
         let small = measure(1_000, src);
         let large = measure(8_000, src);
@@ -137,7 +161,12 @@ fn an_index_seeded_read_costs_the_same_at_any_extent_size() {
         assert_eq!(small.rows.rows, large.rows.rows, "{src}: same holders, same rows");
         assert_eq!(small.stats.bindings, HOLDERS as u64, "{src}");
         assert_eq!(small.stats.bindings, large.stats.bindings, "{src}: bindings follow the answer");
+        assert_eq!(small.units, units, "{src}");
         assert_eq!(small.units, large.units, "{src}: governor units follow the answer");
+        for m in [&small, &large] {
+            assert_eq!(m.stats.levels[0].checks, checks, "{src}: conjuncts the probe answered");
+            assert_eq!(m.scan_stats.levels[0].checks, scan_checks, "{src}: the scan control");
+        }
 
         // The scan path is the control: it walks (and is charged for) the
         // whole extent in scope, so its cost follows the class.
@@ -151,4 +180,23 @@ fn an_index_seeded_read_costs_the_same_at_any_extent_size() {
         assert!(large.scan_units > small.scan_units, "{src}");
         assert!(small.scan_units > small.units, "{src}");
     }
+
+    // Late materialisation: the rows (and row bytes) an `ORDER BY … LIMIT
+    // 10` read is charged are the ten it returns, however many holders
+    // competed for them.
+    let topk = select("select e, e.v from emp e where e.dept = 'rare' order by e.v desc limit 10");
+    let plan = plan_select(&topk);
+    let charges = |holders: i64| {
+        let db = emp_db(1_000, holders);
+        let (rows, stats) = execute_plan(&db, &plan, &serial(true, None)).unwrap();
+        assert_eq!(rows.rows, eval_select_naive(&db, &topk).unwrap().rows, "{holders} holders");
+        assert_eq!((rows.len(), stats.bindings), (10, holders as u64));
+        (
+            charged(&db, &plan, true, |max_rows| ExecBudget { max_rows, ..ExecBudget::unlimited() }),
+            charged(&db, &plan, true, |max_bytes| ExecBudget { max_bytes, ..ExecBudget::unlimited() }),
+        )
+    };
+    let few = charges(HOLDERS);
+    assert_eq!(few.0, 10, "rows charged are rows materialised");
+    assert_eq!(charges(800), few, "800 holders are charged the rows of 50");
 }

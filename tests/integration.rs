@@ -365,8 +365,13 @@ fn seeded_reads_match_the_reference_evaluator_through_both_front_doors() {
                 format!("x.dept at {} = 'rare'", now - 2),
                 "x.dept = 'rare' and x.v > 2".to_owned(),
             ] {
-                for tail in ["", " order by x.v desc limit 3"] {
-                    let src = format!("select x, x.v from {class} x{scope} where {filter}{tail}");
+                for (head, tail) in [
+                    ("x, x.v", ""),
+                    ("x, x.v", " order by x.v desc limit 3"),
+                    ("x", " order by x.v limit 5"),
+                    ("history of x.v", ""),
+                ] {
+                    let src = format!("select {head} from {class} x{scope} where {filter}{tail}");
                     let q = match parse(&src).unwrap() {
                         Stmt::Select(q) => q,
                         other => panic!("{src}: {other:?}"),
@@ -387,7 +392,7 @@ fn seeded_reads_match_the_reference_evaluator_through_both_front_doors() {
             }
         }
     }
-    assert!(seeded >= 40, "only {seeded} statements had an answer to compare");
+    assert!(seeded >= 80, "only {seeded} statements had an answer to compare");
     // The same-tick lifespans are in the answer at `now`, gone from the extent after.
     match interp.run("select x from emp x where x.dept = 'rare'").unwrap() {
         Outcome::Table(t) => {
@@ -396,8 +401,17 @@ fn seeded_reads_match_the_reference_evaluator_through_both_front_doors() {
         }
         other => panic!("{other:?}"),
     }
-    match interp.run("explain select x from mgr x where x.dept = 'rare'").unwrap() {
-        Outcome::Explain(text) => assert!(text.contains("IndexScan"), "{text}"),
-        other => panic!("{other:?}"),
+    // The probe is the answer at a point scope and to a one-conjunct
+    // `DURING`; it only seeds when the window filter has more to say.
+    let window = format!("during [{}, {now}]", now - 3);
+    for (src, level) in [
+        ("select x from mgr x where x.dept = 'rare'".to_owned(), "IndexOnly x:"),
+        (format!("select x from mgr x {window} where x.dept = 'rare'"), "IndexOnly x:"),
+        (format!("select x from mgr x {window} where x.dept = 'rare' and x.v > 2"), "IndexScan x:"),
+    ] {
+        match interp.run(&format!("explain {src}")).unwrap() {
+            Outcome::Explain(text) => assert!(text.contains(level), "{src}: {text}"),
+            other => panic!("{other:?}"),
+        }
     }
 }
