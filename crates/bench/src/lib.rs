@@ -1,8 +1,9 @@
-//! Shared workload generators for the T_Chimera benchmark suite.
-//!
-//! Every experiment in `EXPERIMENTS.md` (E2–E11) builds its inputs here so
-//! the Criterion benches and the table-printing harness (`harness` binary)
-//! measure exactly the same workloads.
+//! Workload generators for the experiment harness (`harness` binary),
+//! which reproduces the paper's tables as E1–E9 of `EXPERIMENTS.md`.
+//! The benchmark driver (`benchmark` binary) generates its own inputs and
+//! does not use this library.
+
+#![forbid(unsafe_code)]
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -134,75 +135,6 @@ pub fn probe_instants(n: usize, max_t: u64, seed: u64) -> Vec<Instant> {
 /// The oids of a database (sorted).
 pub fn all_oids(db: &Database) -> Vec<Oid> {
     db.objects().map(|o| o.oid).collect()
-}
-
-/// An organization database for join benchmarks: `n` employees, each with
-/// a `boss` reference to a lower-numbered employee (employee 0 has none).
-pub fn org_db(n: usize, seed: u64) -> Database {
-    let mut r = rng(seed);
-    let mut db = Database::new();
-    db.define_class(
-        ClassDef::new("employee")
-            .attr("name", Type::STRING)
-            .attr("boss", Type::temporal(Type::object("employee")))
-            .attr("salary", Type::temporal(Type::INTEGER)),
-    )
-    .unwrap();
-    db.advance_to(Instant(10)).unwrap();
-    let mut oids: Vec<Oid> = Vec::with_capacity(n);
-    for k in 0..n {
-        let mut init = attrs([
-            ("name", Value::str(format!("e{k}"))),
-            ("salary", Value::Int(r.gen_range(500..5000))),
-        ]);
-        if k > 0 {
-            let boss = oids[r.gen_range(0..k)];
-            init.insert("boss".into(), Value::Oid(boss));
-        }
-        oids.push(db.create_object(&ClassId::from("employee"), init).unwrap());
-    }
-    db.tick();
-    db
-}
-
-/// A department database for the attribute-value index study (E18):
-/// `n` employees with a temporal `dept` string — one in sixteen in the
-/// selective `'rare'` department, the rest spread over eight common
-/// ones — a temporal integer `v` updated `updates` times (churn the
-/// index does *not* cover, so histories are non-trivial), and a
-/// temporal `boss` reference to a lower-numbered employee.
-pub fn dept_db(n: usize, updates: usize, seed: u64) -> Database {
-    let mut r = rng(seed);
-    let mut db = Database::new();
-    db.define_class(
-        ClassDef::new("emp")
-            .attr("dept", Type::temporal(Type::STRING))
-            .attr("v", Type::temporal(Type::INTEGER))
-            .attr("boss", Type::temporal(Type::object("emp"))),
-    )
-    .unwrap();
-    db.advance_to(Instant(1)).unwrap();
-    let mut oids: Vec<Oid> = Vec::with_capacity(n);
-    for k in 0..n {
-        let dept = if k % 16 == 0 { "rare".to_owned() } else { format!("d{}", k % 8) };
-        let mut init = attrs([
-            ("dept", Value::str(dept)),
-            ("v", Value::Int(r.gen_range(0..1_000))),
-        ]);
-        if k > 0 {
-            init.insert("boss".into(), Value::Oid(oids[r.gen_range(0..k)]));
-        }
-        oids.push(db.create_object(&ClassId::from("emp"), init).unwrap());
-    }
-    for _ in 0..updates {
-        db.tick();
-        for &oid in &oids {
-            db.set_attr(oid, &"v".into(), Value::Int(r.gen_range(0..1_000)))
-                .unwrap();
-        }
-    }
-    db.tick();
-    db
 }
 
 /// A deep single-inheritance chain `c0 ⊇ c1 ⊇ … ⊇ c{depth}` for the

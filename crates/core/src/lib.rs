@@ -40,6 +40,7 @@
 //! # let _: Attrs = Attrs::new();
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -44,6 +44,7 @@
 //! last N events, a [`CollectingSubscriber`] in tests, or a
 //! [`StderrSubscriber`] for live pretty-printed traces.
 
+#![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(rustdoc::broken_intra_doc_links)]
 

@@ -17,6 +17,8 @@
 //! * Assertions are panic-based (`prop_assert!` == `assert!`), which is
 //!   equivalent under `#[test]`.
 
+#![forbid(unsafe_code)]
+
 pub mod arbitrary;
 pub mod collection;
 pub mod strategy;

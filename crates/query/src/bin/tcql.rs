@@ -13,6 +13,8 @@
 //! tcql --unlimited     # lift every limit (cancellation still works)
 //! ```
 
+#![forbid(unsafe_code)]
+
 use std::io::{BufRead, Write};
 
 use tchimera_query::{ExecBudget, Interpreter, Outcome};

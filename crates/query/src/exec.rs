@@ -1174,6 +1174,19 @@ mod tests {
     }
 
     #[test]
+    fn a_cross_product_trips_its_budget_in_every_partition_mode() {
+        let db = join_db();
+        let plan = plan_select(&sel("select x, y from a x, b y"));
+        let parallel = ExecOptions { partitions: Some(3), ..Default::default() };
+        for opts in [serial(1), serial(3), parallel] {
+            let budget = ExecBudget { max_bindings: 50, ..ExecBudget::unlimited() };
+            let opts = ExecOptions { budget: Some(budget), ..opts };
+            let err = execute_plan(&db, &plan, &opts).unwrap_err();
+            assert!(matches!(err, EvalError::Budget { .. }), "{err}");
+        }
+    }
+
+    #[test]
     fn only_large_candidate_sets_are_partitioned_by_default() {
         #[cfg(feature = "rayon")]
         let threads = rayon::current_num_threads();

@@ -22,6 +22,7 @@
 //! Pipeline: [`parser`] → [`typecheck`] → [`eval`], orchestrated by
 //! [`Interpreter`].
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

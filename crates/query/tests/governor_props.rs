@@ -1,10 +1,11 @@
 //! Property tests for the governed query path: the full pipeline
 //! (parse → typecheck → plan → execute) is total on arbitrary input.
 //! Every statement either succeeds or returns a typed error — no panics
-//! escape, even under a tiny budget that trips mid-execution.
+//! escape, even under a tiny budget that trips mid-execution — and a
+//! governed statement that succeeds returns the rows of an ungoverned one.
 
 use proptest::prelude::*;
-use tchimera_query::{ExecBudget, Interpreter, QueryError};
+use tchimera_query::{eval_select, parse, ExecBudget, Interpreter, Outcome, QueryError, Stmt};
 
 /// A small populated interpreter so garbage that *does* parse has real
 /// classes and objects to chew on.
@@ -63,6 +64,8 @@ proptest! {
 
     /// Well-formed selects under a tiny budget either finish or report
     /// BudgetExceeded/Cancelled — and the session stays usable after.
+    /// Budget accounting never changes rows: whatever finishes, under the
+    /// tiny budget or an unlimited one, matches ungoverned execution.
     #[test]
     fn tiny_budgets_fail_closed(
         max_bindings in 0u64..64,
@@ -71,22 +74,25 @@ proptest! {
         len in 0u64..12,
     ) {
         let mut interp = seeded();
-        interp.set_budget(ExecBudget {
-            max_bindings,
-            max_cost,
-            ..ExecBudget::default()
-        });
         let queries = [
             "select x, y from e x, e y where x.v = y.v".to_owned(),
             format!("select history of x.s from e x during [{lo}, {}]", lo + len),
             "select count(x) from e x where sometime(x.v = 7)".to_owned(),
         ];
-        for q in queries {
-            match interp.run(&q) {
-                Ok(_)
-                | Err(QueryError::BudgetExceeded { .. })
-                | Err(QueryError::Cancelled { .. }) => {}
-                Err(e) => panic!("{q} failed unexpectedly: {e}"),
+        let tiny = ExecBudget { max_bindings, max_cost, ..ExecBudget::default() };
+        for budget in [tiny, ExecBudget::unlimited()] {
+            interp.set_budget(budget);
+            for q in &queries {
+                let ungoverned = match parse(q).unwrap() {
+                    Stmt::Select(s) => eval_select(interp.db(), &s).unwrap().rows,
+                    other => panic!("not a select: {other:?}"),
+                };
+                match interp.run(q) {
+                    Ok(Outcome::Table(t)) => prop_assert_eq!(&t.rows, &ungoverned, "{}", q),
+                    Err(QueryError::BudgetExceeded { .. })
+                    | Err(QueryError::Cancelled { .. }) => {}
+                    other => panic!("{q} failed unexpectedly: {other:?}"),
+                }
             }
         }
         // The governor must release its permit and leave the session live.

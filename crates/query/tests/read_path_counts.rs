@@ -15,8 +15,15 @@
 //! answer; what fell is what is no longer done — the rows a top-k read
 //! does not build and the event points a `DURING` read does not walk.
 //!
-//! One `#[test]`, so nothing else in this binary touches the process-wide
-//! obs registry between two counter reads.
+//! The planner pays for what it keeps, not for the cross product: the
+//! `e.boss = m` self-join runs as a hash probe and examines at least 10×
+//! fewer bindings than `eval_select_naive` enumerates, and `LIMIT 10`
+//! without `ORDER BY` stops after ten.
+//!
+//! The obs registry is process-wide, so the tests take turns: nothing
+//! else in this binary runs between two counter reads.
+
+use std::sync::{Mutex, MutexGuard};
 
 use tchimera_core::{attrs, ClassDef, ClassId, Database, Instant, Type, Value};
 use tchimera_query::ast::{Select, Stmt};
@@ -25,6 +32,12 @@ use tchimera_query::plan::{plan_select, PlannedQuery};
 use tchimera_query::{eval_select_naive, parse, EvalError, ExecBudget, QueryResult};
 
 const HOLDERS: i64 = 50;
+
+static TURN: Mutex<()> = Mutex::new(());
+
+fn turn() -> MutexGuard<'static, ()> {
+    TURN.lock().unwrap_or_else(|poison| poison.into_inner())
+}
 
 /// `n` employees; the first `holders` are in the rare department.
 fn emp_db(n: i64, holders: i64) -> Database {
@@ -140,6 +153,7 @@ fn measure(n: i64, src: &str) -> Measured {
 
 #[test]
 fn an_index_seeded_read_costs_the_same_at_any_extent_size() {
+    let _turn = turn();
     // (statement, checks left per candidate, cost units; the scan path
     // keeps every conjunct, except that the joint `DURING` filter was
     // never counted as a level check). A unit is
@@ -199,4 +213,54 @@ fn an_index_seeded_read_costs_the_same_at_any_extent_size() {
     let few = charges(HOLDERS);
     assert_eq!(few.0, 10, "rows charged are rows materialised");
     assert_eq!(charges(800), few, "800 holders are charged the rows of 50");
+}
+
+/// `n` employees; employee `i > 0` reports to employee `i / 2`.
+fn org_db(n: i64) -> Database {
+    let mut db = Database::new();
+    db.define_class(
+        ClassDef::new("emp")
+            .attr("v", Type::temporal(Type::INTEGER))
+            .attr("boss", Type::temporal(Type::object("emp"))),
+    )
+    .unwrap();
+    db.advance_to(Instant(1)).unwrap();
+    let mut oids = Vec::new();
+    for i in 0..n {
+        let mut init = attrs([("v", Value::Int(i))]);
+        if i > 0 {
+            init.insert("boss".into(), Value::Oid(oids[i as usize / 2]));
+        }
+        oids.push(db.create_object(&ClassId::from("emp"), init).unwrap());
+    }
+    db.tick_by(2);
+    db
+}
+
+#[test]
+fn a_planned_join_or_limit_examines_fewer_bindings_than_naive() {
+    let _turn = turn();
+    // `naive_bindings` is the cross product `eval_select_naive` walks.
+    let run = |db: &Database, src: &str| {
+        let q = select(src);
+        let (rows, stats) = execute_plan(db, &plan_select(&q), &serial(true, None)).unwrap();
+        assert_eq!(rows.rows, eval_select_naive(db, &q).unwrap().rows, "{src}");
+        stats
+    };
+    for n in [100, 400] {
+        let stats = run(&org_db(n), "select e, m from emp e, emp m where e.boss = m");
+        assert_eq!(stats.naive_bindings, (n * n) as u128);
+        assert!(
+            u128::from(stats.bindings) * 10 <= stats.naive_bindings,
+            "self-join over {n}: {} bindings vs naive {}",
+            stats.bindings,
+            stats.naive_bindings
+        );
+    }
+    let limit = "select e, e.v from emp e where e.v >= 0 limit 10";
+    for n in [1_000, 8_000] {
+        let stats = run(&emp_db(n, HOLDERS), limit);
+        assert!(u128::from(stats.bindings) < stats.naive_bindings, "limit over {n}");
+        assert_eq!(stats.bindings, 10, "limit over {n}: the scan stops at ten");
+    }
 }

@@ -8,6 +8,8 @@
 //! enough for workload generation and property testing, and fully
 //! reproducible from a `u64` seed.
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Low-level entropy source: a stream of `u64`s.

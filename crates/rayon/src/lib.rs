@@ -10,6 +10,8 @@
 //! Results are always returned in input order, so a parallel
 //! `map/collect` is observationally identical to its serial counterpart.
 
+#![forbid(unsafe_code)]
+
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 

@@ -27,9 +27,6 @@
 //! * [`resilience`] — fault classification ([`resilience::FaultKind`]),
 //!   deterministic bounded retry ([`resilience::RetryPolicy`]) and the
 //!   read-only degradation [`resilience::CircuitBreaker`].
-//! * [`index`] — [`index::IntervalTree`] and [`index::TemporalIndex`] for
-//!   `O(log n + k)` time-travel queries (who existed / was a member at
-//!   `t`?).
 //! * [`repl`] — log-shipping replication: a [`repl::Primary`] streams
 //!   CRC-framed log records (and full state images past compaction) over
 //!   a pluggable [`repl::Transport`] to a digest-verified
@@ -39,12 +36,12 @@
 //!   (`storage.log.*`, `storage.snapshot.*`, `storage.recovery.*`, …)
 //!   registered eagerly so snapshots always name it; see `DESIGN.md` §9.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
 pub mod codec;
 pub mod engine;
-pub mod index;
 pub mod log;
 pub mod observability;
 pub mod op;
@@ -59,7 +56,6 @@ pub use engine::{
     digest_database, diverged_classes, snapshot_path, EngineConfig, EngineError,
     PersistentDatabase, StorageScrubReport,
 };
-pub use index::{IntervalTree, TemporalIndex};
 pub use log::{DamageReason, LogError, LogScan, OpLog, TailDamage};
 pub use observability::{touch_metrics, REPL_METRICS, STORAGE_METRICS};
 pub use op::{Operation, ReplayError};

@@ -28,6 +28,7 @@
 //! Everything here is deterministic, allocation-conscious and purely
 //! in-memory; persistence lives in `tchimera-storage`.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 

@@ -28,6 +28,7 @@
 //! assert_eq!(db.attr_at(i, &"salary".into(), Instant(5)).unwrap(), Value::Int(1000));
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 /// The T_Chimera data model (re-export of `tchimera-core`).
@@ -50,9 +51,7 @@ pub use tchimera_core::{
     CAPABILITIES,
 };
 pub use tchimera_query::{Interpreter, Outcome, QueryError, QueryResult};
-pub use tchimera_storage::{
-    EngineConfig, EngineError, PersistentDatabase, TemporalIndex, Transaction,
-};
+pub use tchimera_storage::{EngineConfig, EngineError, PersistentDatabase, Transaction};
 
 /// The README's code examples, compile-checked as doctests.
 #[doc = include_str!("../README.md")]

@@ -2,10 +2,10 @@
 //! the storage engine working together.
 
 use tchimera_core::{
-    attrs, Attrs, ClassDef, ClassId, Constraint, Database, Instant, Interval, Oid, Type, Value,
+    attrs, Attrs, ClassDef, ClassId, Constraint, Database, Instant, Oid, Type, Value,
 };
 use tchimera_query::{eval_select_naive, parse, Interpreter, Outcome, ReplicaSession, Stmt};
-use tchimera_storage::{PersistentDatabase, TemporalIndex};
+use tchimera_storage::PersistentDatabase;
 
 /// Build the staff database used across these tests, via the public API.
 fn staff_db() -> Database {
@@ -146,25 +146,6 @@ fn storage_roundtrip_preserves_query_results() {
         }
     }
     std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn temporal_index_agrees_with_model_and_query() {
-    let db = staff_db();
-    let idx = TemporalIndex::build(&db);
-    for t in [5u64, 10, 20, 30, 40, 50, 55, 60] {
-        let t = Instant(t);
-        for class in ["person", "employee", "manager"] {
-            let cid = ClassId::from(class);
-            assert_eq!(idx.members_at(&cid, t), db.pi(&cid, t).unwrap());
-        }
-    }
-    // Window query: everyone who ever lived in [0, 60].
-    assert_eq!(
-        idx.alive_during(Interval::from_ticks(0, 60)),
-        vec![Oid(0), Oid(1), Oid(2)]
-    );
-    assert_eq!(idx.alive_during(Interval::from_ticks(51, 60)), vec![Oid(0), Oid(1)]);
 }
 
 #[test]
