@@ -37,7 +37,7 @@
 //! reads that oid's history alone — an index-seeded query needs only
 //! those two, so its cost does not follow the extent's size.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 
 use tchimera_temporal::{Instant, TemporalValue};
 
@@ -46,7 +46,7 @@ use crate::ident::Oid;
 
 /// One membership change: `delta = +1` (join) or `−1` (leave), effective
 /// from instant `at` onward.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Event {
     at: Instant,
     oid: Oid,
@@ -251,6 +251,79 @@ fn merge(base: impl ExactSizeIterator<Item = Oid>, events: &[Event], sign: i32) 
     out
 }
 
+/// The boundary events of `histories`, unsorted: every run joins at its
+/// start and — a closed run `[s, e]` — leaves at `e + 1`, exactly the
+/// instants the live [`open`](Membership::open) /
+/// [`close`](Membership::close) /
+/// [`close_before`](Membership::close_before) paths record.
+fn history_events(histories: &HashMap<Oid, TemporalValue<()>>) -> Vec<Event> {
+    let mut events: Vec<Event> = Vec::with_capacity(histories.len());
+    for (&oid, h) in histories {
+        for e in h.entries() {
+            events.push(Event { at: e.start, oid, delta: 1 });
+            if let tchimera_temporal::TimeBound::Fixed(end) = e.end {
+                events.push(Event { at: end.next(), oid, delta: -1 });
+            }
+        }
+    }
+    events
+}
+
+/// `events` reduced to the net delta per `(at, oid)`, zero entries
+/// dropped, in `(at, oid)` order. Two logs in which each oid's joins and
+/// leaves alternate describe the same membership function exactly when
+/// they reduce to the same list, whatever their order within an instant
+/// and whatever cancelling pairs (a same-instant bounce) they carry.
+fn net_per_instant_and_oid(mut events: Vec<Event>) -> Vec<Event> {
+    events.sort_unstable_by_key(|e| (e.at, e.oid));
+    events.dedup_by(|e, kept| {
+        let same = (e.at, e.oid) == (kept.at, kept.oid);
+        if same {
+            kept.delta += e.delta;
+        }
+        same
+    });
+    events.retain(|e| e.delta != 0);
+    events
+}
+
+/// Fold `events` into the member set `live`; `false` on a join of a
+/// member, a leave of a non-member or a delta other than `±1` — one
+/// oid's events must alternate, which is what a checkpoint replay and
+/// [`ExtentIndex::count_at`] rely on.
+fn fold(live: &mut HashSet<Oid>, events: &[Event]) -> bool {
+    events.iter().all(|e| match e.delta {
+        1 => live.insert(e.oid),
+        -1 => live.remove(&e.oid),
+        _ => false,
+    })
+}
+
+// Calls of the linear-scan oracles on this thread, so a test can assert
+// that a path never scans every history.
+#[cfg(any(test, feature = "testing"))]
+thread_local! {
+    static SCAN_ORACLE_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many times the extent index's linear-scan oracles (behind
+/// [`Class::ext_at_scan`](crate::Class::ext_at_scan) and friends, and
+/// every debug-build `debug_assert` of an indexed read) ran on the
+/// calling thread. Test-only instrumentation.
+#[cfg(any(test, feature = "testing"))]
+pub fn scan_oracle_calls() -> u64 {
+    SCAN_ORACLE_CALLS.with(std::cell::Cell::get)
+}
+
+/// A member no history ever saw: what the test corruptor plants.
+#[cfg(any(test, feature = "testing"))]
+const FOREIGN: Oid = Oid(u64::MAX - 1);
+
+fn count_scan_oracle_call() {
+    #[cfg(any(test, feature = "testing"))]
+    SCAN_ORACLE_CALLS.with(|c| c.set(c.get() + 1));
+}
+
 /// The membership store of one class: per-oid boolean histories (the
 /// source of truth realizing the paper's `ext`/`proper-ext` temporal
 /// attributes) plus the time-sorted [`ExtentIndex`] answering set-at-`t`
@@ -410,6 +483,7 @@ impl Membership {
         hi: Instant,
         now: Instant,
     ) -> Vec<Oid> {
+        count_scan_oracle_call();
         let mut v: Vec<Oid> = self
             .histories
             .keys()
@@ -423,6 +497,7 @@ impl Membership {
     /// Reference implementation: linear scan over every per-oid history.
     /// Kept as the equivalence baseline for property tests and benches.
     pub(crate) fn members_at_scan(&self, t: Instant, now: Instant) -> Vec<Oid> {
+        count_scan_oracle_call();
         let mut v: Vec<Oid> = self
             .histories
             .iter()
@@ -438,9 +513,13 @@ impl Membership {
         self.histories.get(&oid)
     }
 
-    /// Number of per-oid membership histories (scrub cost accounting).
-    pub(crate) fn history_count(&self) -> usize {
-        self.histories.len()
+    /// What one [`Membership::verify_index`] sweep touches: every index
+    /// event, every history its comparison events are re-derived from,
+    /// and every checkpoint member. The scrubber charges its budget and
+    /// books `core.scrub.items` with this one number.
+    pub(crate) fn verify_cost(&self) -> u64 {
+        let members: usize = self.index.checkpoints.iter().map(|c| c.members.len()).sum();
+        (self.index.events.len() + self.histories.len() + members) as u64
     }
 
     /// All oids ever members.
@@ -454,59 +533,52 @@ impl Membership {
     }
 
     /// Assert-free divergence check between the time-sorted index and the
-    /// per-oid histories (the source of truth). Probes every instant at
-    /// which either representation claims a membership change, plus
-    /// `now`, and compares the indexed answer with the scan answer at
-    /// each. The scrubber uses this instead of
+    /// per-oid histories (the source of truth), in one pass over the
+    /// events: `O(E log E + Σ|checkpoint|)` for `E` events, never a scan
+    /// of every history per instant. The scrubber uses this instead of
     /// [`Membership::members_at`], whose `debug_assert` would abort the
-    /// process on exactly the corruption being scrubbed for. Returns the
-    /// number of probes performed, or `None` on the first divergence.
-    pub(crate) fn verify_index(&self, now: Instant) -> Option<u64> {
-        let mut probes: BTreeSet<Instant> = BTreeSet::new();
-        probes.insert(now);
-        for h in self.histories.values() {
-            for e in h.entries() {
-                probes.insert(e.start);
-                if let tchimera_temporal::TimeBound::Fixed(end) = e.end {
-                    probes.insert(end);
-                    probes.insert(end.next());
-                }
+    /// process on exactly the corruption being scrubbed for. `false` as
+    /// soon as one of these fails:
+    ///
+    /// 1. the event log is sorted by instant (every read binary-searches
+    ///    it);
+    /// 2. it holds the histories' boundary events: both logs reduced to
+    ///    the net delta per `(at, oid)` are equal, so the indexed
+    ///    membership function equals the histories' at every instant;
+    /// 3. one forward fold over the log, in which each oid's joins and
+    ///    leaves alternate, equals every checkpoint at its `applied`
+    ///    position (strictly increasing, within the log) and `current` at
+    ///    the end — the two structures reads start from besides the log.
+    pub(crate) fn verify_index(&self) -> bool {
+        let ix = &self.index;
+        if ix.events.windows(2).any(|w| w[0].at > w[1].at) {
+            return false;
+        }
+        if net_per_instant_and_oid(ix.events.clone())
+            != net_per_instant_and_oid(history_events(&self.histories))
+        {
+            return false;
+        }
+        if ix.checkpoints.windows(2).any(|w| w[0].applied >= w[1].applied)
+            || ix.checkpoints.last().is_some_and(|c| c.applied > ix.events.len())
+        {
+            return false;
+        }
+        let mut live: HashSet<Oid> = HashSet::with_capacity(ix.current.len());
+        let mut folded = 0;
+        for ck in &ix.checkpoints {
+            if !fold(&mut live, &ix.events[folded..ck.applied])
+                || ck.members.len() != live.len()
+                || ck.members.windows(2).any(|w| w[0] >= w[1])
+                || !ck.members.iter().all(|o| live.contains(o))
+            {
+                return false;
             }
+            folded = ck.applied;
         }
-        // Boundaries the (possibly corrupt) index believes in must be
-        // probed too: a bogus event at an instant no history mentions
-        // would otherwise slip between probe points.
-        for e in &self.index.events {
-            probes.insert(e.at);
-        }
-        let n = probes.len() as u64 + 1;
-        for &t in &probes {
-            let indexed = if t > now {
-                Vec::new()
-            } else {
-                let (idx, ck) = self.index.locate(t);
-                self.index.replay(idx, ck)
-            };
-            if indexed != self.members_at_scan(t, now) {
-                return None;
-            }
-        }
-        // The current-member set is a derived structure of its own: reads
-        // near the end of the log are served from it (trailing events
-        // undone), so it must equal the net-delta fold of the full event
-        // stream (exactly what a checkpoint-free replay would produce).
-        // The probes above replay forward from checkpoints and never
-        // consult `current`, so the two checks are independent.
-        let mut net: BTreeMap<Oid, i32> = BTreeMap::new();
-        for e in &self.index.events {
-            *net.entry(e.oid).or_insert(0) += e.delta;
-        }
-        let replayed: BTreeSet<Oid> =
-            net.into_iter().filter(|&(_, c)| c > 0).map(|(o, _)| o).collect();
-        if replayed != self.index.current {
-            return None;
-        }
-        Some(n)
+        fold(&mut live, &ix.events[folded..])
+            && ix.current.len() == live.len()
+            && ix.current.iter().all(|o| live.contains(o))
     }
 
     /// Rebuild the time-sorted index from the per-oid histories (repair
@@ -520,35 +592,80 @@ impl Membership {
     /// Deterministic corruption hook for scrubber tests: damage the
     /// derived index (never the histories — they are the source of
     /// truth) in a way [`Membership::verify_index`] is guaranteed to
-    /// detect. `r` seeds the choice of damage.
+    /// detect. `r` seeds the choice of damage. Every mode also changes
+    /// the answer of a read at some instant an event names, so a
+    /// verifier that probes those instants detects it too.
     #[cfg(any(test, feature = "testing"))]
     pub(crate) fn corrupt_index_for_test(&mut self, r: u64) {
-        let n = self.index.events.len();
-        match r % 3 {
-            // A member the histories never saw, visible at `now`.
-            0 => {
-                self.index.current.insert(Oid(u64::MAX - 1));
-            }
+        let ix = &mut self.index;
+        let n = ix.events.len();
+        let pick = (r / 5) as usize;
+        match r % 5 {
             // Drop a genuine current member.
-            1 if !self.index.current.is_empty() => {
-                let victim = *self
-                    .index
+            1 if !ix.current.is_empty() => {
+                let victim = *ix
                     .current
                     .iter()
-                    .nth((r as usize / 3) % self.index.current.len())
+                    .nth(pick % ix.current.len())
                     .expect("non-empty");
-                self.index.current.remove(&victim);
+                ix.current.remove(&victim);
             }
-            // Flip a non-final event's delta (the verifier replays every
-            // prefix forward from its checkpoint, so the flip shows at
-            // the event's own instant).
-            2 if n >= 2 => {
-                let i = (r as usize / 3) % (n - 1);
-                self.index.events[i].delta = -self.index.events[i].delta;
-                self.index.checkpoints.retain(|c| c.applied <= i);
+            // Flip the delta of the last event an oid has at its instant,
+            // so its membership at that instant flips. Later checkpoints
+            // summarised the unflipped prefix: drop them.
+            2 if n > 0 => {
+                let last_of_oid_at_instant = |i: usize| {
+                    let end = ix.events.partition_point(|e| e.at <= ix.events[i].at);
+                    ix.events[i + 1..end].iter().all(|e| e.oid != ix.events[i].oid)
+                };
+                let i = (pick % n..n).find(|&i| last_of_oid_at_instant(i)).unwrap_or(n - 1);
+                ix.events[i].delta = -ix.events[i].delta;
+                ix.checkpoints.retain(|c| c.applied <= i);
             }
+            // Drop an oid from, or add one to, a checkpoint that is not
+            // the last. A dropped oid has no event between the checkpoint
+            // and the end of the instant its last event belongs to, so
+            // the first read the checkpoint serves misses it.
+            3 if ix.checkpoints.len() >= 2 => {
+                let k = pick % (ix.checkpoints.len() - 1);
+                let applied = ix.checkpoints[k].applied;
+                let served = applied
+                    .checked_sub(1)
+                    .map_or(0, |l| ix.events.partition_point(|e| e.at <= ix.events[l].at));
+                let window = &ix.events[applied.min(served)..served];
+                let members = &ix.checkpoints[k].members;
+                let victim = (pick / 2 % 2 == 0)
+                    .then(|| {
+                        (0..members.len())
+                            .map(|j| (pick + j) % members.len())
+                            .find(|&j| window.iter().all(|e| e.oid != members[j]))
+                    })
+                    .flatten();
+                let members = &mut ix.checkpoints[k].members;
+                match victim {
+                    Some(j) => {
+                        members.remove(j);
+                    }
+                    None => {
+                        let j = members.partition_point(|&o| o < FOREIGN);
+                        members.insert(j, FOREIGN);
+                    }
+                }
+            }
+            // Swap two adjacent events of different instants, so the log
+            // is no longer sorted. A checkpoint between them summarised a
+            // prefix that no longer exists: drop it.
+            4 if ix.events.windows(2).any(|w| w[0].at < w[1].at) => {
+                let i = (0..n - 1)
+                    .map(|k| (pick + k) % (n - 1))
+                    .find(|&i| ix.events[i].at < ix.events[i + 1].at)
+                    .expect("an instant boundary exists");
+                ix.events.swap(i, i + 1);
+                ix.checkpoints.retain(|c| c.applied != i + 1);
+            }
+            // A member the histories never saw, visible at `now`.
             _ => {
-                self.index.current.insert(Oid(u64::MAX - 1));
+                ix.current.insert(FOREIGN);
             }
         }
     }
@@ -556,24 +673,13 @@ impl Membership {
     /// Build a membership store (histories **and** the time-sorted
     /// index) from bare per-oid histories — the bulk builder behind
     /// [`Database::import_state`](crate::Database::import_state) and the
-    /// scrubber's rebuild rung. Every run contributes a join event at
-    /// its start and — for closed runs `[s, e]` — a leave event at
-    /// `e + 1`, exactly the instants the live
-    /// [`open`](Membership::open) / [`close`](Membership::close) /
-    /// [`close_before`](Membership::close_before) paths record. One sort
-    /// puts them in time order, leaves before joins at the same instant
-    /// (the live close-then-reopen order); one sweep over the sorted log
-    /// places the checkpoints.
+    /// scrubber's rebuild rung. The histories' boundary events (the
+    /// ones [`Membership::verify_index`] compares with) get one sort into
+    /// time order, leaves before joins at the same instant (the live
+    /// close-then-reopen order); one sweep over the sorted log places the
+    /// checkpoints.
     pub(crate) fn from_histories(histories: HashMap<Oid, TemporalValue<()>>) -> Membership {
-        let mut events: Vec<Event> = Vec::with_capacity(histories.len());
-        for (&oid, h) in &histories {
-            for e in h.entries() {
-                events.push(Event { at: e.start, oid, delta: 1 });
-                if let tchimera_temporal::TimeBound::Fixed(end) = e.end {
-                    events.push(Event { at: end.next(), oid, delta: -1 });
-                }
-            }
-        }
+        let mut events = history_events(&histories);
         events.sort_unstable_by_key(|e| (e.at, e.delta, e.oid));
         Membership {
             histories,
@@ -585,6 +691,8 @@ impl Membership {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     fn t(n: u64) -> Instant {
         Instant(n)
@@ -629,7 +737,7 @@ mod tests {
         assert_eq!(m.members_at(t(13), now), vec![]);
 
         // The index stayed coherent through all of it.
-        assert!(m.verify_index(now).is_some());
+        assert!(m.verify_index());
         assert_eq!(m.members_at(t(13), now), m.members_at_scan(t(13), now));
     }
 
@@ -755,10 +863,10 @@ mod tests {
             assert_eq!(bulk.count_at(t(probe), now), m.count_at(t(probe), now), "t={probe}");
         }
         assert_eq!(bulk.members_during(t(100), t(140), now), m.members_during(t(100), t(140), now));
-        assert!(bulk.verify_index(now).is_some());
+        assert!(bulk.verify_index());
         // Nothing to index is nothing to build.
         let empty = Membership::from_histories(HashMap::new());
-        assert!(empty.members_at(now, now).is_empty() && empty.verify_index(now).is_some());
+        assert!(empty.members_at(now, now).is_empty() && empty.verify_index());
     }
 
     #[test]
@@ -782,7 +890,7 @@ mod tests {
         assert_eq!(got, m.members_at_scan(now, now));
         assert_eq!(m.count_at(now, now), got.len());
         assert!(!m.members_at(now.next(), now.next()).contains(&Oid(5000)));
-        assert!(m.verify_index(now).is_some());
+        assert!(m.verify_index());
     }
 
     #[test]
@@ -791,5 +899,135 @@ mod tests {
         m.open(Oid(1), t(5)).unwrap();
         assert_eq!(m.members_at(t(9), t(8)), vec![]);
         assert_eq!(m.members_at(t(8), t(8)), vec![Oid(1)]);
+    }
+
+    /// The probe-based verifier the event sweep replaced, kept as its
+    /// oracle: at every instant either representation names (and `now`),
+    /// the set replayed forward from the covering checkpoint must equal a
+    /// scan of every history, and `current` must equal the net-delta fold
+    /// of the whole log. `O(instants × histories)`; `None` on the first
+    /// divergence, else the number of probes.
+    fn verify_by_probes(m: &Membership, now: Instant) -> Option<u64> {
+        let mut probes: BTreeSet<Instant> = BTreeSet::new();
+        probes.insert(now);
+        for h in m.histories.values() {
+            for e in h.entries() {
+                probes.insert(e.start);
+                if let tchimera_temporal::TimeBound::Fixed(end) = e.end {
+                    probes.insert(end);
+                    probes.insert(end.next());
+                }
+            }
+        }
+        for e in &m.index.events {
+            probes.insert(e.at);
+        }
+        for &t in &probes {
+            let indexed = if t > now {
+                Vec::new()
+            } else {
+                let (idx, ck) = m.index.locate(t);
+                m.index.replay(idx, ck)
+            };
+            if indexed != m.members_at_scan(t, now) {
+                return None;
+            }
+        }
+        let mut net: BTreeMap<Oid, i32> = BTreeMap::new();
+        for e in &m.index.events {
+            *net.entry(e.oid).or_insert(0) += e.delta;
+        }
+        let replayed: BTreeSet<Oid> =
+            net.into_iter().filter(|&(_, c)| c > 0).map(|(o, _)| o).collect();
+        (replayed == m.index.current).then_some(probes.len() as u64 + 1)
+    }
+
+    /// A seeded churn of one membership store, long enough to place
+    /// checkpoints: opens, termination closes (leave at `now + 1`),
+    /// migration closes, same-tick bounces and create→terminate pairs
+    /// followed by a join that sorts before the leave, the clock moving
+    /// 0 or 1 tick per step. Returns the store and its clock.
+    fn churn(rng: &mut StdRng) -> (Membership, Instant) {
+        let oids = rng.gen_range(8u64..64);
+        let mut m = Membership::default();
+        let mut now = t(1);
+        for _ in 0..rng.gen_range(1000..1500) {
+            now = t(now.0 + rng.gen_range(0u64..2));
+            let oid = Oid(rng.gen_range(0..oids));
+            match rng.gen_range(0u32..7) {
+                0..=2 => {
+                    let _ = m.open(oid, now);
+                }
+                3 => m.close(oid, now),
+                4 => m.close_before(oid, now),
+                5 => {
+                    let _ = m.open(oid, now);
+                    m.close_before(oid, now);
+                }
+                _ => {
+                    let _ = m.open(oid, now);
+                    m.close(oid, now);
+                    let _ = m.open(Oid(rng.gen_range(0..oids)), now);
+                }
+            }
+        }
+        (m, now)
+    }
+
+    /// The sweep and the probe oracle agree on 256 seeded stores — live
+    /// and bulk-built — healthy, under every mode of
+    /// `corrupt_index_for_test`, and with a self-consistent index of other
+    /// histories (two oids' histories swapped: sorted, alternating,
+    /// checkpoints and `current` right, every instant's net count right —
+    /// only the per-`(at, oid)` comparison sees it).
+    ///
+    /// Mutation-checked: skipping the checkpoint comparison, skipping the
+    /// sortedness check, or comparing net counts per instant instead of
+    /// per `(at, oid)` each make it fail.
+    #[test]
+    fn sweep_verdict_equals_the_probe_verdict() {
+        let mut hits = [0usize; 6];
+        for case in 0..256u64 {
+            let mut rng = StdRng::seed_from_u64(0x5EED_0000 + case);
+            let (live, clock) = churn(&mut rng);
+            // One past the clock: leaves recorded at `now + 1` are probed
+            // too, as the sweep compares every event whatever `now` is.
+            let now = clock.next();
+            let m = if case % 2 == 0 {
+                live
+            } else {
+                Membership::from_histories(live.histories.clone())
+            };
+            assert!(m.index.checkpoints.len() >= 2, "case {case}: no checkpoints to check");
+            assert!(m.verify_index(), "case {case}: healthy store flagged");
+            assert!(verify_by_probes(&m, now).is_some(), "case {case}: oracle flagged");
+            for mode in 0..5u64 {
+                let mut bad = m.clone();
+                bad.corrupt_index_for_test(mode + 5 * rng.gen_range(0u64..1 << 32));
+                let sweep = bad.verify_index();
+                assert_eq!(sweep, verify_by_probes(&bad, now).is_some(), "case {case} mode {mode}");
+                assert!(!sweep, "case {case} mode {mode}: damage not detected");
+                // Every mode but 0 falls back to mode 0 when inapplicable.
+                hits[mode as usize] += usize::from(mode == 0 || !bad.index.current.contains(&FOREIGN));
+            }
+            let mut oids: Vec<Oid> = m.histories.keys().copied().collect();
+            oids.sort_unstable();
+            let domain = |o: Oid| m.histories[&o].domain(now);
+            if let Some(w) = oids.windows(2).find(|w| domain(w[0]) != domain(w[1])) {
+                let mut swapped = m.histories.clone();
+                let (hx, hy) = (swapped.remove(&w[0]).unwrap(), swapped.remove(&w[1]).unwrap());
+                swapped.insert(w[0], hy);
+                swapped.insert(w[1], hx);
+                let other = Membership {
+                    histories: m.histories.clone(),
+                    index: Membership::from_histories(swapped).index,
+                };
+                let sweep = other.verify_index();
+                assert_eq!(sweep, verify_by_probes(&other, now).is_some(), "case {case} swapped");
+                assert!(!sweep, "case {case}: index of other histories not detected");
+                hits[5] += 1;
+            }
+        }
+        assert!(hits.iter().all(|&h| h >= 64), "a case was rarely exercised: {hits:?}");
     }
 }

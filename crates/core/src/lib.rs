@@ -77,6 +77,8 @@ pub use constraints::{Constraint, ConstraintViolation, Quantifier};
 pub use database::{attrs, Attrs, Database};
 pub use equality::Equality;
 pub use error::{ModelError, Result};
+#[cfg(any(test, feature = "testing"))]
+pub use extent_index::scan_oracle_calls;
 pub use ident::{AttrName, ClassId, MethodName, Oid, Symbol};
 pub use invariants::{InvariantId, InvariantViolation};
 pub use object::Object;

@@ -8,8 +8,8 @@
 //! the database in bounded, chargeable steps and verifies every derived
 //! structure against its source of truth:
 //!
-//! * **extent indexes** (`core.extent.*`) against a replay of the
-//!   per-oid membership histories ([`super::extent_index`]);
+//! * **extent indexes** (`core.extent.*`) against the boundary events of
+//!   the per-oid membership histories ([`super::extent_index`]);
 //! * **the reverse-reference index** against a fresh recomputation from
 //!   every object's reference set;
 //! * **the attribute-value index cache** against a fresh base-state
@@ -115,14 +115,13 @@ impl Quarantine {
 /// One divergence found (and possibly repaired) by a scrub cycle.
 #[derive(Clone, Debug, PartialEq)]
 pub enum ScrubFinding {
-    /// A class extent index disagreed with a replay of its membership
-    /// histories.
+    /// A class extent index disagreed with its membership histories.
     Extent {
         /// The class whose extent diverged.
         class: ClassId,
         /// `true` for the proper (direct-membership) extent.
         proper: bool,
-        /// Whether the rebuild restored replay equivalence.
+        /// Whether the rebuilt index verifies.
         repaired: bool,
     },
     /// The reverse-reference index disagreed with a recomputation from
@@ -152,7 +151,8 @@ pub enum ScrubFinding {
 pub struct ScrubReport {
     /// Verification steps executed (one per structure checked).
     pub steps: u64,
-    /// Fine-grained items verified (histories, objects, probes).
+    /// Fine-grained items verified (extent events, membership histories
+    /// and checkpoint members; objects).
     pub items: u64,
     /// Divergences detected.
     pub divergences: u64,
@@ -325,9 +325,8 @@ impl Database {
         let _span = tchimera_obs::span!("core.scrub.cycle");
         tchimera_obs::counter!("core.scrub.cycles").inc();
         let mut report = ScrubReport::default();
-        let now = self.clock;
 
-        // Phase 1 — extent indexes vs membership-history replay.
+        // Phase 1 — extent indexes vs their histories' boundary events.
         let ids: Vec<ClassId> = self.schema.classes.keys().cloned().collect();
         'extents: for id in ids {
             let Some(class) = self.schema.classes.get_mut(&id) else {
@@ -339,30 +338,27 @@ impl Database {
                 } else {
                     &mut class.ext
                 };
-                let cost = m.history_count() as u64 + 1;
+                let cost = m.verify_cost();
                 if !charge(cost) {
                     report.budget_exhausted = true;
                     break 'extents;
                 }
                 report.steps += 1;
-                match m.verify_index(now) {
-                    Some(probes) => report.items += probes.max(cost),
-                    None => {
-                        report.items += cost;
-                        report.divergences += 1;
-                        tchimera_obs::counter!("core.scrub.divergences").inc();
-                        m.rebuild_index();
-                        let repaired = m.verify_index(now).is_some();
-                        if repaired {
-                            tchimera_obs::counter!("core.scrub.repairs.index_rebuild").inc();
-                        }
-                        report.extent_rebuilds += 1;
-                        report.push(ScrubFinding::Extent {
-                            class: id.clone(),
-                            proper,
-                            repaired,
-                        });
+                report.items += cost;
+                if !m.verify_index() {
+                    report.divergences += 1;
+                    tchimera_obs::counter!("core.scrub.divergences").inc();
+                    m.rebuild_index();
+                    let repaired = m.verify_index();
+                    if repaired {
+                        tchimera_obs::counter!("core.scrub.repairs.index_rebuild").inc();
                     }
+                    report.extent_rebuilds += 1;
+                    report.push(ScrubFinding::Extent {
+                        class: id.clone(),
+                        proper,
+                        repaired,
+                    });
                 }
             }
         }
@@ -682,21 +678,31 @@ mod tests {
 
     #[test]
     fn extent_corruption_is_detected_and_repaired() {
-        let mut db = small_db();
+        let mut healthy = small_db();
         let person = ClassId::from("person");
-        let before = db.pi(&person, db.now()).unwrap();
-        db.schema
-            .classes
-            .get_mut(&person)
-            .unwrap()
-            .ext
-            .corrupt_index_for_test(7);
-        let report = db.scrub_cycle();
-        assert_eq!(report.extent_rebuilds, 1);
-        assert!(report.fully_repaired(), "{:?}", report.findings);
-        assert_eq!(db.pi(&person, db.now()).unwrap(), before);
-        // A second cycle is clean.
-        assert!(db.scrub_cycle().clean());
+        // Enough events for two checkpoints, one instant each.
+        for _ in 0..600 {
+            healthy.tick();
+            healthy.create_object(&person, attrs([("name", Value::str("p"))])).unwrap();
+        }
+        let before = healthy.pi(&person, healthy.now()).unwrap();
+        // Every damage mode of the injector, each found and repaired by
+        // one cycle.
+        for r in 0..5 {
+            let mut db = healthy.clone();
+            db.schema
+                .classes
+                .get_mut(&person)
+                .unwrap()
+                .ext
+                .corrupt_index_for_test(r + 5 * 7);
+            let report = db.scrub_cycle();
+            assert_eq!(report.extent_rebuilds, 1, "mode {r}");
+            assert!(report.fully_repaired(), "mode {r}: {:?}", report.findings);
+            assert_eq!(db.pi(&person, db.now()).unwrap(), before);
+            // A second cycle is clean.
+            assert!(db.scrub_cycle().clean());
+        }
     }
 
     #[test]

@@ -118,6 +118,46 @@ fn run_more(db: &mut Database, oids: &mut Vec<Oid>, ops: &[Op]) {
     }
 }
 
+/// Phase 1 of a clean cycle over one class of `n` objects, each created
+/// at its own tick: the items its two steps (extent, proper extent)
+/// charged — also what they booked into `core.scrub.items` — checking
+/// on the way that the cycle ran no linear-scan oracle.
+fn clean_extent_phase_items(n: usize) -> u64 {
+    let mut db = Database::new();
+    db.define_class(ClassDef::new("item")).unwrap();
+    for _ in 0..n {
+        db.tick();
+        db.create_object(&ClassId::from("item"), Attrs::new()).unwrap();
+    }
+    let scans = tchimera_core::scan_oracle_calls();
+    let mut charges: Vec<u64> = Vec::new();
+    let report = db.scrub_cycle_with(&mut |items| {
+        charges.push(items);
+        true
+    });
+    assert!(report.clean(), "{report:?}");
+    assert_eq!(tchimera_core::scan_oracle_calls(), scans, "a clean cycle scanned every history");
+    assert_eq!(report.items, charges.iter().sum::<u64>(), "booked items must be the charged ones");
+    charges[0] + charges[1]
+}
+
+/// The extent phase pays for the events it compares, not for every
+/// history at every boundary instant: per extent it touches `E` events,
+/// `E` histories and the checkpoint members — at most `8·E` by the
+/// `max(256, members/8)` spacing — so at most 10 items per event at any
+/// size. The probe verifier it replaced did `instants × histories`, 64×
+/// the work for 8× the objects, while booking only 8× more items.
+/// (Booked items grow ≈ 20× here, not 8×: the checkpoint members are
+/// 1.5·E at 1 000 objects and ≈ 7·E at 8 000.)
+#[test]
+fn extent_scrub_cost_is_linear_in_events_and_never_scans() {
+    let small = clean_extent_phase_items(1_000);
+    let large = clean_extent_phase_items(8_000);
+    assert!(small <= 10 * 2 * 1_000, "{small} items for 2 000 events");
+    assert!(large <= 10 * 2 * 8_000, "{large} items for 16 000 events");
+    assert!(large < 32 * small, "8× the objects cost {large} / {small} items");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

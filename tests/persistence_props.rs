@@ -3,10 +3,12 @@
 //! the same state digest as the live one — i.e. recovery is exact. With
 //! a checkpoint somewhere along the way, recovery starts from the
 //! snapshot, replays exactly the tail, is just as exact, and the first
-//! scrub cycle (which is where the snapshot's digest is checked) is clean.
+//! scrub cycle (which is where the snapshot's digest is checked) is clean;
+//! after one seeded in-memory corruption of a derived index, the next
+//! cycle reports it and repairs the node back to the live digest.
 
 use proptest::prelude::*;
-use tchimera_core::{attrs, Attrs, ClassDef, ClassId, Oid, Type, Value};
+use tchimera_core::{attrs, Attrs, ClassDef, ClassId, Oid, SimMem, Type, Value};
 use tchimera_storage::{digest_database, snapshot_path, PersistentDatabase};
 
 #[derive(Clone, Debug)]
@@ -111,6 +113,14 @@ proptest! {
         prop_assert!(digest_database(recovered.db()) == live_digest);
         let scrub = recovered.scrub_cycle();
         prop_assert!(scrub.clean(), "recovered store does not scrub clean: {:?}", scrub);
+        // Damage one derived index of the reopened node in memory: one
+        // cycle finds it, and the repaired node digests like the live one.
+        let fault = SimMem::new(salt).corrupt_index(recovered.db_mut_for_test());
+        prop_assert!(fault.is_some());
+        let repair = recovered.scrub_cycle();
+        prop_assert!(repair.core.divergences >= 1, "{:?} escaped: {:?}", fault, repair);
+        prop_assert_eq!(recovered.state_digest(), live_digest);
+        prop_assert!(digest_database(recovered.db()) == live_digest);
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(snapshot_path(&path)).ok();
     }
