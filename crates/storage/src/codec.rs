@@ -97,7 +97,8 @@ impl<'a> Reader<'a> {
         Ok(b)
     }
 
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
+    /// The next `n` bytes, borrowed from the input.
+    pub(crate) fn bytes(&mut self, n: usize) -> Result<&'a [u8], CodecError> {
         if self.remaining() < n {
             return Err(CodecError::UnexpectedEof);
         }

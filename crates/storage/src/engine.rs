@@ -35,7 +35,8 @@ use tchimera_core::{
     StateError, Value,
 };
 
-use crate::log::{LogError, LogScan, OpLog};
+use crate::codec::Reader;
+use crate::log::{decode_record, encode_record, LogError, LogScan, OpLog, RecordWalk};
 use crate::op::{Operation, ReplayError};
 use crate::resilience::{retry, BreakerState, CircuitBreaker, FaultKind, RetryPolicy};
 use crate::snapshot::{load_snapshot, write_snapshot, Snapshot, SnapshotError};
@@ -470,10 +471,12 @@ impl PersistentDatabase {
         }
     }
 
-    /// Append under the retry policy, feeding the breaker either way.
-    fn append_with_retry(&mut self, op: &Operation) -> Result<(), EngineError> {
+    /// Append `count` framed records under the retry policy, feeding the
+    /// breaker either way. Every attempt writes the same bytes: a record
+    /// is encoded once, however often its append is retried.
+    fn append_with_retry(&mut self, records: &[u8], count: u64) -> Result<(), EngineError> {
         let policy = self.config.retry;
-        match retry(&policy, || self.log.append(op)) {
+        match retry(&policy, || self.log.append_records(records, count)) {
             Ok(()) => {
                 self.breaker.note_success();
                 Ok(())
@@ -554,7 +557,7 @@ impl PersistentDatabase {
         // iff it was accepted, keeping log and state in lockstep.
         self.guard_writes()?;
         op.apply(&mut self.db)?;
-        self.append_with_retry(&op).map_err(|e| {
+        self.append_with_retry(&encode_record(&op), 1).map_err(|e| {
             // Accepted but not logged: un-apply by rebuilding from
             // storage so state and log stay in lockstep.
             self.rollback_divergence();
@@ -594,7 +597,7 @@ impl PersistentDatabase {
             return Ok(out);
         }
         let staged = ops.len() as u64;
-        match self.append_with_retry(&Operation::Txn(ops)) {
+        match self.append_with_retry(&encode_record(&Operation::Txn(ops)), 1) {
             Ok(()) => {
                 self.db = shadow;
                 tchimera_obs::counter!("storage.txn.commits").inc();
@@ -726,19 +729,54 @@ impl PersistentDatabase {
 
     // -- replication support -----------------------------------------------
 
-    /// Apply one operation received from a replication stream: validate it
-    /// through the same [`Operation::apply`] path recovery uses, then
-    /// append it to this node's own log so the replica is independently
-    /// durable. A `Txn` record applies atomically, exactly as it did on
-    /// the primary. On append failure the live state is re-aligned with
-    /// durable history (same rollback discipline as local writes).
-    pub fn apply_replicated(&mut self, op: &Operation) -> Result<(), EngineError> {
+    /// Apply log records received from a replication stream, skipping the
+    /// first `skip` (which this node already holds), and append the
+    /// applied ones to this node's own log byte for byte — a follower's
+    /// log is a copy of its primary's, and the follower is independently
+    /// durable. The records are walked (each CRC checked, the skipped ones
+    /// too), decoded once with one shared reader, and applied in order
+    /// through the same [`Operation::apply`] path recovery uses; a `Txn`
+    /// record applies atomically, exactly as it did on the primary. The
+    /// applied run goes to the log in one write; on append failure the
+    /// live state is re-aligned with durable history (same rollback
+    /// discipline as local writes).
+    ///
+    /// Returns how many records were applied. The walk stops at the first
+    /// torn, checksum-damaged or undecodable record: that record and
+    /// everything after it is neither applied nor appended, and the count
+    /// comes back short. A record the model rejects stops it too, after
+    /// the run before it is appended, and its error is returned.
+    pub fn apply_replicated(&mut self, records: &[u8], skip: u64) -> Result<u64, EngineError> {
         self.guard_writes()?;
-        op.apply(&mut self.db)?;
-        self.append_with_retry(op).map_err(|e| {
-            self.rollback_divergence();
-            e
-        })
+        let mut walk = RecordWalk::new(records);
+        walk.by_ref().take(skip as usize).for_each(drop);
+        let from = walk.pos();
+        let mut r = Reader::new(&[]);
+        let (mut applied, mut end, mut rejected) = (0, from, None);
+        while let Some((_, payload)) = walk.next() {
+            let Ok(op) = decode_record(&mut r, payload) else {
+                break;
+            };
+            if let Err(e) = op.apply(&mut self.db) {
+                rejected = Some(e);
+                break;
+            }
+            applied += 1;
+            end = walk.pos();
+        }
+        let decoded = applied + u64::from(rejected.is_some());
+        tchimera_obs::counter!("storage.log.scanned_ops").add(decoded);
+        if applied > 0 {
+            self.append_with_retry(&records[from..end], applied)
+                .map_err(|e| {
+                    self.rollback_divergence();
+                    e
+                })?;
+        }
+        match rejected {
+            Some(e) => Err(e.into()),
+            None => Ok(applied),
+        }
     }
 
     /// Install a full state image shipped by a primary whose log prefix
@@ -781,15 +819,11 @@ impl PersistentDatabase {
         Ok(())
     }
 
-    /// Read-only scan of this node's log from byte `offset` on (durable
-    /// bytes plus buffered appends): 0 scans the whole file, the
-    /// [`LogScan::valid_len`] of an earlier scan decodes only the records
-    /// appended since. A replication primary reads what it has not
-    /// shipped yet through this; the scan never fails on damage — torn
-    /// or corrupt tails are reported in the returned [`LogScan`], not
-    /// raised.
-    pub(crate) fn scan_log_from(&self, offset: u64) -> Result<LogScan, EngineError> {
-        Ok(self.log.scan_from(offset)?)
+    /// This node's log from byte `offset` on (durable bytes plus
+    /// buffered appends; see [`OpLog::read_from`]). A replication primary
+    /// reads what it has not shipped yet through this and walks it.
+    pub(crate) fn read_log_from(&self, offset: u64) -> Result<Vec<u8>, EngineError> {
+        Ok(self.log.read_from(offset)?)
     }
 
     // -- integrity scrubbing -----------------------------------------------
@@ -975,10 +1009,11 @@ impl PersistentDatabase {
             init,
             expect: oid,
         };
-        self.append_with_retry(&op).map_err(|e| {
-            self.rollback_divergence();
-            e
-        })?;
+        self.append_with_retry(&encode_record(&op), 1)
+            .map_err(|e| {
+                self.rollback_divergence();
+                e
+            })?;
         Ok(oid)
     }
 

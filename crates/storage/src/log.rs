@@ -8,6 +8,14 @@
 //! must be *detected*, never silently shift the replay origin.
 //! Headerless files read as base 0 (the pre-compaction format).
 //!
+//! Reading is two steps. The frame walker ([`RecordWalk`]) yields each
+//! CRC-valid record and stops at the first torn or checksum-damaged
+//! frame; the decode step turns one record's payload into an
+//! [`Operation`]. Recovery and the scrubber run both
+//! ([`OpLog::scan_bytes`]). A replication primary ships what the walker
+//! yields without decoding it, and the replica decodes each record once,
+//! then appends it verbatim.
+//!
 //! Recovery scans records until EOF or the first damaged record — a torn
 //! frame, a checksum mismatch, or a CRC-valid but undecodable payload —
 //! truncating everything from the damage point on and reporting the
@@ -28,6 +36,9 @@ pub const LOG_MAGIC: &[u8; 8] = b"TCLOG001";
 
 /// Byte length of the compaction header (magic + u64 base + u32 CRC).
 const HEADER_LEN: u64 = 20;
+
+/// Byte length of a record's (and a wire frame's) `[len][crc32]` prefix.
+const FRAME_HEAD: usize = 8;
 
 /// Slicing-by-8 tables of CRC-32 (IEEE 802.3, reflected `0xEDB88320`):
 /// `CRC_TABLES[0]` is the byte-at-a-time table; `CRC_TABLES[k][b]` is the
@@ -58,9 +69,48 @@ const CRC_TABLES: [[u32; 256]; 8] = {
     t
 };
 
-/// CRC-32 (IEEE 802.3) of `data`.
-pub(crate) fn crc32(data: &[u8]) -> u32 {
+/// CRC-32 (IEEE 802.3) of `data`: the checksum of every log record and
+/// every wire frame.
+pub fn crc32(data: &[u8]) -> u32 {
     crc32_extend(0, data)
+}
+
+/// Fill in the `[len][crc32]` prefix of `frame`, whose payload is the
+/// rest of it: a record or wire frame is encoded in place, its payload
+/// written once.
+pub(crate) fn seal_frame(frame: &mut [u8]) {
+    let (head, payload) = frame.split_at_mut(FRAME_HEAD);
+    head[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+}
+
+/// The log record holding `op`: `[len][crc32][payload]`, exactly the
+/// bytes [`OpLog::append`] writes.
+pub fn encode_record(op: &Operation) -> Vec<u8> {
+    // Room for a typical record up front: growing the buffer from the
+    // prefix's eight bytes while encoding costs more than the encoding.
+    let mut record = Vec::with_capacity(64);
+    record.extend_from_slice(&[0; FRAME_HEAD]);
+    op.encode(&mut record);
+    seal_frame(&mut record);
+    record
+}
+
+/// The decode step: the one operation a record's payload holds, read with
+/// `r` — one reader shared by every record of a walk, so a name is
+/// interned once per walk, not once per record. A payload with bytes left
+/// over is as undecodable as one that ends early.
+pub(crate) fn decode_record<'a>(
+    r: &mut Reader<'a>,
+    payload: &'a [u8],
+) -> Result<Operation, CodecError> {
+    r.restart(payload);
+    let op = Operation::decode(r)?;
+    if r.is_empty() {
+        Ok(op)
+    } else {
+        Err(CodecError::Corrupt("trailing bytes"))
+    }
 }
 
 /// The CRC-32 of `head ++ data`, given `crc = crc32(head)`: a checksum
@@ -161,6 +211,111 @@ pub(crate) fn report_scan_damage(damage: Option<&TailDamage>) {
     }
 }
 
+/// The frame walker: the CRC-valid records of a buffer, in order, each as
+/// its absolute byte offset and its payload. The walk stops at the first
+/// torn or checksum-damaged frame and keeps it in [`RecordWalk::damage`];
+/// nothing is decoded.
+pub struct RecordWalk<'a> {
+    buf: &'a [u8],
+    pos: usize,
+    /// Absolute offset of `buf[0]`.
+    origin: u64,
+    base: u64,
+    damage: Option<TailDamage>,
+}
+
+impl<'a> RecordWalk<'a> {
+    /// Walk `buf` as records back to back, with no header: a replication
+    /// batch, a wire frame.
+    pub fn new(buf: &'a [u8]) -> RecordWalk<'a> {
+        RecordWalk {
+            buf,
+            pos: 0,
+            origin: 0,
+            base: 0,
+            damage: None,
+        }
+    }
+
+    /// Walk a log file's bytes from byte `offset` on: 0 — the whole file,
+    /// whose compaction header (if any) is checked and skipped — or a
+    /// record boundary such as an earlier walk's [`RecordWalk::offset`].
+    pub fn log(buf: &'a [u8], offset: u64) -> RecordWalk<'a> {
+        let mut walk = RecordWalk {
+            origin: offset,
+            ..RecordWalk::new(buf)
+        };
+        if offset > 0 || !buf.starts_with(LOG_MAGIC) {
+            return walk;
+        }
+        let reason = if buf.len() < HEADER_LEN as usize {
+            // A torn header: nothing usable in the file.
+            DamageReason::TruncatedFrame
+        } else if crc32(&buf[8..16]) != u32::from_le_bytes(buf[16..20].try_into().unwrap()) {
+            // A corrupted base would silently shift the replay origin —
+            // refuse the whole file instead.
+            DamageReason::ChecksumMismatch
+        } else {
+            walk.base = u64::from_le_bytes(buf[8..16].try_into().unwrap());
+            walk.pos = HEADER_LEN as usize;
+            return walk;
+        };
+        walk.damage = Some(TailDamage { offset: 0, reason });
+        walk
+    }
+
+    /// The base the compaction header records (0 without a header, and
+    /// for a walk that did not start at byte 0).
+    pub fn base(&self) -> u64 {
+        self.base
+    }
+
+    /// Bytes of the buffer walked so far: the end of the last record
+    /// yielded (or of the header).
+    pub fn pos(&self) -> usize {
+        self.pos
+    }
+
+    /// Absolute offset of the next record — where the damage begins once
+    /// the walk has stopped at some.
+    pub fn offset(&self) -> u64 {
+        self.origin + self.pos as u64
+    }
+
+    /// The damage that ended the walk before the end of the buffer.
+    pub fn damage(&self) -> Option<&TailDamage> {
+        self.damage.as_ref()
+    }
+}
+
+impl<'a> Iterator for RecordWalk<'a> {
+    type Item = (u64, &'a [u8]);
+
+    fn next(&mut self) -> Option<(u64, &'a [u8])> {
+        if self.damage.is_some() || self.pos == self.buf.len() {
+            return None;
+        }
+        let at = self.offset();
+        let rest = &self.buf[self.pos..];
+        let reason = if rest.len() < FRAME_HEAD {
+            DamageReason::TruncatedFrame
+        } else {
+            let len = u32::from_le_bytes(rest[..4].try_into().unwrap()) as usize;
+            let crc = u32::from_le_bytes(rest[4..8].try_into().unwrap());
+            match rest[FRAME_HEAD..].get(..len) {
+                None => DamageReason::TruncatedFrame,
+                Some(payload) if crc32(payload) == crc => {
+                    self.pos += FRAME_HEAD + len;
+                    return Some((at, payload));
+                }
+                Some(_) => DamageReason::ChecksumMismatch,
+            }
+        };
+        self.damage = Some(TailDamage { offset: at, reason });
+        None
+    }
+}
+
 /// The outcome of opening a log: the decoded operations plus tail
 /// diagnostics.
 pub struct LogScan {
@@ -239,116 +394,49 @@ impl OpLog {
         ))
     }
 
-    /// Scan raw log bytes: decode the header (if any) and every intact
-    /// record, stopping at the first damage. Never fails — damage is
-    /// reported in the scan, not raised.
+    /// Scan raw log bytes: walk the header (if any) and every intact
+    /// record, decoding each, and stop at the first damage. Never fails —
+    /// damage is reported in the scan, not raised.
     pub fn scan_bytes(buf: &[u8]) -> LogScan {
-        Self::scan(buf, None)
-    }
-
-    /// Read and decode only the records from byte `offset` on — `offset`
-    /// being 0 (the whole file, header included) or the
-    /// [`LogScan::valid_len`] of an earlier scan of this same file, i.e.
-    /// a record boundary. Sees buffered appends like any `Vfs` read.
-    /// Offsets in the returned scan are absolute.
-    pub fn scan_from(&self, offset: u64) -> Result<LogScan, LogError> {
-        let buf = self.vfs.read_from(&self.path, offset)?;
-        Ok(Self::scan(&buf, (offset > 0).then_some((self.base, offset))))
-    }
-
-    /// The one scan loop. `suffix_of = Some((base, offset))` says `buf`
-    /// holds records only: the bytes from `offset` of a log whose header
-    /// base is `base`.
-    fn scan(buf: &[u8], suffix_of: Option<(u64, u64)>) -> LogScan {
         let _span = tchimera_obs::span!("storage.log.scan", bytes = buf.len());
-        let mut pos = 0usize;
-        let (mut base_op, origin) = suffix_of.unwrap_or((0, 0));
-        let mut damage: Option<TailDamage> = None;
-        let has_header = suffix_of.is_none()
-            && buf.len() >= LOG_MAGIC.len()
-            && buf[..LOG_MAGIC.len()] == LOG_MAGIC[..];
-        if has_header {
-            if buf.len() < HEADER_LEN as usize {
-                // A torn header: nothing usable in the file.
-                damage = Some(TailDamage {
-                    offset: 0,
-                    reason: DamageReason::TruncatedFrame,
-                });
-            } else if crc32(&buf[8..16]) != u32::from_le_bytes(buf[16..20].try_into().unwrap()) {
-                // A corrupted base would silently shift the replay origin
-                // — refuse the whole file instead.
-                damage = Some(TailDamage {
-                    offset: 0,
-                    reason: DamageReason::ChecksumMismatch,
-                });
-            } else {
-                base_op = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-                pos = HEADER_LEN as usize;
-            }
-        }
-        let mut ops = Vec::new();
-        // One reader for the whole scan: a name is interned once per log,
-        // not once per record.
+        let mut walk = RecordWalk::log(buf, 0);
         let mut r = Reader::new(&[]);
-        while damage.is_none() && pos < buf.len() {
-            if buf.len() - pos < 8 {
-                damage = Some(TailDamage {
-                    offset: origin + pos as u64,
-                    reason: DamageReason::TruncatedFrame,
-                });
-                break;
-            }
-            let len = u32::from_le_bytes(buf[pos..pos + 4].try_into().unwrap()) as usize;
-            let crc = u32::from_le_bytes(buf[pos + 4..pos + 8].try_into().unwrap());
-            if buf.len() - pos - 8 < len {
-                damage = Some(TailDamage {
-                    offset: origin + pos as u64,
-                    reason: DamageReason::TruncatedFrame,
-                });
-                break;
-            }
-            let payload = &buf[pos + 8..pos + 8 + len];
-            if crc32(payload) != crc {
-                damage = Some(TailDamage {
-                    offset: origin + pos as u64,
-                    reason: DamageReason::ChecksumMismatch,
-                });
-                break;
-            }
-            r.restart(payload);
-            // A CRC-valid but undecodable record is damage at this offset
-            // like any other — truncate and report, never abort recovery.
-            match Operation::decode(&mut r) {
-                Ok(op) if r.is_empty() => ops.push(op),
-                Ok(_) => {
-                    damage = Some(TailDamage {
-                        offset: origin + pos as u64,
-                        reason: DamageReason::Undecodable(CodecError::Corrupt(
-                            "trailing bytes",
-                        )),
-                    });
-                    break;
-                }
+        let mut ops = Vec::new();
+        let mut damage = None;
+        for (at, payload) in walk.by_ref() {
+            match decode_record(&mut r, payload) {
+                Ok(op) => ops.push(op),
+                // A CRC-valid but undecodable record is damage at this
+                // offset like any other — truncate and report, never abort
+                // recovery.
                 Err(e) => {
                     damage = Some(TailDamage {
-                        offset: origin + pos as u64,
+                        offset: at,
                         reason: DamageReason::Undecodable(e),
                     });
                     break;
                 }
             }
-            pos += 8 + len;
         }
-        let valid_len = damage.as_ref().map_or(origin + pos as u64, |d| d.offset);
+        let damage = damage.or_else(|| walk.damage().cloned());
+        let valid_len = damage.as_ref().map_or(walk.offset(), |d| d.offset);
         tchimera_obs::counter!("storage.log.scanned_ops").add(ops.len() as u64);
         report_scan_damage(damage.as_ref());
         LogScan {
             ops,
-            base_op,
+            base_op: walk.base(),
             valid_len,
             torn_tail: damage.is_some(),
             damage,
         }
+    }
+
+    /// The bytes of this log from byte `offset` on — 0 (the whole file,
+    /// header included) or a record boundary — durable bytes and buffered
+    /// appends alike, as any `Vfs` read sees them. Walk them with
+    /// [`RecordWalk::log`] and the same `offset`.
+    pub(crate) fn read_from(&self, offset: u64) -> Result<Vec<u8>, LogError> {
+        Ok(self.vfs.read_from(&self.path, offset)?)
     }
 
     /// Scan a log file read-only (no truncation of torn tails, no handle
@@ -372,7 +460,20 @@ impl OpLog {
     }
 
     /// Append one operation (buffered; call [`OpLog::sync`] to make it
-    /// durable).
+    /// durable): encode it, then append the one record.
+    ///
+    /// On failure the file is rolled back to its pre-append length, so a
+    /// partially-written frame can never sit underneath later appends.
+    pub fn append(&mut self, op: &Operation) -> Result<(), LogError> {
+        self.append_records(&encode_record(op), 1)
+    }
+
+    /// Append `count` already-framed records with one write (buffered):
+    /// `records` holds them back to back, each `[len][crc32][payload]`,
+    /// and is appended verbatim, CRCs included — a replica's log grows by
+    /// exactly the bytes its primary's did. The caller vouches that they
+    /// are whole, CRC-valid records that decode ([`encode_record`]'s, or
+    /// ones a walk accepted and a decode read).
     ///
     /// On failure the file is rolled back to its pre-append length, so a
     /// partially-written frame can never sit underneath later appends
@@ -380,22 +481,17 @@ impl OpLog {
     /// stops at the first damaged frame). If the rollback itself fails,
     /// the log stays poisoned and re-attempts the rollback before any
     /// further append or sync.
-    pub fn append(&mut self, op: &Operation) -> Result<(), LogError> {
+    pub(crate) fn append_records(&mut self, records: &[u8], count: u64) -> Result<(), LogError> {
         self.heal()?;
-        let payload = op.to_bytes();
-        let mut frame = Vec::with_capacity(payload.len() + 8);
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        if let Err(e) = self.file.write_all(&frame) {
+        if let Err(e) = self.file.write_all(records) {
             self.dirty = true;
             let _ = self.heal();
             return Err(LogError::Io(e));
         }
-        self.len += frame.len() as u64;
-        self.appended += 1;
-        tchimera_obs::counter!("storage.log.appends").inc();
-        tchimera_obs::counter!("storage.log.bytes").add(frame.len() as u64);
+        self.len += records.len() as u64;
+        self.appended += count;
+        tchimera_obs::counter!("storage.log.appends").add(count);
+        tchimera_obs::counter!("storage.log.bytes").add(records.len() as u64);
         Ok(())
     }
 
@@ -572,6 +668,55 @@ mod tests {
         let damage = scan.damage.expect("undecodable tail reported");
         assert_eq!(damage.offset, good_len);
         assert!(matches!(damage.reason, DamageReason::Undecodable(_)));
+    }
+
+    #[test]
+    fn the_walker_yields_crc_valid_records_and_stops_at_damage() {
+        let records: Vec<Vec<u8>> = sample_ops().iter().map(encode_record).collect();
+        let buf = records.concat();
+        let starts = [0, records[0].len(), records[0].len() + records[1].len()];
+        let walked: Vec<_> = RecordWalk::new(&buf).collect();
+        assert_eq!(walked.len(), 3);
+        for ((at, payload), (start, record)) in walked.iter().zip(starts.iter().zip(&records)) {
+            assert_eq!((*at, *payload), (*start as u64, &record[8..]));
+        }
+        // A flipped payload byte in the second record: one record, then
+        // damage where the second begins. A cut inside the third: two.
+        let mut bad = buf.clone();
+        bad[starts[1] + 9] ^= 0x04;
+        let mut walk = RecordWalk::new(&bad);
+        assert_eq!(walk.by_ref().count(), 1);
+        let damage = walk.damage().expect("damage");
+        assert_eq!(
+            (damage.offset, &damage.reason),
+            (starts[1] as u64, &DamageReason::ChecksumMismatch)
+        );
+        assert_eq!(walk.offset(), starts[1] as u64);
+        let mut walk = RecordWalk::new(&buf[..buf.len() - 1]);
+        assert_eq!(walk.by_ref().count(), 2);
+        assert_eq!(
+            walk.damage().map(|d| &d.reason),
+            Some(&DamageReason::TruncatedFrame)
+        );
+        // From a record boundary of a log file, offsets are absolute.
+        let mut walk = RecordWalk::log(&buf[starts[1]..], starts[1] as u64);
+        assert_eq!(walk.next().map(|(at, _)| at), Some(starts[1] as u64));
+    }
+
+    #[test]
+    fn appended_records_land_verbatim() {
+        let fs = SimFs::new();
+        let path = PathBuf::from("wal.log");
+        let (mut log, _) = OpLog::open_with(Arc::new(fs.clone()), &path).unwrap();
+        log.append(&Operation::AdvanceTo(Instant(1))).unwrap();
+        let run: Vec<u8> = sample_ops().iter().flat_map(encode_record).collect();
+        log.append_records(&run, 3).unwrap();
+        assert_eq!(log.appended(), 4);
+        let bytes = fs.contents(&path).unwrap();
+        assert!(bytes.ends_with(&run));
+        assert_eq!(log.len_bytes(), bytes.len() as u64);
+        let scan = OpLog::scan_bytes(&bytes);
+        assert_eq!((scan.ops.len(), scan.torn_tail), (4, false));
     }
 
     #[test]

@@ -145,8 +145,25 @@ impl Operation {
     }
 }
 
+// Operations encoded on this thread, so a test can assert that a path
+// ships and applies records without re-encoding them.
+#[cfg(any(test, feature = "testing"))]
+thread_local! {
+    static ENCODES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+/// How many operations were encoded on the calling thread (a `Txn`
+/// counts once, plus once per sub-operation). Test-only
+/// instrumentation.
+#[cfg(any(test, feature = "testing"))]
+pub fn encodes_on_this_thread() -> u64 {
+    ENCODES.with(std::cell::Cell::get)
+}
+
 impl Codec for Operation {
     fn encode(&self, out: &mut Vec<u8>) {
+        #[cfg(any(test, feature = "testing"))]
+        ENCODES.with(|c| c.set(c.get() + 1));
         match self {
             Operation::AdvanceTo(t) => {
                 out.push(0);

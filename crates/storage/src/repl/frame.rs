@@ -5,23 +5,30 @@
 //! exactly like a log record — `[len: u32 LE][crc32: u32 LE][payload]`,
 //! CRC over the payload — so a transport that flips a bit, truncates a
 //! message or delivers garbage is *detected* at the receiver, never
-//! replayed into a database. Every frame carries the sender's **term**
-//! (a monotonic epoch bumped by each promotion): a node that hears a
-//! higher term than its own knows it has been superseded, which is the
-//! whole split-brain refusal mechanism.
+//! replayed into a database. The payload opens with the format version
+//! ([`WIRE_VERSION`]) and the frame kind. Every frame carries the
+//! sender's **term** (a monotonic epoch bumped by each promotion): a node
+//! that hears a higher term than its own knows it has been superseded,
+//! which is the whole split-brain refusal mechanism.
+//!
+//! A [`Frame::Batch`] carries log records verbatim — the bytes of the
+//! primary's log, each record's own `[len][crc32]` included — so a
+//! record is encoded once, by the node that first logged it, and
+//! decoded once, by the replica that applies it.
 
 use crate::codec::{read_u64, write_u64, Codec, CodecError, Reader};
-use crate::log::crc32;
-use crate::op::Operation;
+use crate::log::{seal_frame, DamageReason, RecordWalk};
 
-/// Hard cap on a decoded wire frame's payload (64 MiB): a corrupt length
-/// prefix must not drive an allocation.
-const MAX_FRAME_LEN: usize = 64 << 20;
+/// The wire format version: the first payload byte of every frame. The
+/// unversioned format before it began the payload with a frame kind tag
+/// (0–5), so versions count from 6 and no frame of that format reads as
+/// a versioned one.
+pub const WIRE_VERSION: u8 = 6;
 
 /// One replication message.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub enum Frame {
-    /// A run of log records starting at global operation index `start`
+    /// `count` log records starting at global operation index `start`
     /// (0-based; `start` = number of operations preceding the first one
     /// here). When `commit_digest` is set, the batch is the last of a
     /// shipment and the digest is the primary's `state_digest()` after
@@ -29,13 +36,16 @@ pub enum Frame {
     Batch {
         /// Sender's replication term.
         term: u64,
-        /// Global index of the first operation in `ops`.
+        /// Global index of the first record in `records`.
         start: u64,
-        /// The shipped operations, in log order.
-        ops: Vec<Operation>,
-        /// Primary state digest after the last op, when this batch ends a
-        /// shipment at the primary's current head.
+        /// Records in `records`.
+        count: u64,
+        /// Primary state digest after the last record, when this batch
+        /// ends a shipment at the primary's current head.
         commit_digest: Option<u64>,
+        /// The records, back to back, byte for byte as the primary's log
+        /// holds them: `[len][crc32][payload]` each, CRC included.
+        records: Vec<u8>,
     },
     /// A full state image for a follower whose resume point was compacted
     /// away on the primary: the serialized `DatabaseState` covering the
@@ -95,6 +105,30 @@ pub enum Frame {
     },
 }
 
+/// A wire buffer holding room for the `[len][crc32]` prefix, the version
+/// byte, the kind `tag`, and `capacity` bytes more.
+fn wire_head(tag: u8, capacity: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(10 + capacity);
+    out.extend_from_slice(&[0; 8]);
+    out.extend_from_slice(&[WIRE_VERSION, tag]);
+    out
+}
+
+/// Seal a wire buffer begun by [`wire_head`].
+fn sealed(mut out: Vec<u8>) -> Vec<u8> {
+    seal_frame(&mut out);
+    out
+}
+
+/// The wire bytes of a frame whose fields are all varints.
+fn fixed(tag: u8, fields: &[u64]) -> Vec<u8> {
+    let mut out = wire_head(tag, 10 * fields.len());
+    for &v in fields {
+        write_u64(&mut out, v);
+    }
+    sealed(out)
+}
+
 impl Frame {
     /// The sender's term stamped into this frame.
     pub fn term(&self) -> u64 {
@@ -110,97 +144,108 @@ impl Frame {
 
     /// Encode into a checksummed wire frame (`[len][crc32][payload]`).
     pub fn to_wire(&self) -> Vec<u8> {
-        let payload = self.to_bytes();
-        let mut out = Vec::with_capacity(payload.len() + 8);
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&crc32(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
-        out
+        match self {
+            Frame::Batch {
+                term,
+                start,
+                count,
+                commit_digest,
+                records,
+            } => Frame::batch_wire(*term, *start, *count, *commit_digest, records),
+            Frame::Snapshot {
+                term,
+                ops_covered,
+                digest,
+                state,
+            } => {
+                let mut out = wire_head(1, 40 + state.len());
+                for v in [*term, *ops_covered, *digest, state.len() as u64] {
+                    write_u64(&mut out, v);
+                }
+                out.extend_from_slice(state);
+                sealed(out)
+            }
+            Frame::Heartbeat {
+                term,
+                total,
+                digest,
+            } => fixed(2, &[*term, *total, *digest]),
+            Frame::Ack { term, applied } => fixed(3, &[*term, *applied]),
+            Frame::CatchUp { term, from } => fixed(4, &[*term, *from]),
+            Frame::ScrubPull {
+                term,
+                applied,
+                digest,
+            } => fixed(5, &[*term, *applied, *digest]),
+        }
+    }
+
+    /// The wire bytes of a [`Frame::Batch`] over `records`, written
+    /// straight from the slice: a primary ships the records of the log
+    /// bytes it read without first copying them into a `Frame`. The
+    /// records run to the end of the payload, so they need no length.
+    pub(crate) fn batch_wire(
+        term: u64,
+        start: u64,
+        count: u64,
+        commit_digest: Option<u64>,
+        records: &[u8],
+    ) -> Vec<u8> {
+        let mut out = wire_head(0, 40 + records.len());
+        for v in [term, start, count] {
+            write_u64(&mut out, v);
+        }
+        commit_digest.encode(&mut out);
+        out.extend_from_slice(records);
+        sealed(out)
     }
 
     /// Decode a checksummed wire frame, rejecting any damage: truncated
-    /// header or payload, trailing bytes, checksum mismatch, or a
-    /// CRC-valid but undecodable payload.
+    /// header or payload, trailing bytes, checksum mismatch, a version
+    /// this build does not speak, or a CRC-valid but undecodable payload.
+    /// The records of a `Batch` are taken as they are; their own CRCs are
+    /// checked by the replica's walk.
     pub fn from_wire(buf: &[u8]) -> Result<Frame, WireError> {
-        if buf.len() < 8 {
-            return Err(WireError::Truncated);
+        let mut walk = RecordWalk::new(buf);
+        let payload = match walk.next() {
+            Some((_, payload)) if walk.pos() == buf.len() => payload,
+            Some(_) => return Err(WireError::Truncated),
+            None => {
+                return Err(match walk.damage().map(|d| &d.reason) {
+                    Some(DamageReason::ChecksumMismatch) => WireError::ChecksumMismatch,
+                    _ => WireError::Truncated,
+                })
+            }
+        };
+        let mut r = Reader::new(payload);
+        match r.byte().map_err(WireError::Decode)? {
+            WIRE_VERSION => {}
+            v => return Err(WireError::UnsupportedVersion(v)),
         }
-        let len = u32::from_le_bytes(buf[0..4].try_into().unwrap()) as usize;
-        let crc = u32::from_le_bytes(buf[4..8].try_into().unwrap());
-        if len > MAX_FRAME_LEN || buf.len() - 8 != len {
-            return Err(WireError::Truncated);
+        let frame = Frame::decode(&mut r).map_err(WireError::Decode)?;
+        if !r.is_empty() {
+            return Err(WireError::Decode(CodecError::Corrupt("trailing bytes")));
         }
-        let payload = &buf[8..];
-        if crc32(payload) != crc {
-            return Err(WireError::ChecksumMismatch);
-        }
-        Frame::from_bytes(payload).map_err(WireError::Decode)
-    }
-}
-
-impl Codec for Frame {
-    fn encode(&self, out: &mut Vec<u8>) {
-        match self {
-            Frame::Batch { term, start, ops, commit_digest } => {
-                out.push(0);
-                write_u64(out, *term);
-                write_u64(out, *start);
-                ops.encode(out);
-                commit_digest.encode(out);
-            }
-            Frame::Snapshot { term, ops_covered, digest, state } => {
-                out.push(1);
-                write_u64(out, *term);
-                write_u64(out, *ops_covered);
-                write_u64(out, *digest);
-                write_u64(out, state.len() as u64);
-                out.extend_from_slice(state);
-            }
-            Frame::Heartbeat { term, total, digest } => {
-                out.push(2);
-                write_u64(out, *term);
-                write_u64(out, *total);
-                write_u64(out, *digest);
-            }
-            Frame::Ack { term, applied } => {
-                out.push(3);
-                write_u64(out, *term);
-                write_u64(out, *applied);
-            }
-            Frame::CatchUp { term, from } => {
-                out.push(4);
-                write_u64(out, *term);
-                write_u64(out, *from);
-            }
-            Frame::ScrubPull { term, applied, digest } => {
-                out.push(5);
-                write_u64(out, *term);
-                write_u64(out, *applied);
-                write_u64(out, *digest);
-            }
-        }
+        Ok(frame)
     }
 
-    fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+    /// The frame after the version byte.
+    fn decode(r: &mut Reader<'_>) -> Result<Frame, CodecError> {
         Ok(match r.byte()? {
             0 => Frame::Batch {
                 term: read_u64(r)?,
                 start: read_u64(r)?,
-                ops: Vec::<Operation>::decode(r)?,
+                count: read_u64(r)?,
                 commit_digest: Option::<u64>::decode(r)?,
+                records: r.bytes(r.remaining())?.to_vec(),
             },
             1 => {
                 let term = read_u64(r)?;
                 let ops_covered = read_u64(r)?;
                 let digest = read_u64(r)?;
-                let n = read_u64(r)? as usize;
-                if n > r.remaining() {
-                    return Err(CodecError::Corrupt("snapshot length prefix"));
-                }
-                let mut state = vec![0u8; n];
-                for b in state.iter_mut() {
-                    *b = r.byte()?;
-                }
+                let n = usize::try_from(read_u64(r)?)
+                    .map_err(|_| CodecError::Corrupt("snapshot length prefix"))?;
+                let state = r.bytes(n)?.to_vec();
                 Frame::Snapshot { term, ops_covered, digest, state }
             }
             2 => Frame::Heartbeat {
@@ -230,6 +275,9 @@ pub enum WireError {
     ChecksumMismatch,
     /// The CRC was valid but the payload is not a well-formed frame.
     Decode(CodecError),
+    /// The CRC was valid but the frame is of a wire version this build
+    /// does not speak: [`WIRE_VERSION`] is the only one it reads.
+    UnsupportedVersion(u8),
 }
 
 impl std::fmt::Display for WireError {
@@ -238,6 +286,12 @@ impl std::fmt::Display for WireError {
             WireError::Truncated => write!(f, "truncated wire frame"),
             WireError::ChecksumMismatch => write!(f, "wire frame checksum mismatch"),
             WireError::Decode(e) => write!(f, "wire frame decode error: {e}"),
+            WireError::UnsupportedVersion(v) => {
+                write!(
+                    f,
+                    "wire frame version {v} (this build speaks {WIRE_VERSION})"
+                )
+            }
         }
     }
 }
@@ -247,12 +301,22 @@ impl std::error::Error for WireError {}
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::log::encode_record;
+    use crate::op::Operation;
     use tchimera_core::Instant;
 
     fn wire_round_trip(f: &Frame) {
         let wire = f.to_wire();
         let back = Frame::from_wire(&wire).expect("decode");
+        assert_eq!(&back, f);
         assert_eq!(back.to_wire(), wire, "re-encoding differs");
+    }
+
+    fn records(ticks: &[u64]) -> Vec<u8> {
+        ticks
+            .iter()
+            .flat_map(|&t| encode_record(&Operation::AdvanceTo(Instant(t))))
+            .collect()
     }
 
     #[test]
@@ -263,8 +327,9 @@ mod tests {
         wire_round_trip(&Frame::Batch {
             term: 3,
             start: 5,
-            ops: vec![Operation::AdvanceTo(Instant(9))],
+            count: 2,
             commit_digest: Some(0xdead_beef),
+            records: records(&[9, 10]),
         });
         wire_round_trip(&Frame::Snapshot {
             term: 4,
@@ -276,14 +341,27 @@ mod tests {
     }
 
     #[test]
-    fn every_single_byte_corruption_is_rejected_or_reencodes_identically() {
-        let wire = Frame::Batch {
+    fn a_batch_is_its_header_and_then_the_records_verbatim() {
+        let recs = records(&[4, 5, 6]);
+        let wire = Frame::batch_wire(9, 3, 3, None, &recs);
+        assert!(
+            wire.ends_with(&recs),
+            "the records are not copied through a codec"
+        );
+        assert_eq!(wire[8], WIRE_VERSION);
+        let frame = Frame::Batch {
             term: 9,
             start: 3,
-            ops: vec![Operation::AdvanceTo(Instant(4))],
+            count: 3,
             commit_digest: None,
-        }
-        .to_wire();
+            records: recs,
+        };
+        assert_eq!(frame.to_wire(), wire);
+    }
+
+    #[test]
+    fn every_single_byte_corruption_is_rejected() {
+        let wire = Frame::batch_wire(9, 3, 1, None, &records(&[4]));
         for i in 0..wire.len() {
             let mut bad = wire.clone();
             bad[i] ^= 0x01;
@@ -298,6 +376,23 @@ mod tests {
             let mut bad = wire.clone();
             bad[i] ^= 0x01;
             assert!(Frame::from_wire(&bad).is_err(), "flip at byte {i} accepted");
+        }
+    }
+
+    #[test]
+    fn another_version_is_refused_by_type() {
+        let mut wire = Frame::Ack {
+            term: 1,
+            applied: 2,
+        }
+        .to_wire();
+        for v in [WIRE_VERSION + 1, 0, 3] {
+            wire[8] = v;
+            seal_frame(&mut wire);
+            assert_eq!(
+                Frame::from_wire(&wire),
+                Err(WireError::UnsupportedVersion(v))
+            );
         }
     }
 }

@@ -2,12 +2,14 @@
 //!
 //! The engine is event-sourced — state is a pure fold of the CRC-framed
 //! operation log — so the log itself is the natural replication unit: a
-//! [`Primary`] ships its (fsynced) log suffix as checksummed
-//! [`Frame::Batch`] records over a [`Transport`], and a [`Replica`]
-//! folds them into its own [`PersistentDatabase`](crate::PersistentDatabase)
-//! through the exact `Operation::apply` path recovery uses. Identity is
-//! verified, not assumed: `state_digest()` values are compared whenever
-//! the replica is exactly aligned with a digest-carrying frame.
+//! [`Primary`] ships its (fsynced) log suffix, record bytes verbatim, in
+//! checksummed [`Frame::Batch`] frames over a [`Transport`], and a
+//! [`Replica`] folds them into its own
+//! [`PersistentDatabase`](crate::PersistentDatabase) through the exact
+//! `Operation::apply` path recovery uses and appends the same bytes to
+//! its own log. Identity is verified, not assumed: `state_digest()`
+//! values are compared whenever the replica is exactly aligned with a
+//! digest-carrying frame.
 //!
 //! The protocol is built for a hostile network — [`SimTransport`] drops,
 //! duplicates, reorders, delays, corrupts and partitions frames under a
@@ -24,7 +26,7 @@ pub mod primary;
 pub mod replica;
 pub mod transport;
 
-pub use frame::{Frame, WireError};
+pub use frame::{Frame, WireError, WIRE_VERSION};
 pub use primary::Primary;
 pub use replica::{Replica, ReplicaError};
 pub use transport::{ChannelTransport, SimNetConfig, SimTransport, Transport};

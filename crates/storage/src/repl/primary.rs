@@ -10,15 +10,17 @@
 //!   the primary. A crashed-and-recovered primary can therefore never be
 //!   *behind* its replica, which would be divergence.
 //! * **pay for what is new** — the shipping cursor is an op index *and*
-//!   the byte offset of that op's record, so a pump reads and decodes
-//!   only the records appended since the last one, and stamps its frames
-//!   with the maintained state digest (`O(components written)`). The
-//!   offset is dropped — one re-scan from the header finds it again —
-//!   when a catch-up rewinds the cursor or a checkpoint replaces the log
-//!   file, and the cursor only ever advances over records that were
-//!   decoded and shipped: damage stalls it, never jumps it. Damage *below*
-//!   a rewound cursor parks the offset at the damage, so a stalled
-//!   primary decodes nothing per pump until its scrubber re-checkpoints.
+//!   the byte offset of that op's record, so a pump reads and walks only
+//!   the records appended since the last one, and stamps its frames with
+//!   the maintained state digest (`O(components written)`). A walk checks
+//!   each record's CRC and decodes nothing: batches are slices of the
+//!   bytes read, shipped verbatim. The offset is dropped — one re-walk
+//!   from the header finds it again — when a catch-up rewinds the cursor
+//!   or a checkpoint replaces the log file, and the cursor only ever
+//!   advances over records that were walked and shipped: damage stalls
+//!   it, never jumps it. Damage *below* a rewound cursor parks the offset
+//!   at the damage, so a stalled primary reads nothing past it per pump
+//!   until its scrubber re-checkpoints.
 //! * **cumulative acks + catch-up** — the follower acknowledges a
 //!   watermark, and requests resend from an explicit index when it
 //!   detects a gap; the primary just rewinds its shipping cursor. Lost,
@@ -33,6 +35,7 @@
 use tchimera_core::Database;
 
 use crate::engine::{EngineError, PersistentDatabase};
+use crate::log::{report_scan_damage, RecordWalk};
 use crate::repl::frame::Frame;
 use crate::repl::transport::Transport;
 
@@ -54,11 +57,11 @@ pub struct Primary<T: Transport> {
     term: u64,
     /// Next global op index to ship.
     cursor: u64,
-    /// Where to read the log from: the record boundary the last scan
+    /// Where to read the log from: the record boundary the last walk
     /// stopped at. It is the cursor's own record unless damage stopped
-    /// that scan below the cursor. Good for the log file with that base
+    /// that walk below the cursor. Good for the log file with that base
     /// and a cursor at or above it only; otherwise (and when `None`: fresh
-    /// node, snapshot just shipped) the pump scans from the header.
+    /// node, snapshot just shipped) the pump walks from the header.
     cursor_at: Option<LogPos>,
     /// Follower's cumulative acknowledged watermark.
     acked: u64,
@@ -133,7 +136,8 @@ impl<T: Transport> Primary<T> {
     /// Drain follower feedback, then ship the un-acked log suffix: sync
     /// the local log (fsync before ship), and either send [`Frame::Batch`]
     /// runs from the shipping cursor — reading the log from the cursor's
-    /// byte offset, not from its start — or, when the cursor points below
+    /// byte offset, not from its start, and slicing the records read into
+    /// batches without decoding them — or, when the cursor points below
     /// the local compaction horizon, a full [`Frame::Snapshot`] image.
     /// Ends with a [`Frame::Heartbeat`] carrying the current op count and
     /// state digest so the follower can detect gaps and verify alignment.
@@ -177,37 +181,41 @@ impl<T: Transport> Primary<T> {
                     (base, 0)
                 }
             };
-            let mut pending = self.pdb.scan_log_from(offset)?;
-            let decoded = pending.ops.len();
-            // Records `from_op..cursor` were shipped before; damage below
-            // the cursor leaves fewer than that, and nothing to ship.
-            let shipped = (self.cursor - from_op) as usize;
-            if shipped <= decoded {
-                let mut ops = pending.ops.drain(shipped..).peekable();
-                while ops.peek().is_some() {
-                    let chunk: Vec<_> = ops.by_ref().take(BATCH_OPS).collect();
-                    let end = self.cursor + chunk.len() as u64;
-                    tchimera_obs::counter!("repl.ops.shipped").add(chunk.len() as u64);
-                    self.transport.send(
-                        Frame::Batch {
-                            term: self.term,
-                            start: self.cursor,
-                            ops: chunk,
-                            // `digest` is the state after op `total`: a
-                            // scan cut short by damage ends below it.
-                            commit_digest: (end == total).then_some(digest),
-                        }
-                        .to_wire(),
-                    );
+            let buf = self.pdb.read_log_from(offset)?;
+            let mut walk = RecordWalk::log(&buf, offset);
+            // Records `from_op..cursor` were shipped before: walk past
+            // them. Damage below the cursor leaves nothing to ship.
+            let shipped = self.cursor - from_op;
+            let mut walked = walk.by_ref().take(shipped as usize).count() as u64;
+            if walked == shipped {
+                loop {
+                    let begin = walk.pos();
+                    let n = walk.by_ref().take(BATCH_OPS).count() as u64;
+                    if n == 0 {
+                        break;
+                    }
+                    let end = self.cursor + n;
+                    tchimera_obs::counter!("repl.ops.shipped").add(n);
+                    self.transport.send(Frame::batch_wire(
+                        self.term,
+                        self.cursor,
+                        n,
+                        // `digest` is the state after op `total`: a walk
+                        // cut short by damage ends below it.
+                        (end == total).then_some(digest),
+                        &buf[begin..walk.pos()],
+                    ));
                     self.cursor = end;
+                    walked += n;
                 }
             }
-            // The next pump reads on from where this scan stopped: the
+            report_scan_damage(walk.damage());
+            // The next pump reads on from where this walk stopped: the
             // cursor's record, or the damage that keeps the cursor stalled.
             self.cursor_at = Some(LogPos {
                 base,
-                op: from_op + decoded as u64,
-                offset: pending.valid_len,
+                op: from_op + walked,
+                offset: walk.offset(),
             });
         }
         self.transport.send(
@@ -240,7 +248,7 @@ impl<T: Transport> Primary<T> {
                 Frame::Ack { applied, .. } => self.acked = self.acked.max(applied),
                 Frame::CatchUp { from, .. } => {
                     tchimera_obs::counter!("repl.catchup.requests").inc();
-                    // Below `cursor_at`, the next pump scans from the header.
+                    // Below `cursor_at`, the next pump walks from the header.
                     self.cursor = self.cursor.min(from);
                 }
                 Frame::ScrubPull { .. } => {

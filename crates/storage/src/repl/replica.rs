@@ -1,9 +1,15 @@
 //! The receiving side of log replication.
 //!
-//! A [`Replica`] replays shipped operations into its **own**
-//! [`PersistentDatabase`] — through the same `Operation::apply` path used
-//! by local execution and recovery, and appended to its own log so the
-//! replica is independently durable and crash-recoverable. Identity with
+//! A [`Replica`] replays shipped log records into its **own**
+//! [`PersistentDatabase`] — walked and decoded once, applied through the
+//! same `Operation::apply` path used by local execution and recovery, and
+//! appended verbatim to its own log, so the replica is independently
+//! durable and crash-recoverable and its log is byte for byte the
+//! primary's. A record that is CRC-valid but does not decode is never
+//! applied or appended: the records before it are, and the replica asks
+//! for a resend from its watermark — the link stalls there, as it does
+//! at a damaged record on the primary, until the primary's scrubber
+//! re-checkpoints over the record and ships an image. Identity with
 //! the primary is *verified*, not assumed: whenever the replica is
 //! exactly aligned with a digest-carrying frame it compares
 //! `state_digest()` values and halts on mismatch rather than serve a
@@ -155,14 +161,20 @@ impl<T: Transport> Replica<T> {
                 continue;
             }
             match frame {
-                Frame::Batch { start, ops, commit_digest, .. } => {
+                Frame::Batch {
+                    start,
+                    count,
+                    commit_digest,
+                    records,
+                    ..
+                } => {
                     if self.halted.is_some() {
                         // Awaiting an authoritative image; incremental
                         // records would replay onto a diverged state.
                         continue;
                     }
                     let applied = self.applied();
-                    let end = start + ops.len() as u64;
+                    let end = start.saturating_add(count);
                     if start > applied {
                         // A gap: frames before this batch never arrived.
                         want_catchup = true;
@@ -171,9 +183,15 @@ impl<T: Transport> Replica<T> {
                     if end <= applied {
                         continue; // pure duplicate
                     }
-                    for op in &ops[(applied - start) as usize..] {
-                        self.pdb.apply_replicated(op)?;
-                        tchimera_obs::counter!("repl.ops.applied").inc();
+                    let n = self.pdb.apply_replicated(&records, applied - start)?;
+                    tchimera_obs::counter!("repl.ops.applied").add(n);
+                    if n != end - applied {
+                        // A record the frame's CRC vouched for does not
+                        // walk or decode: the run before it is applied,
+                        // nothing after. Ask again from the watermark.
+                        tchimera_obs::counter!("repl.frames.corrupt").inc();
+                        want_catchup = true;
+                        continue;
                     }
                     self.primary_total = self.primary_total.max(end);
                     if let Some(d) = commit_digest {

@@ -130,11 +130,9 @@ proptest! {
 // Replication frames
 // ---------------------------------------------------------------------
 
+use tchimera_storage::log::{encode_record, RecordWalk};
 use tchimera_storage::Frame;
 
-/// `Operation` (and hence `Frame`) carries no `PartialEq`, so frame
-/// round-trips compare re-encoded wire bytes, which the CRC makes a
-/// faithful identity.
 fn arb_op() -> impl Strategy<Value = Operation> {
     (arb_value(), 0u64..1000, "[a-z]{1,8}").prop_map(|(v, oid, name)| Operation::SetAttr {
         oid: Oid(oid),
@@ -145,7 +143,8 @@ fn arb_op() -> impl Strategy<Value = Operation> {
 
 fn arb_frame() -> impl Strategy<Value = Frame> {
     prop_oneof![
-        // Batch: term + start watermark + ops + optional commit digest.
+        // Batch: term + start watermark + framed log records of random
+        // operations (as a primary's log holds them) + optional digest.
         (
             any::<u64>(),
             any::<u64>(),
@@ -155,8 +154,9 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
             .prop_map(|(term, start, ops, commit_digest)| Frame::Batch {
                 term,
                 start,
-                ops,
+                count: ops.len() as u64,
                 commit_digest,
+                records: ops.iter().flat_map(encode_record).collect(),
             }),
         // Snapshot offer: term + covered watermark + digest + raw image.
         (
@@ -175,23 +175,37 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
             .prop_map(|(term, total, digest)| Frame::Heartbeat { term, total, digest }),
         (any::<u64>(), any::<u64>()).prop_map(|(term, applied)| Frame::Ack { term, applied }),
         (any::<u64>(), any::<u64>()).prop_map(|(term, from)| Frame::CatchUp { term, from }),
+        (any::<u64>(), any::<u64>(), any::<u64>()).prop_map(|(term, applied, digest)| {
+            Frame::ScrubPull {
+                term,
+                applied,
+                digest,
+            }
+        }),
     ]
 }
 
 proptest! {
-    /// Every frame kind survives the wire: re-encoding the decoded frame
-    /// reproduces the identical bytes, and the term is preserved.
+    /// Every frame kind survives the wire: the decoded frame equals the
+    /// sent one and re-encodes to the identical bytes. A batch's records
+    /// come back verbatim: they walk to exactly `count` CRC-valid records.
     #[test]
     fn frame_wire_round_trip(f in arb_frame()) {
         let wire = f.to_wire();
         let back = Frame::from_wire(&wire).unwrap();
+        prop_assert_eq!(&back, &f);
         prop_assert_eq!(&back.to_wire(), &wire);
-        prop_assert_eq!(back.term(), f.term());
+        if let Frame::Batch { count, records, .. } = &back {
+            let mut walk = RecordWalk::new(records);
+            prop_assert_eq!(walk.by_ref().count() as u64, *count);
+            prop_assert!(walk.damage().is_none());
+        }
     }
 
-    /// Flipping any single byte of a wire frame — header or payload —
-    /// is rejected. The length check catches header damage, the CRC
-    /// everything else; nothing decodes to a *different* frame.
+    /// Flipping any single byte of a wire frame — header, version, or a
+    /// batch's records (their own CRCs included) — is rejected. The
+    /// length check catches header damage, the frame CRC everything else;
+    /// nothing decodes to a *different* frame.
     #[test]
     fn frame_single_byte_corruption_rejected(
         f in arb_frame(),

@@ -1,18 +1,26 @@
-//! Golden files for the two on-disk formats: a `TCLOG001` operation log
-//! and a `TCSNAP02` snapshot of one fixed small database.
+//! Golden files for the two on-disk formats — a `TCLOG001` operation log
+//! and a `TCSNAP02` snapshot of one fixed small database — and for the
+//! wire: one replication frame of each kind and one bare log record.
 //!
 //! Encoding the fixed database must reproduce the committed files byte
 //! for byte, and decoding the committed files must reproduce the fixed
-//! database (its digest is pinned as a literal). A change that moves
-//! either format fails here instead of on an operator's disk; a deliberate
-//! format change bumps the magic and adds new files beside these.
+//! database (its digest is pinned as a literal). Encoding each fixed frame
+//! must reproduce its file, and decoding the file must give back the
+//! frame. A change that moves a format fails here instead of on an
+//! operator's disk or between two builds of a cluster; a deliberate
+//! format change bumps the magic (on disk) or `WIRE_VERSION` (on the
+//! wire) and adds new files beside these.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use tchimera_core::{attrs, Attrs, ClassDef, ClassId, Database, Instant, Type, Value};
+use tchimera_core::{
+    attrs, AttrName, Attrs, ClassDef, ClassId, Database, DatabaseState, Instant, Oid, Type, Value,
+};
+use tchimera_storage::log::encode_record;
 use tchimera_storage::{
-    digest_database, load_snapshot, snapshot_path, PersistentDatabase, SimFs, Vfs,
+    digest_database, load_snapshot, snapshot_path, Codec, Frame, OpLog, Operation,
+    PersistentDatabase, SimFs, Vfs,
 };
 
 /// `digest_database` of the fixed database (DESIGN.md §8.5).
@@ -225,6 +233,123 @@ fn decoding_the_golden_snapshot_reproduces_the_fixed_database() {
     }
 }
 
+/// The operation of the golden bare record: a transaction, so the record
+/// nests operations of several kinds.
+fn golden_op() -> Operation {
+    Operation::Txn(vec![
+        Operation::AdvanceTo(Instant(30)),
+        Operation::SetAttr {
+            oid: Oid(0),
+            attr: AttrName::from("address"),
+            value: Value::str("Pisa"),
+        },
+        Operation::Terminate { oid: Oid(1) },
+    ])
+}
+
+/// One frame of each kind, by golden file name. The batch carries the
+/// records of the golden log verbatim and the snapshot the image of the
+/// fixed database, so both also pin what they wrap.
+fn golden_frames() -> Vec<(&'static str, Frame)> {
+    let fs = SimFs::new();
+    let pdb = build(&fs);
+    let log = fs.contents(&log_path()).unwrap();
+    vec![
+        (
+            "batch.frame",
+            Frame::Batch {
+                term: 2,
+                start: PREFIX_OPS as u64,
+                count: (GOLDEN_OPS - PREFIX_OPS) as u64,
+                commit_digest: Some(GOLDEN_DIGEST),
+                // The records after the 20-byte compaction header.
+                records: log[20..].to_vec(),
+            },
+        ),
+        (
+            "snapshot.frame",
+            Frame::Snapshot {
+                term: 2,
+                ops_covered: GOLDEN_OPS as u64,
+                digest: GOLDEN_DIGEST,
+                state: pdb.db().export_state().to_bytes(),
+            },
+        ),
+        (
+            "heartbeat.frame",
+            Frame::Heartbeat {
+                term: 2,
+                total: GOLDEN_OPS as u64,
+                digest: GOLDEN_DIGEST,
+            },
+        ),
+        (
+            "ack.frame",
+            Frame::Ack {
+                term: 2,
+                applied: 300,
+            },
+        ),
+        ("catchup.frame", Frame::CatchUp { term: 2, from: 128 }),
+        (
+            "scrubpull.frame",
+            Frame::ScrubPull {
+                term: 3,
+                applied: u64::MAX,
+                digest: 0x0123_4567_89AB_CDEF,
+            },
+        ),
+    ]
+}
+
+#[test]
+fn encoding_the_fixed_frames_and_record_reproduces_the_golden_files() {
+    for (name, frame) in golden_frames() {
+        assert!(
+            frame.to_wire() == read_golden(name),
+            "the wire encoding of {name} moved"
+        );
+    }
+    assert!(
+        encode_record(&golden_op()) == read_golden("op.record"),
+        "the log record encoding moved"
+    );
+}
+
+#[test]
+fn decoding_the_golden_frames_and_record_gives_them_back() {
+    for (name, frame) in golden_frames() {
+        assert_eq!(Frame::from_wire(&read_golden(name)), Ok(frame), "{name}");
+    }
+    // What the two wrapping frames carry holds too: the batch's records
+    // are the golden log's, byte for byte, and the image imports to the
+    // fixed database.
+    match Frame::from_wire(&read_golden("batch.frame")) {
+        Ok(Frame::Batch { records, .. }) => {
+            let mut log = read_golden("fixed.log")[..20].to_vec();
+            log.extend_from_slice(&records);
+            assert!(
+                log == read_golden("fixed.log"),
+                "batch records are the log's, verbatim"
+            );
+        }
+        other => panic!("batch.frame: {other:?}"),
+    }
+    match Frame::from_wire(&read_golden("snapshot.frame")) {
+        Ok(Frame::Snapshot { state, .. }) => {
+            let db = Database::import_state(DatabaseState::from_bytes(&state).unwrap()).unwrap();
+            assert_eq!(digest_database(&db), GOLDEN_DIGEST);
+        }
+        other => panic!("snapshot.frame: {other:?}"),
+    }
+    // A bare record is a headerless log of one operation.
+    let record = read_golden("op.record");
+    let scan = OpLog::scan_bytes(&record);
+    assert_eq!((scan.ops.len(), scan.damage), (1, None));
+    assert!(matches!(&scan.ops[0], Operation::Txn(ops) if ops.len() == 3));
+    assert!(encode_record(&scan.ops[0]) == record);
+}
+
 /// Writes the golden files from the current encoder. Run once per format
 /// version (`cargo test -p tchimera-storage --test golden_format -- --ignored`),
 /// never to make a failing test above pass.
@@ -241,5 +366,9 @@ fn regenerate_golden_files() {
         fs.contents(&snapshot_path(&log_path())).unwrap(),
     )
     .unwrap();
+    for (name, frame) in golden_frames() {
+        std::fs::write(golden(name), frame.to_wire()).unwrap();
+    }
+    std::fs::write(golden("op.record"), encode_record(&golden_op())).unwrap();
     println!("GOLDEN_DIGEST = {:#018X}", digest_database(pdb.db()));
 }

@@ -23,6 +23,7 @@ use std::sync::Arc;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tchimera_core::{attrs, Attrs, ClassDef, ClassId, Instant, Oid, Type, Value};
+use tchimera_storage::log::crc32;
 use tchimera_storage::repl::{Frame, Primary, Replica, SimNetConfig, SimTransport, Transport};
 use tchimera_storage::{EngineError, PersistentDatabase, SimFs, TearMode, Vfs};
 
@@ -503,13 +504,13 @@ struct NoGaps {
 impl Transport for NoGaps {
     fn send(&mut self, frame: Vec<u8>) {
         match Frame::from_wire(&frame).expect("the primary sends well-formed frames") {
-            Frame::Batch { start, ops, .. } => {
+            Frame::Batch { start, count, .. } => {
                 assert!(
                     start <= self.shipped_to,
                     "ops {}..{start} were never shipped: the cursor skipped them",
                     self.shipped_to
                 );
-                self.shipped_to = self.shipped_to.max(start + ops.len() as u64);
+                self.shipped_to = self.shipped_to.max(start + count);
             }
             Frame::Snapshot { ops_covered, .. } => {
                 self.shipped_to = self.shipped_to.max(ops_covered);
@@ -582,6 +583,119 @@ fn damaged_primary_log_tail_never_makes_the_cursor_skip() {
         assert_eq!(replica.halted(), None);
         assert_eq!(replica.applied(), primary.db_ref().op_count() as u64);
         assert_eq!(replica.db_ref().state_digest(), primary.db_ref().state_digest());
+        drive_txn(primary.db(), &mut rng, i);
+    }
+    assert!(replica.db_ref().db().check_database().is_consistent());
+}
+
+/// Rewrite the last record of `path` on `fs` in place into one whose CRC
+/// is valid but whose payload is no operation (an unknown tag): damage a
+/// checksum cannot see, such as a buggy encoder's. Returns its offset.
+fn make_last_record_undecodable(fs: &SimFs, path: &std::path::Path) -> usize {
+    let log = fs.contents(path).expect("log exists");
+    let mut at = 0;
+    let mut next = 0;
+    while next < log.len() {
+        at = next;
+        let len = u32::from_le_bytes(log[next..next + 4].try_into().unwrap()) as usize;
+        next += 8 + len;
+    }
+    let mut payload = log[at + 8..].to_vec();
+    payload[0] = 0xff;
+    let mut want = crc32(&payload).to_le_bytes().to_vec();
+    want.extend_from_slice(&payload);
+    for (i, b) in want.iter().enumerate() {
+        let have = log[at + 4 + i];
+        if have != *b {
+            fs.corrupt_byte(path, at + 4 + i, have ^ b)
+                .expect("rewrite");
+        }
+    }
+    at
+}
+
+/// A CRC-valid but undecodable record in the primary's log is shipped —
+/// the primary does not decode — and refused by the replica: the records
+/// before it are applied and appended, it and everything after are
+/// neither, and the follower's log stays a byte-for-byte prefix of the
+/// primary's. The link stalls there without halting; the primary's
+/// scrubber finds the record, re-checkpoints, and the pair converges.
+#[test]
+fn an_undecodable_record_is_never_applied_or_appended_and_scrub_converges() {
+    let (pfs, rfs) = (SimFs::new(), SimFs::new());
+    let (pt, rt) = SimTransport::pair(SEED ^ 0x0D, SimNetConfig::clean());
+    let mut pdb = open(&pfs);
+    schema_txn(&mut pdb);
+    let mut primary = Primary::new(
+        pdb,
+        1,
+        NoGaps {
+            inner: pt,
+            shipped_to: 0,
+        },
+    );
+    let mut replica = Replica::new(open(&rfs), rt);
+    let mut rng = StdRng::seed_from_u64(SEED);
+    for i in 0..6 {
+        drive_txn(primary.db(), &mut rng, i);
+        primary.pump().expect("primary pump");
+        replica.pump().expect("replica pump");
+    }
+    let level = primary.db_ref().op_count() as u64;
+    assert_eq!(replica.applied(), level);
+
+    // Two more records; the second becomes undecodable before the next
+    // pump ships both.
+    primary.db().tick().expect("tick");
+    primary.db().tick().expect("tick");
+    primary.db().sync().expect("sync");
+    let path = PathBuf::from("node.log");
+    let bad_at = make_last_record_undecodable(&pfs, &path);
+    let corrupt_before = tchimera_obs::snapshot()
+        .counter("repl.frames.corrupt")
+        .unwrap_or(0);
+    let follower_log = |rfs: &SimFs| rfs.contents(&path).expect("follower log");
+    for i in 6..9 {
+        primary.pump().expect("primary pump");
+        replica.pump().expect("replica pump");
+        assert_eq!(
+            replica.applied(),
+            level + 1,
+            "only the record before it applies"
+        );
+        assert_eq!(
+            replica.halted(),
+            None,
+            "a refused record stalls, it does not halt"
+        );
+        assert!(
+            follower_log(&rfs) == pfs.contents(&path).unwrap()[..bad_at],
+            "the follower's log is the primary's up to the undecodable record"
+        );
+        drive_txn(primary.db(), &mut rng, i);
+    }
+    let corrupt = tchimera_obs::snapshot()
+        .counter("repl.frames.corrupt")
+        .unwrap_or(0);
+    assert!(corrupt > corrupt_before, "the refusal is counted");
+
+    // Repair: the primary's scrub decodes its log, finds the record and
+    // re-checkpoints the live state over it; the follower is below the
+    // new horizon and is served the image.
+    let report = primary.db().scrub_cycle();
+    assert!(
+        report.log_damage > 0 && report.checkpoint_repair,
+        "{report:?}"
+    );
+    for i in 9..12 {
+        primary.pump().expect("primary pump");
+        replica.pump().expect("replica pump");
+        assert_eq!(replica.halted(), None);
+        assert_eq!(replica.applied(), primary.db_ref().op_count() as u64);
+        assert_eq!(
+            replica.db_ref().state_digest(),
+            primary.db_ref().state_digest()
+        );
         drive_txn(primary.db(), &mut rng, i);
     }
     assert!(replica.db_ref().db().check_database().is_consistent());

@@ -1,15 +1,21 @@
-//! The replication pump pays for what is new, not for what exists.
+//! The replication pump pays for what is new, not for what exists, and
+//! handles each shipped record as bytes until the replica applies it.
 //!
-//! Counted, not timed: after a warm-up pump, shipping one more write
-//! decodes exactly one log record (`storage.log.scanned_ops`), ships
-//! exactly one operation (`repl.ops.shipped`) and re-hashes a bounded
-//! number of digest components (`core.digest.rehashed`, no
-//! `core.digest.builds`) — at a 500-op log and at an 8 000-op log alike.
-//! The events that invalidate the cursor's byte offset (a catch-up that
+//! Counted, not timed: after a warm-up pump, a round of `k` single-record
+//! writes decodes no log record on the primary and exactly `k` on the
+//! replica (`storage.log.scanned_ops`, read around each node's pump),
+//! encodes no operation on either node (a thread-local count under the
+//! `testing` feature), ships exactly `k` operations (`repl.ops.shipped`)
+//! and re-hashes a bounded number of digest components
+//! (`core.digest.rehashed`, no `core.digest.builds`) — at a 500-op log
+//! and at an 8 000-op log alike. The primary walks its log from the
+//! cursor's byte offset and ships slices of it; the replica walks, decodes
+//! and applies each record once and appends the bytes it was sent. The
+//! events that invalidate the cursor's byte offset (a catch-up that
 //! rewinds it, a checkpoint that replaces the log file, a restart of the
-//! primary) each cost one bounded re-scan or one snapshot ship, after
+//! primary) each cost one bounded re-walk or one snapshot ship, after
 //! which the cost is back to one per op. A primary stalled by damage
-//! below its cursor decodes nothing per pump while it waits for repair.
+//! below its cursor ships nothing per pump while it waits for repair.
 //!
 //! The counters are process-global, so this file is a test binary of its
 //! own and its tests take turns.
@@ -18,6 +24,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use tchimera_core::{attrs, ClassDef, ClassId, Oid, Type, Value};
+use tchimera_storage::op::encodes_on_this_thread;
 use tchimera_storage::repl::{Primary, Replica, SimNetConfig, SimTransport};
 use tchimera_storage::{PersistentDatabase, SimFs, TearMode, Vfs};
 
@@ -32,9 +39,12 @@ fn open(fs: &SimFs) -> PersistentDatabase {
     PersistentDatabase::open_with(vfs, &PathBuf::from("node.log")).expect("open")
 }
 
-#[derive(Clone, Copy, Debug, PartialEq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 struct Counts {
+    /// Log records decoded.
     scanned: u64,
+    /// Operations encoded on this thread.
+    encodes: u64,
     shipped: u64,
     rescans: u64,
     snapshots: u64,
@@ -47,6 +57,7 @@ fn counts() -> Counts {
     let c = |name| snap.counter(name).unwrap_or(0);
     Counts {
         scanned: c("storage.log.scanned_ops"),
+        encodes: encodes_on_this_thread(),
         shipped: c("repl.ops.shipped"),
         rescans: c("repl.cursor.rescans"),
         snapshots: c("repl.snapshot.ships"),
@@ -55,17 +66,44 @@ fn counts() -> Counts {
     }
 }
 
+impl Counts {
+    fn zip(self, o: Counts, f: impl Fn(u64, u64) -> u64) -> Counts {
+        Counts {
+            scanned: f(self.scanned, o.scanned),
+            encodes: f(self.encodes, o.encodes),
+            shipped: f(self.shipped, o.shipped),
+            rescans: f(self.rescans, o.rescans),
+            snapshots: f(self.snapshots, o.snapshots),
+            rehashed: f(self.rehashed, o.rehashed),
+            builds: f(self.builds, o.builds),
+        }
+    }
+}
+
 impl std::ops::Sub for Counts {
     type Output = Counts;
     fn sub(self, o: Counts) -> Counts {
-        Counts {
-            scanned: self.scanned - o.scanned,
-            shipped: self.shipped - o.shipped,
-            rescans: self.rescans - o.rescans,
-            snapshots: self.snapshots - o.snapshots,
-            rehashed: self.rehashed - o.rehashed,
-            builds: self.builds - o.builds,
-        }
+        self.zip(o, |a, b| a - b)
+    }
+}
+
+impl std::ops::Add for Counts {
+    type Output = Counts;
+    fn add(self, o: Counts) -> Counts {
+        self.zip(o, |a, b| a + b)
+    }
+}
+
+/// What pump rounds cost each node.
+#[derive(Clone, Copy, Debug, Default)]
+struct Cost {
+    primary: Counts,
+    replica: Counts,
+}
+
+impl Cost {
+    fn both(self) -> Counts {
+        self.primary + self.replica
     }
 }
 
@@ -100,42 +138,69 @@ fn one_write(pdb: &mut PersistentDatabase) {
 
 type Pair = (Primary<SimTransport>, Replica<SimTransport>);
 
-/// One pump round; the follower must end level and healthy.
-fn round((primary, replica): &mut Pair) {
+/// One pump round, each node's pump counted on its own; the follower
+/// must end level and healthy.
+fn round((primary, replica): &mut Pair) -> Cost {
+    let before = counts();
     primary.pump().expect("primary pump");
+    let between = counts();
     replica.pump().expect("replica pump");
+    let after = counts();
     assert_eq!(replica.halted(), None);
     assert_eq!(
         replica.applied(),
         primary.db_ref().op_count() as u64,
         "follower not level"
     );
+    Cost {
+        primary: between - before,
+        replica: after - between,
+    }
 }
 
-/// `k` rounds of one write each; returns what they cost.
-fn single_write_rounds(pair: &mut Pair, k: u64) -> Counts {
-    let before = counts();
+/// `k` rounds of one write each; returns what the rounds cost (the
+/// writes themselves, which encode and log one record each, are not
+/// counted).
+fn single_write_rounds(pair: &mut Pair, k: u64) -> Cost {
+    let mut cost = Cost::default();
     for _ in 0..k {
         one_write(pair.0.db());
-        round(pair);
+        let c = round(pair);
+        cost = Cost {
+            primary: cost.primary + c.primary,
+            replica: cost.replica + c.replica,
+        };
     }
-    counts() - before
+    cost
 }
 
-/// One write costs one decoded record, one shipped op and a handful of
-/// re-hashed components on each node — whatever the log length.
-fn assert_one_per_op(cost: Counts, k: u64, what: &str) {
-    assert_eq!(cost.scanned, k, "{what}: records decoded for {k} writes");
-    assert_eq!(cost.shipped, k, "{what}: ops shipped for {k} writes");
+/// A round of `k` writes: the primary decodes nothing and ships `k` ops,
+/// the replica decodes exactly `k`, neither encodes an operation, and
+/// each re-hashes a handful of components — whatever the log length.
+fn assert_one_per_op(cost: Cost, k: u64, what: &str) {
     assert_eq!(
-        (cost.rescans, cost.snapshots, cost.builds),
+        cost.primary.scanned, 0,
+        "{what}: records the primary decoded"
+    );
+    assert_eq!(
+        cost.replica.scanned, k,
+        "{what}: records the replica decoded for {k} writes"
+    );
+    assert_eq!(cost.both().encodes, 0, "{what}: operations re-encoded");
+    assert_eq!(
+        cost.primary.shipped, k,
+        "{what}: ops shipped for {k} writes"
+    );
+    let both = cost.both();
+    assert_eq!(
+        (both.rescans, both.snapshots, both.builds),
         (0, 0, 0),
         "{what}: {cost:?}"
     );
     assert!(
-        cost.rehashed <= 4 * k,
+        both.rehashed <= 4 * k,
         "{what}: {} components re-hashed for {k} writes",
-        cost.rehashed
+        both.rehashed
     );
 }
 
@@ -151,22 +216,27 @@ fn a_pump_round_costs_one_record_at_any_log_length() {
         let (pfs, rfs) = (SimFs::new(), SimFs::new());
         let mut pair = attach(primary_with(&pfs, len), &rfs, len as u64);
         // Warm-up: the first pump has no byte offset yet and ships the
-        // whole log; both digest tables go cold → warm.
-        let before = counts();
-        round(&mut pair);
-        let warm_up = counts() - before;
-        assert_eq!(warm_up.scanned, len as u64, "warm-up scans the log once");
-        assert_eq!(warm_up.shipped, len as u64);
-        assert_eq!(warm_up.rescans, 1);
+        // whole log, walked once and decoded by the replica alone; both
+        // digest tables go cold → warm.
+        let warm_up = round(&mut pair);
+        assert_eq!(
+            warm_up.primary.scanned, 0,
+            "the primary walks, it does not decode"
+        );
+        assert_eq!(
+            warm_up.replica.scanned, len as u64,
+            "the replica decodes each record once"
+        );
+        assert_eq!(warm_up.both().encodes, 0);
+        assert_eq!(warm_up.primary.shipped, len as u64);
+        assert_eq!(warm_up.primary.rescans, 1);
         assert_one_per_op(
             single_write_rounds(&mut pair, 25),
             25,
             &format!("{len}-op log"),
         );
         // An idle round (nothing new) decodes and ships nothing.
-        let before = counts();
-        round(&mut pair);
-        let idle = counts() - before;
+        let idle = round(&mut pair).both();
         assert_eq!((idle.scanned, idle.shipped, idle.rehashed), (0, 0, 0));
         assert_eq!(
             pair.1.db_ref().state_digest(),
@@ -197,12 +267,16 @@ fn a_catch_up_below_the_cursor_costs_one_bounded_rescan() {
     // Round 1: the heartbeat tells the follower it is behind → CatchUp.
     pair.0.pump().unwrap();
     pair.1.pump().unwrap();
-    // Round 2: the rewound cursor has no byte offset → one scan from the
-    // header, and exactly the missing ten ops are shipped again.
+    // Round 2: the rewound cursor has no byte offset → one walk from the
+    // header, and exactly the missing ten ops are shipped again and
+    // decoded once, by the replica.
     round(&mut pair);
     let repair = counts() - before;
     assert_eq!(repair.rescans, 1, "{repair:?}");
-    assert_eq!(repair.scanned, 510, "one re-scan of the whole log, no more");
+    assert_eq!(
+        repair.scanned, 10,
+        "the re-walk decodes nothing; the replica the ten"
+    );
     assert_eq!(repair.shipped, 10);
     assert_eq!(repair.snapshots, 0);
 
@@ -232,20 +306,33 @@ fn a_primary_stalled_by_damage_below_its_cursor_decodes_nothing_per_pump() {
     let len = pfs.contents(&path).expect("log exists").len();
     pfs.corrupt_byte(&path, len / 2, 0x10).expect("corrupt");
 
-    // Round 1: heartbeat → CatchUp from 500. Round 2: the scan from the
+    // Round 1: heartbeat → CatchUp from 500. Round 2: the walk from the
     // header stops at the damage, short of the 500 records shipped before:
     // nothing can be shipped, and nothing is skipped.
     pair.0.pump().unwrap();
     pair.1.pump().unwrap();
-    let before = counts();
+    let damaged = || {
+        tchimera_obs::snapshot()
+            .counter("storage.log.scan.damaged")
+            .unwrap_or(0)
+    };
+    let (before, damaged_before) = (counts(), damaged());
     pair.0.pump().unwrap();
     pair.1.pump().unwrap();
     let found = counts() - before;
-    assert_eq!((found.rescans, found.shipped), (1, 0), "{found:?}");
-    assert!(0 < found.scanned && found.scanned < 500, "{found:?}");
+    assert_eq!(
+        (found.rescans, found.shipped, found.scanned),
+        (1, 0, 0),
+        "{found:?}"
+    );
+    assert_eq!(
+        damaged() - damaged_before,
+        1,
+        "the walk reports the damage it stopped at"
+    );
 
     // Stalled: writes keep coming, the follower keeps asking, and each
-    // pump reads on from the damage — no record decoded, no re-scan.
+    // pump reads on from the damage — nothing shipped, no re-walk.
     let before = counts();
     for _ in 0..10 {
         one_write(pair.0.db());
@@ -264,9 +351,7 @@ fn a_primary_stalled_by_damage_below_its_cursor_decodes_nothing_per_pump() {
     // history; the follower is below the new horizon and gets the image.
     let report = pair.0.db().scrub_cycle();
     assert!(report.log_damage > 0 && report.checkpoint_repair, "{report:?}");
-    let before = counts();
-    round(&mut pair);
-    let repair = counts() - before;
+    let repair = round(&mut pair).both();
     assert_eq!((repair.snapshots, repair.shipped), (1, 0), "{repair:?}");
     one_write(pair.0.db());
     round(&mut pair);
@@ -284,12 +369,10 @@ fn a_checkpoint_costs_one_rescan_or_one_snapshot_ship() {
     let mut pair = attach(primary_with(&pfs, 500), &rfs, 11);
     round(&mut pair);
 
-    // Follower level at the checkpoint: the compacted log is re-scanned
+    // Follower level at the checkpoint: the compacted log is re-walked
     // from its header once — it holds no records yet.
     pair.0.db().checkpoint().unwrap();
-    let before = counts();
-    round(&mut pair);
-    let after_ckpt = counts() - before;
+    let after_ckpt = round(&mut pair).both();
     assert_eq!(
         (after_ckpt.rescans, after_ckpt.scanned, after_ckpt.shipped),
         (1, 0, 0)
@@ -307,20 +390,17 @@ fn a_checkpoint_costs_one_rescan_or_one_snapshot_ship() {
         one_write(pair.0.db());
     }
     pair.0.db().checkpoint().unwrap();
-    let before = counts();
-    round(&mut pair);
-    let shipped_image = counts() - before;
+    let shipped_image = round(&mut pair).both();
     assert_eq!(
         (shipped_image.snapshots, shipped_image.shipped),
         (1, 0),
         "{shipped_image:?}"
     );
     // The first round after the image finds the cursor's offset again.
-    let before = counts();
     one_write(pair.0.db());
-    round(&mut pair);
-    let refind = counts() - before;
-    assert_eq!((refind.rescans, refind.scanned, refind.shipped), (1, 1, 1));
+    let refind = round(&mut pair);
+    assert_eq!((refind.primary.rescans, refind.primary.scanned), (1, 0));
+    assert_eq!((refind.primary.shipped, refind.replica.scanned), (1, 1));
     assert_one_per_op(
         single_write_rounds(&mut pair, 10),
         10,

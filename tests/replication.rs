@@ -1,5 +1,6 @@
 //! Cross-crate replication: a log-shipping follower serving governed,
-//! staleness-bounded TCQL reads through a read-only session.
+//! staleness-bounded TCQL reads through a read-only session, and a
+//! follower whose log is the primary's, byte for byte.
 //!
 //! The storage layer guarantees the follower's database is a
 //! committed-boundary copy of the primary (`crates/storage/tests/
@@ -128,4 +129,51 @@ fn replica_serves_governed_reads_and_refuses_writes() {
         replica.db_ref().state_digest(),
         primary.db_ref().state_digest()
     );
+}
+
+/// A fresh follower that catches up from an uncompacted primary holds the
+/// primary's log byte for byte (records are shipped and appended
+/// verbatim), and reopening it from that log alone gives the primary's
+/// state.
+#[test]
+fn a_caught_up_follower_logs_the_primary_s_bytes() {
+    let (pfs, rfs) = (SimFs::new(), SimFs::new());
+    let path = PathBuf::from("node.log");
+    let open_on = |fs: &SimFs| {
+        let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+        PersistentDatabase::open_with(vfs, &path).expect("open")
+    };
+    let mut pdb = open_on(&pfs);
+    pdb.txn(|t| {
+        t.define_class(ClassDef::new("employee").attr("salary", Type::temporal(Type::INTEGER)))?;
+        t.advance_to(Instant(1))
+    })
+    .unwrap();
+    for i in 0..200 {
+        if i % 7 == 0 {
+            pdb.tick().unwrap();
+        }
+        pdb.create_object(
+            &"employee".into(),
+            tchimera_core::attrs([("salary", Value::Int(100 + i))]),
+        )
+        .unwrap();
+    }
+    pdb.sync().unwrap();
+
+    let (pt, rt) = SimTransport::pair(7, SimNetConfig::clean());
+    let mut primary = Primary::new(pdb, 1, pt);
+    let mut replica = Replica::new(open_on(&rfs), rt);
+    quiesce(&mut primary, &mut replica);
+    replica.sync().unwrap();
+    assert!(
+        rfs.contents(&path) == pfs.contents(&path),
+        "the follower's log differs from the primary's"
+    );
+
+    let digest = primary.db_ref().state_digest();
+    drop(replica);
+    let reopened = open_on(&rfs);
+    assert_eq!(reopened.recovered_ops(), primary.db_ref().op_count());
+    assert_eq!(reopened.state_digest(), digest);
 }
