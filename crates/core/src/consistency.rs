@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use rayon::prelude::*;
 use tchimera_temporal::{Instant, Interval, IntervalSet};
 
 use crate::database::Database;
@@ -436,18 +437,20 @@ impl Database {
     ///   contains `t`. Temporal references are checked run-algebraically;
     ///   static references are checked at `now`.
     ///
-    /// Objects are checked in parallel when the `rayon` feature (default)
-    /// is enabled; errors are reported in oid order either way.
+    /// Objects are checked in parallel; errors are reported in oid order.
     pub fn check_referential_integrity(&self) -> ConsistencyReport {
         let objs: Vec<&Object> = self.objects().collect();
         let _span = tchimera_obs::span!("core.check_refs", objects = objs.len());
+        let reports: Vec<ConsistencyReport> = objs
+            .par_iter()
+            .map(|o| {
+                let mut r = ConsistencyReport::default();
+                self.check_refs_of_into(o, None, &mut r);
+                r
+            })
+            .collect();
         let mut report = ConsistencyReport::default();
-        for r in map_items(&objs, |o| {
-            tchimera_obs::counter!("core.consistency.par_items").inc();
-            let mut r = ConsistencyReport::default();
-            self.check_refs_of_into(o, None, &mut r);
-            r
-        }) {
+        for r in reports {
             report.errors.extend(r.errors);
         }
         report
@@ -458,24 +461,23 @@ impl Database {
     ///
     /// The per-object work (Definition 5.5 is independent across objects,
     /// and so is each object's outgoing-reference contribution to
-    /// Definition 5.6) fans out across all cores when the `rayon` feature
-    /// (default) is enabled. The report is identical — same errors, same
-    /// order — to [`Database::check_database_serial`].
+    /// Definition 5.6) fans out across all cores. The report is
+    /// identical — same errors, same order — to
+    /// [`Database::check_database_serial`].
     pub fn check_database(&self) -> ConsistencyReport {
         let objs: Vec<&Object> = self.objects().collect();
         let _span = tchimera_obs::span!("core.check_database", objects = objs.len());
-        tchimera_obs::gauge!("core.consistency.workers").set(worker_count() as i64);
         // One fan-out computes both halves per object while its data is
         // hot; the reports are then stitched back in the serial order
-        // (every object error, then every referential error). The
-        // `par_items` counter ticks on the worker threads themselves, so
-        // it measures what the rayon pool actually executed.
-        let pairs = map_items(&objs, |o| {
-            tchimera_obs::counter!("core.consistency.par_items").inc();
-            let mut refs = ConsistencyReport::default();
-            self.check_refs_of_into(o, None, &mut refs);
-            (self.check_object(o.oid).unwrap_or_default(), refs)
-        });
+        // (every object error, then every referential error).
+        let pairs: Vec<(ConsistencyReport, ConsistencyReport)> = objs
+            .par_iter()
+            .map(|o| {
+                let mut refs = ConsistencyReport::default();
+                self.check_refs_of_into(o, None, &mut refs);
+                (self.check_object(o.oid).unwrap_or_default(), refs)
+            })
+            .collect();
         let mut report = ConsistencyReport::default();
         for (obj, _) in &pairs {
             report.errors.extend_from_slice(&obj.errors);
@@ -489,8 +491,7 @@ impl Database {
     }
 
     /// Single-threaded [`Database::check_database`]: the reference
-    /// implementation the parallel engine is tested against, and the
-    /// serial baseline of the benchmarks.
+    /// implementation the parallel engine is tested against.
     pub fn check_database_serial(&self) -> ConsistencyReport {
         let mut report = ConsistencyReport::default();
         for o in self.objects() {
@@ -505,42 +506,13 @@ impl Database {
     }
 }
 
-/// Map `f` over `items` — in parallel when the `rayon` feature (default)
-/// is enabled, serially otherwise. Results come back in input order
-/// either way, so parallel checkers emit errors in exactly the serial
-/// order.
-fn map_items<T: Sync, U: Send>(items: &[T], f: impl Fn(&T) -> U + Sync) -> Vec<U> {
-    #[cfg(feature = "rayon")]
-    {
-        use rayon::prelude::*;
-        items.par_iter().map(f).collect()
-    }
-    #[cfg(not(feature = "rayon"))]
-    {
-        items.iter().map(f).collect()
-    }
-}
-
-/// Number of worker threads the parallel checkers fan out over (1 in a
-/// serial build). Reported through the `core.consistency.workers` gauge.
-fn worker_count() -> usize {
-    #[cfg(feature = "rayon")]
-    {
-        rayon::current_num_threads()
-    }
-    #[cfg(not(feature = "rayon"))]
-    {
-        1
-    }
-}
-
 /// OID-UNIQUENESS (Definition 5.6, condition 1) over an arbitrary
 /// collection: two objects with the same oid must agree on lifespan, value
 /// and class history.
 ///
 /// Duplicate grouping is a cheap serial pass; the expensive deep equality
-/// comparisons of duplicate pairs run in parallel (under the default
-/// `rayon` feature), preserving the serial error order.
+/// comparisons of duplicate pairs run in parallel, preserving the serial
+/// error order.
 pub fn check_oid_uniqueness(objects: &[crate::object::Object]) -> ConsistencyReport {
     let _span = tchimera_obs::span!("core.check_oid_uniqueness", objects = objects.len());
     let mut last_seen: std::collections::HashMap<Oid, usize> =
@@ -551,16 +523,17 @@ pub fn check_oid_uniqueness(objects: &[crate::object::Object]) -> ConsistencyRep
             pairs.push((prev, k));
         }
     }
-    let errors = map_items(&pairs, |&(a, b)| {
-        let (prev, o) = (&objects[a], &objects[b]);
-        (prev.lifespan != o.lifespan
-            || prev.attrs != o.attrs
-            || prev.class_history != o.class_history)
-            .then_some(ConsistencyError::OidClash { oid: o.oid })
-    })
-    .into_iter()
-    .flatten()
-    .collect();
+    let clashes: Vec<Option<ConsistencyError>> = pairs
+        .par_iter()
+        .map(|&(a, b)| {
+            let (prev, o) = (&objects[a], &objects[b]);
+            (prev.lifespan != o.lifespan
+                || prev.attrs != o.attrs
+                || prev.class_history != o.class_history)
+                .then_some(ConsistencyError::OidClash { oid: o.oid })
+        })
+        .collect();
+    let errors = clashes.into_iter().flatten().collect();
     ConsistencyReport { errors }
 }
 

@@ -26,8 +26,6 @@ pub const CORE_METRICS: &[&str] = &[
     "core.check_refs",
     "core.consistency.errors",
     "core.consistency.objects_checked",
-    "core.consistency.par_items",
-    "core.consistency.workers",
     "core.digest.builds",
     "core.digest.rehashed",
     "core.digest.walks",
@@ -62,12 +60,11 @@ pub fn touch_metrics() {
         r.histogram("core.check_oid_uniqueness");
         r.histogram("core.check_refs");
         r.histogram("core.scrub.cycle");
-        r.gauge("core.consistency.workers");
         r.gauge("core.scrub.quarantined");
         for name in CORE_METRICS {
             match *name {
                 "core.check_database" | "core.check_oid_uniqueness" | "core.check_refs"
-                | "core.scrub.cycle" | "core.consistency.workers" | "core.scrub.quarantined" => {}
+                | "core.scrub.cycle" | "core.scrub.quarantined" => {}
                 counter => {
                     r.counter(counter);
                 }

@@ -3,9 +3,6 @@
 //! an observable no-op — and after a seeded in-memory corruption
 //! (`SimMem`), one cycle detects it and rung-1 repair restores query
 //! answers to scan equivalence.
-//!
-//! The properties are feature-agnostic: CI runs them under both the
-//! rayon (parallel consistency sweep) and serial core builds.
 
 use proptest::prelude::*;
 use tchimera_core::{

@@ -50,10 +50,9 @@
 //! of produced rows are owned.
 //!
 //! The outermost level is partitioned when it has at least
-//! [`PAR_MIN_CANDIDATES`] candidates and, with the default-on `rayon`
-//! feature, partitions run in parallel; partitions are contiguous slices
-//! of the (ordered) base candidates, so concatenating their outputs
-//! preserves serial row order exactly.
+//! [`PAR_MIN_CANDIDATES`] candidates, and the partitions run in parallel.
+//! Partitions are contiguous slices of the (ordered) base candidates, so
+//! concatenating their outputs preserves serial row order exactly.
 //!
 //! `LIMIT` without `ORDER BY` stops enumerating once `limit` bindings
 //! survive (per partition). `ORDER BY … LIMIT k` materialises late: a
@@ -81,7 +80,6 @@ use tchimera_core::{
     AttrName, Class, ClassId, Database, Instant, Interval, Oid, Value,
 };
 
-#[cfg(feature = "rayon")]
 use rayon::prelude::*;
 
 use crate::ast::{CmpOp, Expr, TimeSpec};
@@ -246,13 +244,13 @@ fn holds(
     Ok(matches!(*eval_cexpr(db, oids, t, now, e)?, Value::Bool(true)))
 }
 
-/// Execution knobs. [`Default`] enables parallel partitioned scans when
-/// the crate's `rayon` feature is on and picks a partition count from the
-/// machine; tests override `partitions` to exercise boundaries
+/// Execution knobs. [`Default`] enables parallel partitioned scans and
+/// picks a partition count from the machine; tests turn `parallel` off
+/// and override `partitions` to exercise boundaries
 /// deterministically (the row order is identical either way).
 #[derive(Clone, Debug)]
 pub struct ExecOptions {
-    /// Run partitions in parallel (no-op without the `rayon` feature).
+    /// Run partitions in parallel (default `true`).
     pub parallel: bool,
     /// Fixed partition count for the outermost variable (`None` = auto).
     pub partitions: Option<usize>,
@@ -269,7 +267,7 @@ pub struct ExecOptions {
 impl Default for ExecOptions {
     fn default() -> Self {
         ExecOptions {
-            parallel: cfg!(feature = "rayon"),
+            parallel: true,
             partitions: None,
             budget: None,
             use_index: true,
@@ -933,12 +931,11 @@ pub fn execute_plan(
     };
     let topk = if q.order.is_some() { limit } else { None };
     let base_len = cands[order[0]].len();
-    let par = opts.parallel && cfg!(feature = "rayon");
-    #[cfg(feature = "rayon")]
-    let threads = rayon::current_num_threads();
-    #[cfg(not(feature = "rayon"))]
-    let threads = 1;
-    let default_p = if par && base_len >= PAR_MIN_CANDIDATES { threads } else { 1 };
+    let default_p = if opts.parallel && base_len >= PAR_MIN_CANDIDATES {
+        rayon::current_num_threads()
+    } else {
+        1
+    };
     let p = opts.partitions.unwrap_or(default_p).clamp(1, base_len.max(1));
     let chunk = base_len.div_ceil(p);
     let ranges: Vec<(usize, usize)> = (0..p)
@@ -968,15 +965,11 @@ pub fn execute_plan(
         keyed: needs_sort,
         meter: meter.as_ref(),
     };
-    #[cfg(feature = "rayon")]
-    let parts: Vec<Result<PartOut, EvalError>> = if par && ranges.len() > 1 {
+    let parts: Vec<Result<PartOut, EvalError>> = if opts.parallel && ranges.len() > 1 {
         ranges.par_iter().map(|&(lo, hi)| ctx.process(lo, hi)).collect()
     } else {
         ranges.iter().map(|&(lo, hi)| ctx.process(lo, hi)).collect()
     };
-    #[cfg(not(feature = "rayon"))]
-    let parts: Vec<Result<PartOut, EvalError>> =
-        ranges.iter().map(|&(lo, hi)| ctx.process(lo, hi)).collect();
 
     // Merge partitions in base order (order-preserving concatenation).
     let mut all_rows: Vec<RowOut> = Vec::new();
@@ -1188,10 +1181,7 @@ mod tests {
 
     #[test]
     fn only_large_candidate_sets_are_partitioned_by_default() {
-        #[cfg(feature = "rayon")]
         let threads = rayon::current_num_threads();
-        #[cfg(not(feature = "rayon"))]
-        let threads = 1;
         let db = dept_db(PAR_MIN_CANDIDATES as i64);
         // 1 in 10 is rare: the seeded point read is far below the
         // threshold, the unfiltered scan sits exactly on it.

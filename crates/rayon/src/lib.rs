@@ -1,8 +1,8 @@
 //! Offline drop-in subset of the `rayon` parallel-iterator API.
 //!
 //! The build environment has no cargo registry, so this crate implements
-//! the slice of rayon the workspace uses — `par_iter().map(..).collect()`,
-//! `for_each`, and [`join`] — on top of `std::thread::scope`. Work is
+//! the slice of rayon the workspace uses — `par_iter().map(..).collect()`
+//! and `for_each` — on top of `std::thread::scope`. Work is
 //! distributed dynamically: worker threads pull fixed-size index chunks
 //! off a shared atomic counter, which load-balances uneven per-item costs
 //! (e.g. objects with long histories next to freshly created ones).
@@ -27,24 +27,6 @@ pub mod prelude {
 pub fn current_num_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Run two closures, potentially in parallel, returning both results.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 {
-        return (a(), b());
-    }
-    std::thread::scope(|s| {
-        let hb = s.spawn(b);
-        let ra = a();
-        (ra, hb.join().expect("rayon::join worker panicked"))
-    })
 }
 
 /// The core engine: map `f` over `items` on all available cores,
@@ -157,7 +139,6 @@ where
 #[cfg(test)]
 mod tests {
     use super::prelude::*;
-    use super::*;
 
     #[test]
     fn map_collect_preserves_order() {
@@ -184,12 +165,5 @@ mod tests {
             sum.fetch_add(x, Ordering::Relaxed);
         });
         assert_eq!(sum.load(Ordering::Relaxed), 500_500);
-    }
-
-    #[test]
-    fn join_returns_both() {
-        let (a, b) = join(|| 1 + 1, || "x".to_owned() + "y");
-        assert_eq!(a, 2);
-        assert_eq!(b, "xy");
     }
 }

@@ -66,6 +66,15 @@ pub enum EngineError {
         /// The earliest reconstructible operation count.
         base: u64,
     },
+    /// A transaction-time state past the end of the recorded history was
+    /// requested: the log's valid records end before operation `requested`
+    /// (a damaged live log can end before [`PersistentDatabase::op_count`]).
+    BeyondHistory {
+        /// The requested operation count.
+        requested: usize,
+        /// The operations the log records (compacted + valid in-log).
+        recorded: usize,
+    },
     /// A write-path I/O failure that survived the retry policy.
     Write {
         /// Whether the final failure was transient or permanent.
@@ -106,6 +115,13 @@ impl std::fmt::Display for EngineError {
             EngineError::Compacted { requested, base } => write!(
                 f,
                 "state at op {requested} was compacted away (earliest reconstructible: {base})"
+            ),
+            EngineError::BeyondHistory {
+                requested,
+                recorded,
+            } => write!(
+                f,
+                "state at op {requested} is past the end of history ({recorded} operations recorded)"
             ),
             EngineError::Write {
                 fault,
@@ -365,7 +381,8 @@ impl PersistentDatabase {
     /// *at valid time t*?"
     ///
     /// States below the compaction horizon no longer exist as individual
-    /// operations and come back as [`EngineError::Compacted`].
+    /// operations and come back as [`EngineError::Compacted`]; states past
+    /// the log's last valid record as [`EngineError::BeyondHistory`].
     pub fn state_at_op(&mut self, k: usize) -> Result<Database, EngineError> {
         // Make buffered appends visible to the read-only scan. Best
         // effort: recovery inspection must keep working while the engine
@@ -378,6 +395,13 @@ impl PersistentDatabase {
             return Err(EngineError::Compacted {
                 requested: k,
                 base: scan.base_op,
+            });
+        }
+        let recorded = base + scan.ops.len();
+        if k > recorded {
+            return Err(EngineError::BeyondHistory {
+                requested: k,
+                recorded,
             });
         }
         let (mut db, covered) = if base == 0 {
@@ -1381,6 +1405,35 @@ mod tests {
         assert_eq!(after.now(), Instant(40));
         assert_eq!(digest_database(&after), pdb.state_digest());
         cleanup(&path);
+    }
+
+    #[test]
+    fn state_at_op_refuses_states_past_the_recorded_history() {
+        let fs = SimFs::new();
+        let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+        let path = PathBuf::from("tx-end.log");
+        let mut pdb = PersistentDatabase::open_with(vfs, &path).unwrap();
+        let beyond = |r, requested, recorded| {
+            matches!(r, Err(EngineError::BeyondHistory { requested: q, recorded: n })
+                if q == requested && n == recorded)
+        };
+        // Uncompacted: the log records 8 operations.
+        populate(&mut pdb);
+        assert!(pdb.state_at_op(8).is_ok());
+        assert!(beyond(pdb.state_at_op(9), 9, 8));
+        assert!(beyond(pdb.state_at_op(1000), 1000, 8));
+        // Compacted: a snapshot of 8 operations plus one in the log.
+        pdb.checkpoint().unwrap();
+        pdb.advance_to(Instant(40)).unwrap();
+        pdb.sync().unwrap();
+        assert_eq!(pdb.state_at_op(9).unwrap().now(), Instant(40));
+        assert!(beyond(pdb.state_at_op(50), 50, 9));
+        // A damaged live log: its valid prefix ends before `op_count`.
+        let len = fs.contents(&path).unwrap().len();
+        fs.corrupt_byte(&path, len - 1, 0x01).unwrap();
+        assert_eq!(pdb.op_count(), 9);
+        assert!(pdb.state_at_op(8).is_ok());
+        assert!(beyond(pdb.state_at_op(9), 9, 8));
     }
 
     #[test]

@@ -147,18 +147,15 @@ pub(crate) fn parent_dir(path: &Path) -> PathBuf {
 /// Errors raised by the log.
 #[derive(Debug)]
 pub enum LogError {
-    /// Underlying I/O failure.
+    /// Underlying I/O failure. (An undecodable record is not an error
+    /// but damage: [`DamageReason::Undecodable`].)
     Io(io::Error),
-    /// A fully-framed record failed to decode (not a torn tail — the frame
-    /// was intact but the payload is not a valid operation).
-    Decode(CodecError),
 }
 
 impl std::fmt::Display for LogError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LogError::Io(e) => write!(f, "log I/O error: {e}"),
-            LogError::Decode(e) => write!(f, "log decode error: {e}"),
         }
     }
 }
@@ -437,13 +434,6 @@ impl OpLog {
     /// [`RecordWalk::log`] and the same `offset`.
     pub(crate) fn read_from(&self, offset: u64) -> Result<Vec<u8>, LogError> {
         Ok(self.vfs.read_from(&self.path, offset)?)
-    }
-
-    /// Scan a log file read-only (no truncation of torn tails, no handle
-    /// kept). Used for transaction-time inspection of a live log.
-    pub fn scan_file(path: impl AsRef<Path>) -> Result<LogScan, LogError> {
-        let buf = std::fs::read(path)?;
-        Ok(Self::scan_bytes(&buf))
     }
 
     /// Re-truncate the file to the last known-good length after a failed

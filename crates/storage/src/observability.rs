@@ -35,7 +35,6 @@ pub const STORAGE_METRICS: &[&str] = &[
     "storage.recovery.replayed_ops",
     "storage.recovery.rung",
     "storage.retry.attempts",
-    "storage.retry.backoff_units",
     "storage.retry.exhausted",
     "storage.simfs.crashes",
     "storage.simfs.faults",

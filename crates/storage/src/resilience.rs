@@ -7,12 +7,11 @@
 //!
 //! * [`FaultKind`] splits I/O failures into `Transient` (worth retrying:
 //!   an interrupted syscall, a momentary timeout) and `Permanent` (the
-//!   disk is gone, the payload is undecodable — retrying is wasted
-//!   work and delayed honesty);
+//!   disk is gone, permission was lost — retrying is wasted work and
+//!   delayed honesty);
 //! * [`RetryPolicy`] bounds how hard a write is retried. It is fully
-//!   deterministic — attempts are counted, backoff is *logical* (units
-//!   recorded in metrics, no wall-clock sleeps), so the crash matrix
-//!   and chaos harness replay identically every run;
+//!   deterministic — attempts are counted, nothing sleeps — so the crash
+//!   matrix and chaos harness replay identically every run;
 //! * [`CircuitBreaker`] degrades the engine to read-only after a run of
 //!   consecutive write failures, instead of letting every request grind
 //!   against a dead disk. `trip`/half-open probing follow the classic
@@ -34,7 +33,7 @@ pub enum FaultKind {
     /// Plausibly momentary (interrupted syscall, timeout, would-block):
     /// retrying may succeed and is worth the bounded attempts.
     Transient,
-    /// Structural (disk gone, permission lost, corrupt payload):
+    /// Structural (disk gone, permission lost):
     /// retrying cannot help; fail now and let the breaker count it.
     Permanent,
 }
@@ -61,13 +60,11 @@ impl FaultKind {
         }
     }
 
-    /// Classify a log error: I/O errors by kind, decode errors are
-    /// always permanent (the bytes will not improve on a second read).
+    /// Classify a log error by the kind of its I/O error.
     #[must_use]
     pub fn of_log_error(e: &LogError) -> FaultKind {
         match e {
             LogError::Io(e) => FaultKind::of_io(e),
-            LogError::Decode(_) => FaultKind::Permanent,
         }
     }
 }
@@ -81,41 +78,18 @@ impl std::fmt::Display for FaultKind {
     }
 }
 
-/// A deterministic bounded-retry policy for write-path I/O.
-///
-/// No wall-clock: "backoff" is a logical quantity (`base << retries`,
-/// capped) recorded into `storage.retry.backoff_units` so operators can
-/// see how much deferral a real scheduler would have inserted, while
-/// tests replay bit-identically.
+/// A deterministic bounded-retry policy for write-path I/O: retries
+/// follow each other at once, with no wall-clock sleep, so tests replay
+/// bit-identically.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct RetryPolicy {
     /// Total attempts per operation (1 = no retry). Clamped to ≥ 1.
     pub max_attempts: u32,
-    /// Backoff units added after the first failed attempt.
-    pub backoff_base: u64,
-    /// Upper bound on the per-retry backoff units.
-    pub backoff_cap: u64,
 }
 
 impl Default for RetryPolicy {
     fn default() -> RetryPolicy {
-        RetryPolicy {
-            max_attempts: 4,
-            backoff_base: 1,
-            backoff_cap: 8,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// Logical backoff before retry number `retry` (1-based).
-    #[must_use]
-    pub fn backoff_units(&self, retry: u32) -> u64 {
-        let shifted = self
-            .backoff_base
-            .checked_shl(retry.saturating_sub(1))
-            .unwrap_or(u64::MAX);
-        shifted.min(self.backoff_cap)
+        RetryPolicy { max_attempts: 4 }
     }
 }
 
@@ -147,8 +121,6 @@ pub(crate) fn retry<T>(
                 let fault = FaultKind::of_log_error(&e);
                 if fault == FaultKind::Transient && attempt < max {
                     tchimera_obs::counter!("storage.retry.attempts").inc();
-                    tchimera_obs::counter!("storage.retry.backoff_units")
-                        .add(policy.backoff_units(attempt));
                     attempt += 1;
                     continue;
                 }
@@ -329,8 +301,6 @@ mod tests {
         }
         let e = io::Error::other("dead disk");
         assert_eq!(FaultKind::of_io(&e), FaultKind::Permanent);
-        let decode = LogError::Decode(crate::codec::CodecError::UnexpectedEof);
-        assert_eq!(FaultKind::of_log_error(&decode), FaultKind::Permanent);
     }
 
     #[test]
@@ -353,10 +323,7 @@ mod tests {
 
     #[test]
     fn retry_exhausts_on_long_transient_runs_and_fails_fast_on_permanent() {
-        let policy = RetryPolicy {
-            max_attempts: 3,
-            ..RetryPolicy::default()
-        };
+        let policy = RetryPolicy { max_attempts: 3 };
         let mut calls = 0u32;
         let err = retry(&policy, || -> Result<(), LogError> {
             calls += 1;
@@ -378,21 +345,6 @@ mod tests {
         .unwrap_err();
         assert_eq!(calls, 1, "permanent faults are never retried");
         assert_eq!(err.fault, FaultKind::Permanent);
-    }
-
-    #[test]
-    fn backoff_is_exponential_and_capped() {
-        let p = RetryPolicy {
-            max_attempts: 10,
-            backoff_base: 1,
-            backoff_cap: 8,
-        };
-        assert_eq!(p.backoff_units(1), 1);
-        assert_eq!(p.backoff_units(2), 2);
-        assert_eq!(p.backoff_units(3), 4);
-        assert_eq!(p.backoff_units(4), 8);
-        assert_eq!(p.backoff_units(5), 8, "capped");
-        assert_eq!(p.backoff_units(200), 8, "shift overflow saturates to the cap");
     }
 
     #[test]
