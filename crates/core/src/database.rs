@@ -12,7 +12,7 @@ use crate::ident::{AttrName, ClassId, Oid};
 use crate::object::Object;
 use crate::ref_index::RefIndex;
 use crate::schema::Schema;
-use crate::types::Type;
+use crate::types::{Type, MAX_NESTING};
 use crate::value::Value;
 
 /// Attribute-value bindings supplied to creation and migration operations.
@@ -173,25 +173,21 @@ impl Database {
             .ok_or_else(|| ModelError::UnknownClassAttribute {
                 class: class.clone(),
                 attr: attr.clone(),
-            })?
-            .clone();
-        let expected = decl
-            .ty
-            .strip_temporal()
-            .cloned()
-            .unwrap_or_else(|| decl.ty.clone());
-        if !self.value_in_type(&value, &expected, now) {
+            })?;
+        let expected = decl.ty.strip_temporal().unwrap_or(&decl.ty);
+        if !self.value_in_type(&value, expected, now) {
             return Err(ModelError::TypeMismatch {
-                expected,
+                expected: expected.clone(),
                 value: value.to_string(),
             });
         }
+        let temporal = decl.ty.is_temporal();
         self.digest.touch_class(class);
         let c = self.schema.class_mut(class)?;
         let slot = c.c_attr_values.get_mut(attr).ok_or(ModelError::Internal {
             context: "c-attribute declared but no value slot",
         })?;
-        if decl.ty.is_temporal() {
+        if temporal {
             match slot {
                 Value::Temporal(h) => h.set_from(now, value)?,
                 _ => *slot = Value::Temporal(TemporalValue::starting_at(now, value)),
@@ -240,14 +236,9 @@ impl Database {
         if !c.lifespan.is_alive() {
             return Err(ModelError::ClassDead(class.clone()));
         }
-        let decls: Vec<(AttrName, crate::class::AttrDecl)> = c
-            .all_attrs
-            .iter()
-            .map(|(n, d)| (n.clone(), d.clone()))
-            .collect();
         // Reject values for undeclared attributes.
         for name in init.keys() {
-            if !decls.iter().any(|(n, _)| n == name) {
+            if !c.all_attrs.contains_key(name) {
                 return Err(ModelError::UnexpectedAttribute {
                     class: class.clone(),
                     attr: name.clone(),
@@ -256,9 +247,9 @@ impl Database {
         }
         let mut init = init;
         let mut attr_values: BTreeMap<AttrName, Value> = BTreeMap::new();
-        for (name, decl) in &decls {
+        for (name, decl) in &c.all_attrs {
             let supplied = init.remove(name).unwrap_or(Value::Null);
-            let stored = self.init_attr_value(class, name, decl, supplied, now)?;
+            let stored = self.init_attr_value(decl, supplied, now)?;
             attr_values.insert(name.clone(), stored);
         }
 
@@ -283,8 +274,6 @@ impl Database {
 
     fn init_attr_value(
         &self,
-        class: &ClassId,
-        name: &AttrName,
         decl: &crate::class::AttrDecl,
         supplied: Value,
         now: Instant,
@@ -293,9 +282,11 @@ impl Database {
             Some(inner) => match supplied {
                 Value::Temporal(h) => {
                     for e in h.entries() {
+                        // The history nests one level around each run:
+                        // the bound of `value_in_type`, applied to it.
                         let iv = e.interval(now);
-                        if !iv.is_empty()
-                            && !self.value_in_type_over(&e.value, inner, iv, now)
+                        if e.value.depth() + 1 >= MAX_NESTING
+                            || (!iv.is_empty() && !self.value_in_type_over(&e.value, inner, iv, now))
                         {
                             return Err(ModelError::TypeMismatch {
                                 expected: decl.ty.clone(),
@@ -322,7 +313,6 @@ impl Database {
                         value: supplied.to_string(),
                     });
                 }
-                let _ = (class, name);
                 Ok(supplied)
             }
         }
@@ -364,34 +354,29 @@ impl Database {
         }
         let class = object
             .current_class(now)
-            .ok_or(ModelError::ObjectDead(oid))?
-            .clone();
+            .ok_or(ModelError::ObjectDead(oid))?;
         let decl = self
             .schema
-            .class(&class)?
+            .class(class)?
             .attr(attr)
             .ok_or_else(|| ModelError::UnknownAttribute {
                 class: class.clone(),
                 attr: attr.clone(),
-            })?
-            .clone();
+            })?;
         if decl.immutable {
             return Err(ModelError::ImmutableAttribute {
                 oid,
                 attr: attr.clone(),
             });
         }
-        let expected = decl
-            .ty
-            .strip_temporal()
-            .cloned()
-            .unwrap_or_else(|| decl.ty.clone());
-        if !self.value_in_type(&value, &expected, now) {
+        let expected = decl.ty.strip_temporal().unwrap_or(&decl.ty);
+        if !self.value_in_type(&value, expected, now) {
             return Err(ModelError::TypeMismatch {
-                expected,
+                expected: expected.clone(),
                 value: value.to_string(),
             });
         }
+        let temporal = decl.ty.is_temporal();
         // Pre-capture for the attribute-value index: the hooks need the
         // displaced state, which is gone after the mutation below. Costs
         // one atomic load when no index is live.
@@ -404,7 +389,7 @@ impl Database {
         let slot = object.attrs.get_mut(attr).ok_or(ModelError::Internal {
             context: "declared attribute has no slot (slots are initialized at creation)",
         })?;
-        let old_open = if idx_covered && decl.ty.is_temporal() {
+        let old_open = if idx_covered && temporal {
             slot.as_temporal()
                 .and_then(|h| h.entries().last())
                 .filter(|e| e.end.is_now())
@@ -413,7 +398,7 @@ impl Database {
             None
         };
         let old_static =
-            (idx_covered && !decl.ty.is_temporal()).then(|| slot.clone());
+            (idx_covered && !temporal).then(|| slot.clone());
         // The reverse-reference index is a union over the whole recorded
         // state, and temporal histories only grow — so the update can be
         // indexed incrementally (O(new value), not O(history)) unless it
@@ -421,13 +406,13 @@ impl Database {
         // run, or an overwrite of a ref-holding non-history value.
         let mut added = Vec::new();
         value.all_oids(&mut added);
-        let may_shrink = match (&*slot, decl.ty.is_temporal()) {
+        let may_shrink = match (&*slot, temporal) {
             (Value::Temporal(h), true) => h.entries().last().is_some_and(|e| {
                 e.end.is_now() && e.start == now && holds_refs(&e.value)
             }),
             (old, _) => holds_refs(old),
         };
-        if decl.ty.is_temporal() {
+        if temporal {
             match slot {
                 Value::Temporal(h) => h.set_from(now, value)?,
                 _ => *slot = Value::Temporal(TemporalValue::starting_at(now, value)),
@@ -442,7 +427,7 @@ impl Database {
             self.refs.add_refs(oid, added);
         }
         if let Some(new) = new_for_idx {
-            if decl.ty.is_temporal() {
+            if temporal {
                 self.attridx_set_temporal(oid, attr, old_open, &new);
             } else {
                 self.attridx_set_static(
@@ -504,8 +489,8 @@ impl Database {
             });
         }
 
-        let old_attrs = self.schema.class(&from)?.all_attrs.clone();
-        let new_attrs = self.schema.class(to)?.all_attrs.clone();
+        let old_attrs = &self.schema.class(&from)?.all_attrs;
+        let new_attrs = &to_class.all_attrs;
 
         for name in init.keys() {
             if !new_attrs.contains_key(name) {
@@ -519,7 +504,7 @@ impl Database {
         // Precompute the stored value for every attribute of the new class.
         let mut init = init;
         let mut staged: Vec<(AttrName, Value)> = Vec::new();
-        for (name, decl) in &new_attrs {
+        for (name, decl) in new_attrs {
             let old_decl = old_attrs.get(name);
             let existing = self
                 .objects
@@ -551,7 +536,7 @@ impl Database {
                             h.set_from(now, v.clone())?;
                             Value::Temporal(h)
                         }
-                        _ => self.init_attr_value(to, name, decl, v, now)?,
+                        _ => self.init_attr_value(decl, v, now)?,
                     }
                 }
                 // Kept attribute.
@@ -560,14 +545,10 @@ impl Database {
                         (true, true) | (false, false) => {
                             if let Some(v) = supplied {
                                 // Optional simultaneous update.
-                                let inner = decl
-                                    .ty
-                                    .strip_temporal()
-                                    .cloned()
-                                    .unwrap_or_else(|| decl.ty.clone());
-                                if !self.value_in_type(&v, &inner, now) {
+                                let inner = decl.ty.strip_temporal().unwrap_or(&decl.ty);
+                                if !self.value_in_type(&v, inner, now) {
                                     return Err(ModelError::TypeMismatch {
-                                        expected: inner,
+                                        expected: inner.clone(),
                                         value: v.to_string(),
                                     });
                                 }
@@ -589,7 +570,7 @@ impl Database {
                         // history (Rule 6.1 refinement direction).
                         (false, true) => {
                             let v = supplied.unwrap_or(current);
-                            self.init_attr_value(to, name, decl, v, now)?
+                            self.init_attr_value(decl, v, now)?
                         }
                         // temporal → static (generalization): keep the
                         // current value as the static value.
@@ -613,7 +594,7 @@ impl Database {
                 }
                 (Some(_), None) => {
                     let v = supplied.unwrap_or(Value::Null);
-                    self.init_attr_value(to, name, decl, v, now)?
+                    self.init_attr_value(decl, v, now)?
                 }
             };
             staged.push((name.clone(), stored));
@@ -626,7 +607,7 @@ impl Database {
         })?;
         // Old-only attributes: drop statics, close temporals (kept).
         let mut kept_histories: Vec<(AttrName, Value)> = Vec::new();
-        for (name, decl) in &old_attrs {
+        for (name, decl) in old_attrs {
             if new_attrs.contains_key(name) {
                 continue;
             }

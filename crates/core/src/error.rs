@@ -42,6 +42,9 @@ pub enum ModelError {
     },
     /// A type used in a declaration is not well formed (Definition 3.4).
     IllFormedType(Type),
+    /// A declared type nests [`MAX_NESTING`](crate::MAX_NESTING) levels or
+    /// more.
+    TooDeep(Type),
     /// A value does not belong to the extension of the expected type
     /// (Definition 3.5).
     TypeMismatch {
@@ -167,6 +170,12 @@ impl fmt::Display for ModelError {
                 write!(f, "class `{class}` has no c-attribute `{attr}`")
             }
             IllFormedType(t) => write!(f, "type `{t}` is not well formed"),
+            TooDeep(t) => write!(
+                f,
+                "type `{t}` nests {} levels (the bound is below {})",
+                t.depth(),
+                crate::MAX_NESTING
+            ),
             TypeMismatch { expected, value } => {
                 write!(f, "value {value} is not legal for type `{expected}`")
             }

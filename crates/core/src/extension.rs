@@ -4,7 +4,7 @@
 use tchimera_temporal::{Instant, Interval};
 
 use crate::database::Database;
-use crate::types::Type;
+use crate::types::{Type, MAX_NESTING};
 use crate::value::Value;
 
 impl Database {
@@ -22,9 +22,13 @@ impl Database {
     ///   structural types of subclasses;
     /// * a history belongs to `[[temporal(T)]]_t` iff `f(t') ∈ [[T]]_{t'}`
     ///   for every `t'` where it is defined — note the membership of each
-    ///   run is evaluated *at the run's own instants*, not at `t`.
+    ///   run is evaluated *at the run's own instants*, not at `t`;
+    /// * a value nesting [`MAX_NESTING`] levels or more belongs to no type.
+    ///   No declared type nests that deep, so this only bounds what a
+    ///   record's extra fields carry — and keeps every stored value, a
+    ///   history around it included, decodable.
     pub fn value_in_type(&self, v: &Value, t: &Type, at: Instant) -> bool {
-        self.value_in_type_over(v, t, Interval::point(at), self.now())
+        v.depth() < MAX_NESTING && self.value_in_type_over(v, t, Interval::point(at), self.now())
     }
 
     /// `v ∈ [[T]]_t` for **every** `t ∈ iv` (the quantified form needed for
@@ -228,5 +232,16 @@ mod tests {
             &Type::list_of(Type::INTEGER),
             t
         ));
+    }
+
+    #[test]
+    fn a_value_past_the_nesting_bound_belongs_to_no_type() {
+        let (db, _, _) = db();
+        let nest = |d: usize| (1..d).fold(Value::Int(1), |v, _| Value::set([v]));
+        let with_extra = |d: usize| Value::record([("a", Value::Int(1)), ("b", nest(d))]);
+        let t = Type::record_of([("a", Type::INTEGER)]);
+        assert_eq!(with_extra(MAX_NESTING - 2).depth(), MAX_NESTING - 1);
+        assert!(db.value_in_type(&with_extra(MAX_NESTING - 2), &t, Instant(50)));
+        assert!(!db.value_in_type(&with_extra(MAX_NESTING - 1), &t, Instant(50)));
     }
 }

@@ -88,7 +88,7 @@ pub use schema::Schema;
 pub use scrub::{MemFault, SimMem};
 pub use scrub::{Quarantine, ScrubFinding, ScrubReport};
 pub use state::{ClassState, DatabaseState, StateError};
-pub use types::{BasicType, Type};
+pub use types::{BasicType, Type, MAX_NESTING};
 pub use value::Value;
 
 // Re-export the observability substrate: [`Database::metrics`] and

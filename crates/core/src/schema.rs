@@ -248,6 +248,9 @@ impl Schema {
         if !t.is_well_formed() {
             return Err(ModelError::IllFormedType(t.clone()));
         }
+        if t.depth() >= crate::MAX_NESTING {
+            return Err(ModelError::TooDeep(t.clone()));
+        }
         for c in t.referenced_classes() {
             if c != being_defined && !self.classes.contains_key(c) {
                 return Err(ModelError::UnknownClass(c.clone()));
@@ -865,5 +868,19 @@ mod tests {
             .unwrap()
             .static_type()
             .is_none());
+    }
+
+    #[test]
+    fn a_declared_type_nests_below_the_bound() {
+        let nest = |d: usize| (1..d).fold(Type::INTEGER, |t, _| Type::set_of(t));
+        let mut s = Schema::new();
+        assert_eq!(nest(crate::MAX_NESTING).depth(), crate::MAX_NESTING);
+        assert!(matches!(
+            s.define(ClassDef::new("deep").attr("v", nest(crate::MAX_NESTING)), t0()),
+            Err(ModelError::TooDeep(_))
+        ));
+        assert!(s
+            .define(ClassDef::new("deep").attr("v", nest(crate::MAX_NESTING - 1)), t0())
+            .is_ok());
     }
 }

@@ -216,6 +216,17 @@ impl Type {
         }
     }
 
+    /// Nesting depth: 1 for a leaf type, one more per constructor around
+    /// it (a record counts its deepest field). A declared type nests less
+    /// than [`MAX_NESTING`] levels.
+    pub fn depth(&self) -> usize {
+        match self {
+            Type::Time | Type::Basic(_) | Type::Object(_) => 1,
+            Type::Set(t) | Type::List(t) | Type::Temporal(t) => 1 + t.depth(),
+            Type::Record(fs) => 1 + fs.iter().map(|(_, t)| t.depth()).max().unwrap_or(0),
+        }
+    }
+
     /// Structural size (number of constructor nodes); used by benchmarks
     /// and fuzzers to bound generated types.
     pub fn size(&self) -> usize {
@@ -226,6 +237,15 @@ impl Type {
         }
     }
 }
+
+/// The nesting bound of the model: a declared type, and a value given to
+/// a write, nest fewer levels ([`Type::depth`], [`Value::depth`]), so a
+/// stored value — a history around such a value included — nests at most
+/// this many. The storage codec refuses deeper input instead of recursing
+/// into it, and every state the model accepts stays decodable.
+///
+/// [`Value::depth`]: crate::Value::depth
+pub const MAX_NESTING: usize = 64;
 
 impl From<BasicType> for Type {
     fn from(b: BasicType) -> Self {

@@ -100,6 +100,22 @@ impl Value {
         Value::Temporal(h)
     }
 
+    /// Nesting depth: 1 for a leaf value, one more per set, list, record
+    /// or history around it (counting its deepest component). A value of
+    /// a declared type nests no deeper than the type, except through a
+    /// record's extra fields; see [`MAX_NESTING`](crate::MAX_NESTING).
+    pub fn depth(&self) -> usize {
+        fn deepest<'a>(xs: impl Iterator<Item = &'a Value>) -> usize {
+            xs.map(Value::depth).max().unwrap_or(0)
+        }
+        match self {
+            Value::Set(xs) | Value::List(xs) => 1 + deepest(xs.iter()),
+            Value::Record(fs) => 1 + deepest(fs.iter().map(|(_, v)| v)),
+            Value::Temporal(h) => 1 + deepest(h.entries().iter().map(|e| &e.value)),
+            _ => 1,
+        }
+    }
+
     /// `true` for `Value::Null`.
     #[inline]
     pub fn is_null(&self) -> bool {

@@ -16,7 +16,7 @@ use std::fmt;
 
 use tchimera_core::{
     AttrDecl, AttrName, Attrs, ClassDef, ClassId, Instant, Interval, Lifespan, MethodName,
-    MethodSig, Oid, Symbol, TemporalEntry, TemporalValue, TimeBound, Type, Value,
+    MethodSig, Oid, Symbol, TemporalEntry, TemporalValue, TimeBound, Type, Value, MAX_NESTING,
 };
 
 /// Errors raised while decoding.
@@ -62,6 +62,8 @@ pub struct Reader<'a> {
     pos: usize,
     /// Names already decoded from this reader's input.
     names: HashMap<&'a str, Symbol>,
+    /// Types or values being decoded around the current one.
+    depth: usize,
 }
 
 impl<'a> Reader<'a> {
@@ -71,6 +73,7 @@ impl<'a> Reader<'a> {
             buf,
             pos: 0,
             names: HashMap::new(),
+            depth: 0,
         }
     }
 
@@ -79,6 +82,23 @@ impl<'a> Reader<'a> {
     pub(crate) fn restart(&mut self, buf: &'a [u8]) {
         self.buf = buf;
         self.pos = 0;
+        self.depth = 0;
+    }
+
+    /// Decode one level of a type or value with `f`: input nesting more
+    /// than [`MAX_NESTING`] levels is corrupt — the model never stores
+    /// one — and is refused before it can exhaust the stack.
+    fn nested<T>(
+        &mut self,
+        f: impl FnOnce(&mut Self) -> Result<T, CodecError>,
+    ) -> Result<T, CodecError> {
+        if self.depth == MAX_NESTING {
+            return Err(CodecError::Corrupt("nesting depth"));
+        }
+        self.depth += 1;
+        let out = f(self);
+        self.depth -= 1;
+        out
     }
 
     /// Bytes not yet consumed.
@@ -466,7 +486,7 @@ impl Codec for Type {
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         use tchimera_core::BasicType as B;
-        Ok(match r.byte()? {
+        r.nested(|r| Ok(match r.byte()? {
             0 => Type::Time,
             1 => Type::Basic(match r.byte()? {
                 0 => B::Integer,
@@ -482,7 +502,7 @@ impl Codec for Type {
             5 => Type::Record(decode_fields(r)?),
             6 => Type::temporal(Type::decode(r)?),
             tag => return Err(CodecError::InvalidTag { what: "type", tag }),
-        })
+        }))
     }
 }
 
@@ -563,7 +583,7 @@ impl Codec for Value {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.byte()? {
+        r.nested(|r| Ok(match r.byte()? {
             0 => Value::Null,
             1 => Value::Int(i64::decode(r)?),
             2 => Value::Real(f64::decode(r)?),
@@ -577,7 +597,7 @@ impl Codec for Value {
             10 => Value::Record(decode_fields(r)?),
             11 => Value::Temporal(TemporalValue::decode(r)?),
             tag => return Err(CodecError::InvalidTag { what: "value", tag }),
-        })
+        }))
     }
 }
 

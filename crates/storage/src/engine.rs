@@ -4,8 +4,9 @@
 //! T_Chimera state is a pure fold of its operation history (histories are
 //! append-only, the past immutable — valid-time semantics), so the engine
 //! is event-sourced: recovery replays the log through the *same*
-//! [`Operation::apply`] path used online, and a state digest cross-checks
-//! that a recovered database matches the one that wrote the log.
+//! [`Operation::apply_owned`] path used online, and a state digest
+//! cross-checks that a recovered database matches the one that wrote the
+//! log.
 //!
 //! # Checkpoints and recovery
 //!
@@ -26,6 +27,11 @@
 //! 3. snapshot unusable *and* the log prefix was compacted away → a loud
 //!    error. The engine refuses to guess: it never serves a state it
 //!    cannot prove is a fold of the recorded history.
+//!
+//! Every rung reads the log once and makes one pass over it
+//! ([`crate::log::replay`]): walk → decode → apply, one record at a time
+//! with no list of operations in between; then the damage the pass ended
+//! at is truncated, before anything is appended.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
@@ -36,10 +42,10 @@ use tchimera_core::{
 };
 
 use crate::codec::Reader;
-use crate::log::{decode_record, encode_record, LogError, LogScan, OpLog, RecordWalk};
+use crate::log::{decode_record, encode_record, replay, LogError, OpLog, Pass, RecordWalk};
 use crate::op::{Operation, ReplayError};
 use crate::resilience::{retry, BreakerState, CircuitBreaker, FaultKind, RetryPolicy};
-use crate::snapshot::{load_snapshot, write_snapshot, Snapshot, SnapshotError};
+use crate::snapshot::{load_snapshot, write_snapshot, SnapshotError};
 use crate::txn::Transaction;
 use crate::vfs::{StdFs, Vfs};
 
@@ -257,8 +263,9 @@ impl PersistentDatabase {
         crate::observability::touch_metrics();
         let _span = tchimera_obs::span!("storage.recovery.open", path = path.display());
         let snap_path = snapshot_path(path);
-        let (mut log, scan) = OpLog::open_with(Arc::clone(&vfs), path)?;
-        let base = scan.base_op;
+        let (mut log, buf) = OpLog::open_unscanned(Arc::clone(&vfs), path)?;
+        let walk = RecordWalk::log(&buf, 0);
+        let base = walk.base();
 
         // Rung 1: a CRC-valid, decodable snapshot whose image imports.
         let usable = match load_snapshot(&vfs, &snap_path) {
@@ -267,46 +274,40 @@ impl PersistentDatabase {
                 .map(|db| (db, snap.ops_covered)),
             _ => None,
         };
-
-        let (db, recovered_ops, recovered_replayed, from_snapshot) = match usable {
-            Some((mut db, covered)) => {
-                let skip = (covered - base) as usize;
-                if skip > scan.ops.len() {
-                    // The snapshot is ahead of the surviving log (a crash
-                    // ate the log between snapshot install and
-                    // compaction). The snapshot is durable and intact:
-                    // realign the log to it.
-                    log.compact_to(covered)?;
-                    (db, covered as usize, 0, true)
-                } else {
-                    for op in &scan.ops[skip..] {
-                        op.apply(&mut db)?;
-                    }
-                    let total = base as usize + scan.ops.len();
-                    (db, total, scan.ops.len() - skip, true)
-                }
-            }
-            // Rung 2: no usable snapshot, but the log holds the full
-            // history — replay it from the empty database.
-            None if base == 0 => {
-                let mut db = Database::new();
-                for op in &scan.ops {
-                    op.apply(&mut db)?;
-                }
-                (db, scan.ops.len(), scan.ops.len(), false)
-            }
+        let from_snapshot = usable.is_some();
+        // Rung 2: no usable snapshot, but the log holds the full history —
+        // replay it from the empty database. Rung 3 has neither and
+        // replays into nothing.
+        let (mut db, covered) = match usable {
+            Some((db, covered)) => (Some(db), covered),
+            None => ((base == 0).then(Database::new), base),
+        };
+        let skip = covered - base;
+        // One pass: walk, decode and apply each record the snapshot does
+        // not hold; then truncate the damage the pass ended at, before
+        // anything is appended.
+        let (pass, replayed) = replay(walk, db.as_mut(), skip, u64::MAX);
+        log.adopt(base, pass.valid_len, pass.damage.is_some())?;
+        let Some(db) = db else {
             // Rung 3: the prefix was compacted away and the snapshot that
             // held it is unusable. Refuse loudly.
-            None => {
-                tchimera_obs::counter!("storage.recovery.rung").inc();
-                tchimera_obs::event!("storage.recovery.rung", rung = "refused");
-                let err = match load_snapshot(&vfs, &snap_path) {
-                    Err(e) => e,
-                    Ok(_) => SnapshotError::Corrupt("state image rejected"),
-                };
-                return Err(EngineError::Snapshot(err));
-            }
+            tchimera_obs::counter!("storage.recovery.rung").inc();
+            tchimera_obs::event!("storage.recovery.rung", rung = "refused");
+            let err = match load_snapshot(&vfs, &snap_path) {
+                Err(e) => e,
+                Ok(_) => SnapshotError::Corrupt("state image rejected"),
+            };
+            return Err(EngineError::Snapshot(err));
         };
+        replayed?;
+        if pass.records < skip {
+            // The snapshot is ahead of the surviving log (a crash ate the
+            // log between snapshot install and compaction). The snapshot
+            // is durable and intact: realign the log to it.
+            log.compact_to(covered)?;
+        }
+        let recovered_ops = (base + pass.records).max(covered) as usize;
+        let recovered_replayed = pass.records.saturating_sub(skip) as usize;
 
         // Exactly one rung event per open: which recovery path produced
         // the served state.
@@ -324,7 +325,7 @@ impl PersistentDatabase {
             config,
             diverged: false,
             recovered_ops,
-            recovered_torn: scan.torn_tail,
+            recovered_torn: pass.damage.is_some(),
             recovered_from_snapshot: from_snapshot,
             recovered_replayed,
         })
@@ -389,51 +390,52 @@ impl PersistentDatabase {
         // is degraded, and `Vfs::read` sees buffered appends anyway.
         let _ = self.log.sync();
         let buf = self.vfs.read(self.log.path()).map_err(LogError::from)?;
-        let scan = OpLog::scan_bytes(&buf);
-        let base = scan.base_op as usize;
-        if k < base {
-            return Err(EngineError::Compacted {
-                requested: k,
-                base: scan.base_op,
-            });
+        let walk = RecordWalk::log(&buf, 0);
+        let base = walk.base();
+        let compacted = |base| Err(EngineError::Compacted { requested: k, base });
+        if (k as u64) < base {
+            return compacted(base);
         }
-        let recorded = base + scan.ops.len();
+        let (mut db, covered) = self.origin(base, false)?;
+        if (k as u64) < covered {
+            return compacted(covered);
+        }
+        // The pass ends at the `k`-th record: later ones are not decoded.
+        // A log that ends before it records a shorter history.
+        let (pass, replayed) = replay(walk, Some(&mut db), covered - base, k as u64 - covered);
+        replayed?;
+        let recorded = (base + pass.records) as usize;
         if k > recorded {
             return Err(EngineError::BeyondHistory {
                 requested: k,
                 recorded,
             });
         }
-        let (mut db, covered) = if base == 0 {
-            (Database::new(), 0)
-        } else {
-            let snap = self.load_own_snapshot()?;
-            if (snap.ops_covered as usize) < base {
-                // A stale snapshot behind the compaction horizon cannot
-                // reconstruct anything: the gap between it and the log's
-                // first record was compacted away. Refuse with a typed
-                // error rather than underflowing the skip count.
-                return Err(EngineError::Snapshot(SnapshotError::Corrupt(
-                    "snapshot behind the compaction horizon",
-                )));
-            }
-            let covered = snap.ops_covered as usize;
-            if k < covered {
-                return Err(EngineError::Compacted {
-                    requested: k,
-                    base: snap.ops_covered,
-                });
-            }
-            (Database::import_state(snap.state)?, covered)
-        };
-        for op in scan.ops.iter().skip(covered - base).take(k - covered) {
-            op.apply(&mut db)?;
-        }
         Ok(db)
     }
 
-    fn load_own_snapshot(&self) -> Result<Snapshot, EngineError> {
-        load_snapshot(&self.vfs, &self.snap_path).map_err(EngineError::Snapshot)
+    /// The state a log with compaction base `base` starts from, and the
+    /// operations it covers: the empty database, or — when the log was
+    /// compacted — this node's snapshot, loaded and imported once.
+    /// `verify` also walks the image against its recorded digest (the
+    /// scrubber's snapshot check; a mismatch is a [`SnapshotError`] like
+    /// any other unusable snapshot).
+    fn origin(&self, base: u64, verify: bool) -> Result<(Database, u64), EngineError> {
+        if base == 0 {
+            return Ok((Database::new(), 0));
+        }
+        let snap = load_snapshot(&self.vfs, &self.snap_path).map_err(EngineError::Snapshot)?;
+        let unusable = |why| Err(EngineError::Snapshot(SnapshotError::Corrupt(why)));
+        if snap.ops_covered < base {
+            // The gap between a stale snapshot and the log's first record
+            // was compacted away: it reconstructs nothing.
+            return unusable("snapshot behind the compaction horizon");
+        }
+        let db = Database::import_state(snap.state)?;
+        if verify && digest_database(&db) != snap.digest {
+            return unusable("state image does not match its recorded digest");
+        }
+        Ok((db, snap.ops_covered))
     }
 
     /// Number of operations in the logical history (compacted + in-log).
@@ -538,50 +540,35 @@ impl PersistentDatabase {
     /// empty database when never compacted).
     fn rebuild_from_storage(&self) -> Result<Database, EngineError> {
         let buf = self.vfs.read(self.log.path()).map_err(LogError::from)?;
-        self.fold_scan(&OpLog::scan_bytes(&buf), false)
+        self.fold_log(&buf, false).1
     }
 
-    /// Fold the operations of `scan` over the state they start from: the
-    /// empty database, or — when the log was compacted — this node's
-    /// snapshot, loaded and imported once. With `verify` the imported
-    /// image is also walked against its recorded digest (the scrubber's
-    /// snapshot check; a mismatch is a [`SnapshotError`] like any other
-    /// unusable snapshot).
-    fn fold_scan(&self, scan: &LogScan, verify: bool) -> Result<Database, EngineError> {
-        let base = scan.base_op;
-        let (mut db, covered) = if base == 0 {
-            (Database::new(), 0)
-        } else {
-            let snap = self.load_own_snapshot()?;
-            if snap.ops_covered < base {
-                return Err(EngineError::Snapshot(SnapshotError::Corrupt(
-                    "snapshot behind the compaction horizon",
-                )));
+    /// Fold the log bytes `buf` over their [`origin`](Self::origin). The
+    /// pass runs even when the origin is unusable, so the damage and the
+    /// record count are always found.
+    fn fold_log(&self, buf: &[u8], verify: bool) -> (Pass, Result<Database, EngineError>) {
+        let walk = RecordWalk::log(buf, 0);
+        let base = walk.base();
+        match self.origin(base, verify) {
+            // A snapshot ahead of the log (crash between snapshot install
+            // and compaction) passes over every record: the suffix to
+            // replay is then empty.
+            Ok((mut db, covered)) => {
+                let (pass, replayed) = replay(walk, Some(&mut db), covered - base, u64::MAX);
+                (pass, replayed.map(|()| db).map_err(EngineError::from))
             }
-            let db = Database::import_state(snap.state)?;
-            if verify && digest_database(&db) != snap.digest {
-                return Err(EngineError::Snapshot(SnapshotError::Corrupt(
-                    "state image does not match its recorded digest",
-                )));
-            }
-            (db, snap.ops_covered)
-        };
-        // `skip` may exceed the scan when the snapshot is ahead of the
-        // log (crash between snapshot install and compaction): the
-        // suffix to replay is then empty.
-        let skip = (covered - base) as usize;
-        for op in scan.ops.iter().skip(skip) {
-            op.apply(&mut db)?;
+            Err(e) => (replay(walk, None, 0, u64::MAX).0, Err(e)),
         }
-        Ok(db)
     }
 
     fn execute(&mut self, op: Operation) -> Result<(), EngineError> {
         // Model first (validation), log second — an operation is logged
-        // iff it was accepted, keeping log and state in lockstep.
+        // iff it was accepted, keeping log and state in lockstep. The
+        // record is encoded before the operation moves into the model.
         self.guard_writes()?;
-        op.apply(&mut self.db)?;
-        self.append_with_retry(&encode_record(&op), 1).map_err(|e| {
+        let record = encode_record(&op);
+        op.apply_owned(&mut self.db)?;
+        self.append_with_retry(&record, 1).map_err(|e| {
             // Accepted but not logged: un-apply by rebuilding from
             // storage so state and log stay in lockstep.
             self.rollback_divergence();
@@ -759,7 +746,7 @@ impl PersistentDatabase {
     /// log is a copy of its primary's, and the follower is independently
     /// durable. The records are walked (each CRC checked, the skipped ones
     /// too), decoded once with one shared reader, and applied in order
-    /// through the same [`Operation::apply`] path recovery uses; a `Txn`
+    /// through the same [`Operation::apply_owned`] path recovery uses; a `Txn`
     /// record applies atomically, exactly as it did on the primary. The
     /// applied run goes to the log in one write; on append failure the
     /// live state is re-aligned with durable history (same rollback
@@ -781,7 +768,7 @@ impl PersistentDatabase {
             let Ok(op) = decode_record(&mut r, payload) else {
                 break;
             };
-            if let Err(e) = op.apply(&mut self.db) {
+            if let Err(e) = op.apply_owned(&mut self.db) {
                 rejected = Some(e);
                 break;
             }
@@ -895,31 +882,21 @@ impl PersistentDatabase {
         // buffered appends are scanned too (`Vfs::read` sees them
         // regardless; a failed sync must not abort a scrub).
         let _ = self.log.sync();
-        let scan = match self.vfs.read(self.log.path()) {
-            Ok(buf) => Some(OpLog::scan_bytes(&buf)),
-            Err(_) => None,
-        };
-        let durable_total = match &scan {
-            Some(s) => {
-                if s.torn_tail {
-                    report.log_damage += 1;
+        // One pass, one load, one import: the snapshot is verified and the
+        // log's suffix folded over the very state that was verified.
+        let (durable_total, rebuilt) = match self.vfs.read(self.log.path()) {
+            Ok(buf) => {
+                let (pass, rebuilt) = self.fold_log(&buf, true);
+                report.log_damage += usize::from(pass.damage.is_some());
+                if let Err(EngineError::Snapshot(_) | EngineError::State(_)) = rebuilt {
+                    report.snapshot_ok = false;
                 }
-                s.base_op as usize + s.ops.len()
+                ((pass.base + pass.records) as usize, rebuilt.ok())
             }
-            None => {
+            Err(_) => {
                 report.log_damage += 1;
-                0
+                (0, None)
             }
-        };
-        // One load, one import: the snapshot is verified and the scanned
-        // suffix folded over the very state that was verified.
-        let rebuilt = match scan.as_ref().map(|s| self.fold_scan(s, true)) {
-            Some(Ok(db)) => Some(db),
-            Some(Err(EngineError::Snapshot(_) | EngineError::State(_))) => {
-                report.snapshot_ok = false;
-                None
-            }
-            _ => None,
         };
         report.durable_complete =
             rebuilt.is_some() && report.log_damage == 0 && durable_total == self.op_count();

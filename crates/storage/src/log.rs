@@ -11,24 +11,31 @@
 //! Reading is two steps. The frame walker ([`RecordWalk`]) yields each
 //! CRC-valid record and stops at the first torn or checksum-damaged
 //! frame; the decode step turns one record's payload into an
-//! [`Operation`]. Recovery and the scrubber run both
-//! ([`OpLog::scan_bytes`]). A replication primary ships what the walker
-//! yields without decoding it, and the replica decodes each record once,
-//! then appends it verbatim.
+//! [`Operation`]. A replication primary ships what the walker yields
+//! without decoding it, and the replica decodes each record once, then
+//! appends it verbatim.
 //!
-//! Recovery scans records until EOF or the first damaged record — a torn
-//! frame, a checksum mismatch, or a CRC-valid but undecodable payload —
-//! truncating everything from the damage point on and reporting the
-//! offset in [`LogScan::damage`]. All I/O goes through the pluggable
-//! [`Vfs`] layer so the crash-matrix tests can run the identical code
-//! against a fault-injecting filesystem.
+//! Replay is one pass ([`replay`]): walk → decode → apply, one record at
+//! a time, each decoded operation moved into the model before the next
+//! record is read — no list of operations is ever built. Recovery, the
+//! scrubber's re-materialization and transaction-time travel all run it.
+//! The pass ends at EOF or the first damaged record — a torn frame, a
+//! checksum mismatch, or a CRC-valid but undecodable payload — and
+//! reports where ([`Pass::damage`]); an open then truncates everything
+//! from that point on ([`OpLog::adopt`]) before anything is appended.
+//! [`OpLog::scan_bytes`] is the same walk collecting the operations
+//! instead. All I/O goes through the pluggable [`Vfs`] layer so the
+//! crash-matrix tests can run the identical code against a
+//! fault-injecting filesystem.
 
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
+use tchimera_core::Database;
+
 use crate::codec::{Codec, CodecError, Reader};
-use crate::op::Operation;
+use crate::op::{note_applied, note_decoded, Operation, ReplayError};
 use crate::vfs::{StdFs, Vfs, VfsFile};
 
 /// Magic prefix of a log file carrying a compaction header.
@@ -107,6 +114,7 @@ pub(crate) fn decode_record<'a>(
     r.restart(payload);
     let op = Operation::decode(r)?;
     if r.is_empty() {
+        note_decoded();
         Ok(op)
     } else {
         Err(CodecError::Corrupt("trailing bytes"))
@@ -313,6 +321,89 @@ impl<'a> Iterator for RecordWalk<'a> {
     }
 }
 
+/// What one pass over a log's bytes found: the records it decoded, where
+/// the valid prefix ends and the damage that ended it.
+pub(crate) struct Pass {
+    /// Operations compacted away before the log's first record (the
+    /// header base; 0 for headerless logs).
+    pub(crate) base: u64,
+    /// Records decoded.
+    pub(crate) records: u64,
+    /// Bytes of valid prefix (where the damage begins, if any).
+    pub(crate) valid_len: u64,
+    /// The torn, checksum-damaged or undecodable record that ended it.
+    pub(crate) damage: Option<TailDamage>,
+}
+
+impl Pass {
+    /// Walk `walk` to its end (or its first `limit` records), decoding
+    /// each record with one shared reader and handing the operation to
+    /// `each` by value. A CRC-valid record that does not decode is damage
+    /// at its offset like any other: it ends the pass and is reported,
+    /// never raised.
+    fn run(mut walk: RecordWalk<'_>, limit: u64, mut each: impl FnMut(Operation)) -> Pass {
+        let _span = tchimera_obs::span!("storage.log.scan", bytes = walk.buf.len());
+        let mut r = Reader::new(&[]);
+        let (mut records, mut damage) = (0, None);
+        while records < limit {
+            let Some((at, payload)) = walk.next() else {
+                damage = walk.damage().cloned();
+                break;
+            };
+            match decode_record(&mut r, payload) {
+                Ok(op) => {
+                    records += 1;
+                    each(op);
+                }
+                Err(e) => {
+                    damage = Some(TailDamage {
+                        offset: at,
+                        reason: DamageReason::Undecodable(e),
+                    });
+                    break;
+                }
+            }
+        }
+        let valid_len = damage.as_ref().map_or(walk.offset(), |d| d.offset);
+        tchimera_obs::counter!("storage.log.scanned_ops").add(records);
+        report_scan_damage(damage.as_ref());
+        Pass {
+            base: walk.base(),
+            records,
+            valid_len,
+            damage,
+        }
+    }
+}
+
+/// The one replay loop: decode the records of `walk` one at a time and
+/// fold them into `db`. The first `skip` records are passed over — a
+/// snapshot holds them — but still decoded, so damage among them is
+/// still found; the next `take` are applied by value, and the pass ends
+/// after them. With no `db` every record is passed over: the pass only
+/// counts and finds damage.
+///
+/// A record the model rejects ends the applying, not the pass: the
+/// records after it are still decoded, so the count and the damage are
+/// what any other pass over the bytes reports, and the rejection comes
+/// back next to them.
+pub(crate) fn replay(
+    walk: RecordWalk<'_>,
+    mut db: Option<&mut Database>,
+    skip: u64,
+    take: u64,
+) -> (Pass, Result<(), ReplayError>) {
+    let (mut seen, mut outcome) = (0, Ok(()));
+    let pass = Pass::run(walk, skip.saturating_add(take), |op| {
+        seen += 1;
+        match db.as_deref_mut() {
+            Some(db) if seen > skip && outcome.is_ok() => outcome = op.apply_owned(db),
+            _ => note_applied(),
+        }
+    });
+    (pass, outcome)
+}
+
 /// The outcome of opening a log: the decoded operations plus tail
 /// diagnostics.
 pub struct LogScan {
@@ -360,71 +451,64 @@ impl OpLog {
     /// lose the file), and a torn-tail truncation is itself fsynced (the
     /// truncate must not un-happen after appends resume).
     pub fn open_with(vfs: Arc<dyn Vfs>, path: &Path) -> Result<(OpLog, LogScan), LogError> {
+        let (mut log, buf) = Self::open_unscanned(vfs, path)?;
+        let scan = Self::scan_bytes(&buf);
+        log.adopt(scan.base_op, scan.valid_len, scan.torn_tail)?;
+        Ok((log, scan))
+    }
+
+    /// Open (or create) the log at `path` and read its bytes, leaving the
+    /// pass over them to the caller: [`OpLog::adopt`] what it found
+    /// before the first append.
+    pub(crate) fn open_unscanned(
+        vfs: Arc<dyn Vfs>,
+        path: &Path,
+    ) -> Result<(OpLog, Vec<u8>), LogError> {
         let path = path.to_path_buf();
         let existed = vfs.exists(&path);
-        let mut file = vfs.open_append(&path)?;
+        let file = vfs.open_append(&path)?;
         if !existed {
             vfs.sync_dir(&parent_dir(&path))?;
         }
         let buf = vfs.read(&path)?;
-        let scan = Self::scan_bytes(&buf);
-        if scan.torn_tail {
-            // Truncate the damaged tail so appends resume from the valid
-            // prefix, and make the truncation durable before anything is
-            // appended after it.
-            file.set_len(scan.valid_len)?;
-            file.sync()?;
+        let log = OpLog {
+            vfs,
+            file,
+            path,
+            len: 0,
+            appended: 0,
+            base: 0,
+            dirty: false,
+        };
+        Ok((log, buf))
+    }
+
+    /// Take up what a pass over this log's bytes found: the header's
+    /// `base` and the `valid_len` bytes before any damage. A `damaged`
+    /// tail is truncated so appends resume from the valid prefix, and the
+    /// truncation is made durable before anything is appended after it.
+    pub(crate) fn adopt(&mut self, base: u64, valid_len: u64, damaged: bool) -> Result<(), LogError> {
+        if damaged {
+            self.file.set_len(valid_len)?;
+            self.file.sync()?;
         }
-        let len = scan.valid_len;
-        let base = scan.base_op;
-        Ok((
-            OpLog {
-                vfs,
-                file,
-                path,
-                len,
-                appended: 0,
-                base,
-                dirty: false,
-            },
-            scan,
-        ))
+        self.len = valid_len;
+        self.base = base;
+        Ok(())
     }
 
     /// Scan raw log bytes: walk the header (if any) and every intact
     /// record, decoding each, and stop at the first damage. Never fails —
     /// damage is reported in the scan, not raised.
     pub fn scan_bytes(buf: &[u8]) -> LogScan {
-        let _span = tchimera_obs::span!("storage.log.scan", bytes = buf.len());
-        let mut walk = RecordWalk::log(buf, 0);
-        let mut r = Reader::new(&[]);
         let mut ops = Vec::new();
-        let mut damage = None;
-        for (at, payload) in walk.by_ref() {
-            match decode_record(&mut r, payload) {
-                Ok(op) => ops.push(op),
-                // A CRC-valid but undecodable record is damage at this
-                // offset like any other — truncate and report, never abort
-                // recovery.
-                Err(e) => {
-                    damage = Some(TailDamage {
-                        offset: at,
-                        reason: DamageReason::Undecodable(e),
-                    });
-                    break;
-                }
-            }
-        }
-        let damage = damage.or_else(|| walk.damage().cloned());
-        let valid_len = damage.as_ref().map_or(walk.offset(), |d| d.offset);
-        tchimera_obs::counter!("storage.log.scanned_ops").add(ops.len() as u64);
-        report_scan_damage(damage.as_ref());
+        let pass = Pass::run(RecordWalk::log(buf, 0), u64::MAX, |op| ops.push(op));
         LogScan {
             ops,
-            base_op: walk.base(),
-            valid_len,
-            torn_tail: damage.is_some(),
-            damage,
+            base_op: pass.base,
+            valid_len: pass.valid_len,
+            torn_tail: pass.damage.is_some(),
+            damage: pass.damage,
         }
     }
 

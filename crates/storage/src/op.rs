@@ -3,8 +3,10 @@
 //!
 //! A T_Chimera database is naturally event-sourced — the model's histories
 //! are append-only and the past is immutable — so the full state is a fold
-//! of the operation log. [`Operation::apply`] is the single interpretation
-//! function used both online and during recovery.
+//! of the operation log. [`Operation::apply_owned`] is the single
+//! interpretation function used both online and during recovery: it moves
+//! the operation's payload into the model, so a replayed record is never
+//! copied on its way into the state.
 
 use tchimera_core::{
     AttrName, Attrs, ClassDef, ClassId, Database, Instant, ModelError, Oid, Value,
@@ -104,45 +106,138 @@ impl From<ModelError> for ReplayError {
 }
 
 impl Operation {
-    /// Apply the operation to a database. Replay and online execution use
-    /// the same code path, so a successfully recovered database is
-    /// bit-for-bit the fold of its log.
+    /// Apply a copy of the operation to a database, keeping this one (to
+    /// stage it, or to encode it after). See [`Operation::apply_owned`].
     pub fn apply(&self, db: &mut Database) -> Result<(), ReplayError> {
+        self.clone().apply_owned(db)
+    }
+
+    /// Apply the operation to a database, moving its payload (a value, a
+    /// binding map, a class definition) into the model. Replay and online
+    /// execution use the same code path, so a successfully recovered
+    /// database is bit-for-bit the fold of its log.
+    pub fn apply_owned(self, db: &mut Database) -> Result<(), ReplayError> {
+        note_applied();
+        self.apply_one(db)
+    }
+
+    fn apply_one(self, db: &mut Database) -> Result<(), ReplayError> {
         match self {
             Operation::AdvanceTo(t) => {
-                db.advance_to(*t)?;
+                db.advance_to(t)?;
             }
-            Operation::DefineClass(def) => db.define_class(def.clone())?,
-            Operation::DropClass(c) => db.drop_class(c)?,
+            Operation::DefineClass(def) => db.define_class(def)?,
+            Operation::DropClass(c) => db.drop_class(&c)?,
             Operation::SetCAttr { class, attr, value } => {
-                db.set_c_attr(class, attr, value.clone())?;
+                db.set_c_attr(&class, &attr, value)?;
             }
             Operation::CreateObject { class, init, expect } => {
-                let got = db.create_object(class, init.clone())?;
-                if got != *expect {
-                    return Err(ReplayError::OidMismatch {
-                        expected: *expect,
-                        got,
-                    });
+                let got = db.create_object(&class, init)?;
+                if got != expect {
+                    return Err(ReplayError::OidMismatch { expected: expect, got });
                 }
             }
             Operation::SetAttr { oid, attr, value } => {
-                db.set_attr(*oid, attr, value.clone())?;
+                db.set_attr(oid, &attr, value)?;
             }
-            Operation::Migrate { oid, to, init } => db.migrate(*oid, to, init.clone())?,
-            Operation::Terminate { oid } => db.terminate_object(*oid)?,
+            Operation::Migrate { oid, to, init } => db.migrate(oid, &to, init)?,
+            Operation::Terminate { oid } => db.terminate_object(oid)?,
             Operation::Txn(ops) => {
                 // Atomicity across a replay is framing-level: the whole
                 // record was either durable or it wasn't. Here we just
                 // replay in order; a sub-operation failure poisons the
                 // record as a whole (the caller discards `db`).
                 for op in ops {
-                    op.apply(db)?;
+                    op.apply_one(db)?;
                 }
             }
         }
         Ok(())
     }
+
+    /// Decode the operation whose tag byte `tag` was just read.
+    fn decode_tagged(tag: u8, r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        Ok(match tag {
+            0 => Operation::AdvanceTo(Instant::decode(r)?),
+            1 => Operation::DefineClass(ClassDef::decode(r)?),
+            2 => Operation::DropClass(ClassId::decode(r)?),
+            3 => Operation::SetCAttr {
+                class: ClassId::decode(r)?,
+                attr: AttrName::decode(r)?,
+                value: Value::decode(r)?,
+            },
+            4 => Operation::CreateObject {
+                class: ClassId::decode(r)?,
+                init: decode_attrs(r)?,
+                expect: Oid::decode(r)?,
+            },
+            5 => Operation::SetAttr {
+                oid: Oid::decode(r)?,
+                attr: AttrName::decode(r)?,
+                value: Value::decode(r)?,
+            },
+            6 => Operation::Migrate {
+                oid: Oid::decode(r)?,
+                to: ClassId::decode(r)?,
+                init: decode_attrs(r)?,
+            },
+            7 => Operation::Terminate { oid: Oid::decode(r)? },
+            8 => {
+                let n = read_u64(r)?;
+                let mut ops = Vec::with_capacity(n.min(1024) as usize);
+                for _ in 0..n {
+                    // No nesting: a `Txn` inside a `Txn` is refused at its
+                    // tag, before anything recurses into it.
+                    match r.byte()? {
+                        8 => return Err(CodecError::Corrupt("nested transaction")),
+                        tag => ops.push(Operation::decode_tagged(tag, r)?),
+                    }
+                }
+                Operation::Txn(ops)
+            }
+            tag => return Err(CodecError::InvalidTag { what: "operation", tag }),
+        })
+    }
+}
+
+// Records decoded and not yet applied on this thread, and the high-water
+// mark of that backlog, so a test can assert that a replay holds one
+// decoded record at a time.
+#[cfg(any(test, feature = "testing"))]
+thread_local! {
+    static BACKLOG: std::cell::Cell<(u64, u64)> = const { std::cell::Cell::new((0, 0)) };
+}
+
+/// A record was decoded ([`crate::log`]'s decode step).
+pub(crate) fn note_decoded() {
+    #[cfg(any(test, feature = "testing"))]
+    BACKLOG.with(|c| {
+        let (now, high) = c.get();
+        c.set((now + 1, high.max(now + 1)));
+    });
+}
+
+/// A decoded record left the backlog: applied, or passed over by a replay
+/// (a snapshot already holds it). An operation that was never decoded —
+/// an online write — leaves an empty backlog empty.
+pub(crate) fn note_applied() {
+    #[cfg(any(test, feature = "testing"))]
+    BACKLOG.with(|c| {
+        let (now, high) = c.get();
+        c.set((now.saturating_sub(1), high));
+    });
+}
+
+/// The high-water mark of (records decoded − records applied) on the
+/// calling thread since the previous call, which restarts it from the
+/// current backlog. Test-only instrumentation.
+#[cfg(any(test, feature = "testing"))]
+pub fn take_decode_backlog_high_water() -> u64 {
+    BACKLOG.with(|c| {
+        let (now, high) = c.get();
+        c.set((now, now));
+        high
+    })
 }
 
 // Operations encoded on this thread, so a test can assert that a path
@@ -216,41 +311,8 @@ impl Codec for Operation {
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
-        Ok(match r.byte()? {
-            0 => Operation::AdvanceTo(Instant::decode(r)?),
-            1 => Operation::DefineClass(ClassDef::decode(r)?),
-            2 => Operation::DropClass(ClassId::decode(r)?),
-            3 => Operation::SetCAttr {
-                class: ClassId::decode(r)?,
-                attr: AttrName::decode(r)?,
-                value: Value::decode(r)?,
-            },
-            4 => Operation::CreateObject {
-                class: ClassId::decode(r)?,
-                init: decode_attrs(r)?,
-                expect: Oid::decode(r)?,
-            },
-            5 => Operation::SetAttr {
-                oid: Oid::decode(r)?,
-                attr: AttrName::decode(r)?,
-                value: Value::decode(r)?,
-            },
-            6 => Operation::Migrate {
-                oid: Oid::decode(r)?,
-                to: ClassId::decode(r)?,
-                init: decode_attrs(r)?,
-            },
-            7 => Operation::Terminate { oid: Oid::decode(r)? },
-            8 => {
-                let n = read_u64(r)?;
-                let mut ops = Vec::with_capacity(n.min(1024) as usize);
-                for _ in 0..n {
-                    ops.push(Operation::decode(r)?);
-                }
-                Operation::Txn(ops)
-            }
-            tag => return Err(CodecError::InvalidTag { what: "operation", tag }),
-        })
+        let tag = r.byte()?;
+        Operation::decode_tagged(tag, r)
     }
 }
 

@@ -205,3 +205,126 @@ fn stale_snapshot_behind_compaction_horizon_is_refused() {
         Err(other) => panic!("expected a typed snapshot refusal, got {other:?}"),
     }
 }
+
+/// A CRC-valid log record nesting `depth` levels: `Txn` inside `Txn`
+/// inside …, or a `SetAttr` whose value is a set inside a set inside ….
+fn deep_record(depth: usize, txn: bool) -> Vec<u8> {
+    use tchimera_storage::{Codec, Operation};
+    let leaf = if txn {
+        Operation::Txn(Vec::new())
+    } else {
+        Operation::SetAttr {
+            oid: Oid(0),
+            attr: "salary".into(),
+            value: Value::Null,
+        }
+    };
+    let mut leaf = leaf.to_bytes();
+    // `Txn(vec![])` ends `[8, 0]`, a `Null` value `[0]`: keep the tag,
+    // wrap the rest `depth` times in a one-element `Txn` (tag 8) or set
+    // (tag 8), each `[8, 1]`.
+    let tail = leaf.split_off(leaf.len() - if txn { 2 } else { 1 });
+    let mut payload = leaf;
+    for _ in 0..depth {
+        payload.extend_from_slice(&[8, 1]);
+    }
+    payload.extend_from_slice(&tail);
+    let mut record = Vec::with_capacity(payload.len() + 8);
+    record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    record.extend_from_slice(&tchimera_storage::log::crc32(&payload).to_le_bytes());
+    record.extend_from_slice(&payload);
+    record
+}
+
+/// Regression: a CRC-valid record of 100 000 nested levels (≈ 200 KB)
+/// used to abort the process with a stack overflow in the decoder. A
+/// `Txn` inside a `Txn` is refused at its tag and a type or value nesting
+/// past `MAX_NESTING` at the bound, so the record is typed `Undecodable`
+/// damage wherever it is read: the scan, an open (which truncates it
+/// and keeps the valid prefix) and a replica's apply (which applies
+/// nothing).
+#[test]
+fn a_deeply_nested_record_is_damage_not_an_abort() {
+    use tchimera_storage::{DamageReason, OpLog};
+
+    for txn in [true, false] {
+        let path = PathBuf::from("deep.log");
+        let (fs, digests) = build(&path, 6, false);
+        let intact = fs.contents(&path).unwrap();
+        let deep = deep_record(100_000, txn);
+        assert!(deep.len() > 200_000);
+
+        let mut log = intact.clone();
+        log.extend_from_slice(&deep);
+        let scan = OpLog::scan_bytes(&log);
+        let damage = scan.damage.expect("the deep record is damage");
+        assert_eq!(damage.offset, intact.len() as u64);
+        assert!(matches!(damage.reason, DamageReason::Undecodable(_)), "{damage:?}");
+        assert_eq!(scan.ops.len(), digests.len() - 1);
+
+        let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+        let mut f = vfs.open_append(&path).unwrap();
+        f.write_all(&deep).unwrap();
+        f.sync().unwrap();
+        drop(f);
+        let mut pdb = PersistentDatabase::open_with(Arc::clone(&vfs), &path).unwrap();
+        assert!(pdb.recovered_torn_tail());
+        assert_eq!(pdb.state_digest(), *digests.last().unwrap());
+        assert_eq!(fs.contents(&path).unwrap(), intact, "the open truncates the record");
+
+        assert_eq!(pdb.apply_replicated(&deep, 0).unwrap(), 0, "nothing is applied");
+        assert_eq!(pdb.state_digest(), *digests.last().unwrap());
+        assert_eq!(fs.contents(&path).unwrap(), intact, "nothing is appended");
+    }
+}
+
+/// The other side of the bound: the deepest value the model accepts is
+/// logged, checkpointed and read back — every state the model accepts
+/// decodes.
+#[test]
+fn the_deepest_value_the_model_accepts_survives_a_reopen() {
+    use tchimera_core::{ModelError, MAX_NESTING};
+    use tchimera_storage::{EngineError, ReplayError};
+
+    let nest = |depth: usize| (1..depth).fold(Value::Int(7), |v, _| Value::set([v]));
+    let nest_type = |depth: usize| (1..depth).fold(Type::INTEGER, |t, _| Type::set_of(t));
+    let path = PathBuf::from("deepest.log");
+    let fs = SimFs::new();
+    let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+    let mut pdb = PersistentDatabase::open_with(Arc::clone(&vfs), &path).unwrap();
+    let too_deep = ClassDef::new("c").attr("v", nest_type(MAX_NESTING));
+    assert!(matches!(
+        pdb.define_class(too_deep),
+        Err(EngineError::Replay(ReplayError::Model(ModelError::TooDeep(_))))
+    ));
+    // The deepest temporal domain: a history around its values nests
+    // exactly `MAX_NESTING` levels.
+    let ty = Type::temporal(nest_type(MAX_NESTING - 2));
+    pdb.define_class(ClassDef::new("c").attr("v", ty)).unwrap();
+    pdb.advance_to(Instant(1)).unwrap();
+    let c = ClassId::from("c");
+    let oid = pdb
+        .create_object(&c, attrs([("v", nest(MAX_NESTING - 2))]))
+        .unwrap();
+    pdb.advance_to(Instant(2)).unwrap();
+    pdb.set_attr(oid, &"v".into(), nest(MAX_NESTING - 2)).unwrap();
+    // A record's extra fields are the one way past a declared type: the
+    // model refuses a value that would nest past the bound.
+    let r = ClassDef::new("r").attr("v", Type::record_of([("a", Type::INTEGER)]));
+    pdb.define_class(r).unwrap();
+    let deep = Value::record([("a", Value::Int(1)), ("b", nest(MAX_NESTING))]);
+    assert!(pdb
+        .create_object(&ClassId::from("r"), attrs([("v", deep)]))
+        .is_err());
+    pdb.sync().unwrap();
+    let digest = pdb.state_digest();
+    drop(pdb);
+    let mut pdb = PersistentDatabase::open_with(Arc::clone(&vfs), &path).unwrap();
+    assert!(!pdb.recovered_torn_tail());
+    assert_eq!(pdb.state_digest(), digest);
+    pdb.checkpoint().unwrap();
+    drop(pdb);
+    let pdb = PersistentDatabase::open_with(vfs, &path).unwrap();
+    assert!(pdb.recovered_from_snapshot());
+    assert_eq!(pdb.state_digest(), digest);
+}

@@ -9,6 +9,12 @@
 //! records the wrong digest therefore opens, and is caught and repaired
 //! by that scrub through the ladder that was already there.
 //!
+//! Replay streams: every pass — a full-replay open, a snapshot + suffix
+//! open, `state_at_op` and a scrub cycle — holds at most one decoded
+//! record at a time (`op::take_decode_backlog_high_water`) and decodes
+//! each record it reads once (`storage.log.scanned_ops`), the records a
+//! snapshot already holds included, so damage among them is still found.
+//!
 //! The counters are process-global, so this file is a test binary of its
 //! own and its tests take turns.
 
@@ -16,6 +22,8 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 
 use tchimera_core::{attrs, ClassDef, ClassId, Oid, Type, Value};
+use tchimera_storage::log::{crc32, RecordWalk};
+use tchimera_storage::op::take_decode_backlog_high_water;
 use tchimera_storage::{
     digest_database, load_snapshot, snapshot_path, write_snapshot, PersistentDatabase, SimFs, Vfs,
 };
@@ -46,6 +54,11 @@ const TAIL: usize = 40;
 /// checkpoint, then a `TAIL`-operation tail of raises. Returns the digest
 /// of the state that was closed.
 fn checkpointed_with_tail(fs: &SimFs) -> u64 {
+    populated(fs, true)
+}
+
+/// [`checkpointed_with_tail`], with or without the checkpoint.
+fn populated(fs: &SimFs, checkpoint: bool) -> u64 {
     let mut pdb = open(fs);
     pdb.define_class(
         ClassDef::new("emp")
@@ -69,7 +82,9 @@ fn checkpointed_with_tail(fs: &SimFs) -> u64 {
                 .unwrap();
         }
     }
-    pdb.checkpoint().unwrap();
+    if checkpoint {
+        pdb.checkpoint().unwrap();
+    }
     pdb.tick().unwrap();
     for i in 1..TAIL as u64 {
         pdb.set_attr(Oid(i), &"salary".into(), Value::Int(-1))
@@ -185,4 +200,75 @@ fn a_wrong_recorded_digest_opens_and_is_repaired_by_the_scrubber() {
     let mut pdb = open(&fs);
     assert_eq!(pdb.state_digest(), closed);
     assert!(pdb.scrub_cycle().clean());
+}
+
+/// `f`'s records decoded, and the most it held decoded and not yet applied.
+fn decoded_by<R>(f: impl FnOnce() -> R) -> (R, u64, u64) {
+    take_decode_backlog_high_water();
+    let scanned = counter("storage.log.scanned_ops");
+    let out = f();
+    let decoded = counter("storage.log.scanned_ops") - scanned;
+    (out, decoded, take_decode_backlog_high_water())
+}
+
+#[test]
+fn every_replay_pass_decodes_one_record_at_a_time_and_each_once() {
+    let _turn = turn();
+    let fs = SimFs::new();
+    let closed = populated(&fs, false);
+    let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+    let log = fs.contents(&path()).unwrap();
+    let records = RecordWalk::log(&log, 0).count();
+
+    // A full-replay open.
+    let (mut pdb, decoded, held) = decoded_by(|| open(&fs));
+    assert!(!pdb.recovered_from_snapshot());
+    assert_eq!((decoded, held), (records as u64, 1));
+    assert_eq!(pdb.recovered_replayed(), records);
+    assert_eq!(pdb.state_digest(), closed);
+
+    // `state_at_op` decodes up to the `k`-th record and no further.
+    let k = records / 2;
+    let (past, decoded, held) = decoded_by(|| pdb.state_at_op(k).unwrap());
+    assert_eq!((decoded, held), (k as u64, 1));
+    let expect = past.state_digest();
+
+    // A scrub cycle folds the whole log.
+    let (report, decoded, held) = decoded_by(|| pdb.scrub_cycle());
+    assert!(report.clean(), "{report:?}");
+    assert_eq!((decoded, held), (records as u64, 1));
+    drop(pdb);
+
+    // A snapshot of the first `k` records next to the full log (a crash
+    // between snapshot install and compaction): the open passes over the
+    // `k` records the snapshot holds — decoding each, so damage among
+    // them is found — and applies the rest.
+    let snap_path = snapshot_path(&path());
+    write_snapshot(&vfs, &snap_path, &past.export_state(), k as u64, expect).unwrap();
+    let (pdb, decoded, held) = decoded_by(|| open(&fs));
+    assert!(pdb.recovered_from_snapshot());
+    assert_eq!((decoded, held), (records as u64, 1));
+    assert_eq!(pdb.recovered_replayed(), records - k);
+    assert_eq!(pdb.state_digest(), closed);
+    drop(pdb);
+
+    // A CRC-valid record that does not decode, among the records the
+    // snapshot holds: the open finds it, truncates the log there and
+    // realigns it to the snapshot.
+    let at = RecordWalk::log(&log, 0).nth(k / 2).unwrap().0 as usize;
+    let garbage = [0xfe];
+    let mut damaged = log[..at].to_vec();
+    damaged.extend_from_slice(&(garbage.len() as u32).to_le_bytes());
+    damaged.extend_from_slice(&crc32(&garbage).to_le_bytes());
+    damaged.extend_from_slice(&garbage);
+    damaged.extend_from_slice(&log[at..]);
+    let mut f = vfs.open_trunc(&path()).unwrap();
+    f.write_all(&damaged).unwrap();
+    f.sync().unwrap();
+    drop(f);
+    let (pdb, decoded, held) = decoded_by(|| open(&fs));
+    assert!(pdb.recovered_torn_tail(), "damage under the snapshot is found");
+    assert_eq!((decoded, held), ((k / 2) as u64, 1));
+    assert_eq!((pdb.recovered_ops(), pdb.base_op()), (k, k as u64));
+    assert_eq!(pdb.state_digest(), expect);
 }
