@@ -29,7 +29,7 @@
 //!    cannot prove is a fold of the recorded history.
 //!
 //! Every rung reads the log once and makes one pass over it
-//! ([`crate::log::replay`]): walk → decode → apply, one record at a time
+//! (`log::replay`): walk → decode → apply, one record at a time
 //! with no list of operations in between; then the damage the pass ended
 //! at is truncated, before anything is appended.
 
@@ -44,7 +44,7 @@ use tchimera_core::{
 use crate::codec::Reader;
 use crate::log::{decode_record, encode_record, replay, LogError, OpLog, Pass, RecordWalk};
 use crate::op::{Operation, ReplayError};
-use crate::resilience::{retry, BreakerState, CircuitBreaker, FaultKind, RetryPolicy};
+use crate::resilience::{retry, BreakerState, CircuitBreaker, FaultKind, BREAKER_THRESHOLD};
 use crate::snapshot::{load_snapshot, write_snapshot, SnapshotError};
 use crate::txn::Transaction;
 use crate::vfs::{StdFs, Vfs};
@@ -179,27 +179,6 @@ impl From<StateError> for EngineError {
     }
 }
 
-/// Resilience knobs of the engine: how hard writes are retried and when
-/// the circuit breaker flips the engine read-only.
-#[derive(Clone, Copy, Debug)]
-pub struct EngineConfig {
-    /// Retry policy applied to every write-path I/O (log appends,
-    /// fsyncs).
-    pub retry: RetryPolicy,
-    /// Consecutive surfaced write failures (post-retry) that open the
-    /// breaker. Clamped to ≥ 1.
-    pub breaker_threshold: u32,
-}
-
-impl Default for EngineConfig {
-    fn default() -> EngineConfig {
-        EngineConfig {
-            retry: RetryPolicy::default(),
-            breaker_threshold: 3,
-        }
-    }
-}
-
 /// A durable T_Chimera database: every accepted mutation is appended to an
 /// operation log before the call returns.
 ///
@@ -209,10 +188,11 @@ impl Default for EngineConfig {
 ///
 /// # Fault tolerance
 ///
-/// Write-path I/O is retried per [`EngineConfig::retry`] (transient
+/// Write-path I/O is tried up to
+/// [`RETRY_ATTEMPTS`](crate::resilience::RETRY_ATTEMPTS) times (transient
 /// faults only; see [`FaultKind`]). Failures that survive the retry feed
-/// a [`CircuitBreaker`]: after [`EngineConfig::breaker_threshold`]
-/// consecutive failures the engine degrades to read-only — mutations
+/// a [`CircuitBreaker`]: after [`BREAKER_THRESHOLD`] consecutive failures
+/// the engine degrades to read-only — mutations
 /// fail fast with [`EngineError::ReadOnly`] while reads, metrics and
 /// [`PersistentDatabase::state_at_op`] keep working. Service is restored
 /// with [`PersistentDatabase::try_reset`] (half-open probe). Atomic
@@ -222,7 +202,6 @@ pub struct PersistentDatabase {
     log: OpLog,
     vfs: Arc<dyn Vfs>,
     snap_path: PathBuf,
-    config: EngineConfig,
     breaker: CircuitBreaker,
     /// Set if a failed write left the in-memory state ahead of the log
     /// *and* rebuilding from storage also failed — reads may then serve
@@ -247,19 +226,8 @@ impl PersistentDatabase {
         Self::open_with(Arc::new(StdFs), path.as_ref())
     }
 
-    /// Open a database at `path` through the given [`Vfs`] with the
-    /// default [`EngineConfig`].
+    /// Open a database at `path` through the given [`Vfs`].
     pub fn open_with(vfs: Arc<dyn Vfs>, path: &Path) -> Result<PersistentDatabase, EngineError> {
-        Self::open_with_config(vfs, path, EngineConfig::default())
-    }
-
-    /// Open a database at `path` through the given [`Vfs`] with explicit
-    /// resilience configuration.
-    pub fn open_with_config(
-        vfs: Arc<dyn Vfs>,
-        path: &Path,
-        config: EngineConfig,
-    ) -> Result<PersistentDatabase, EngineError> {
         crate::observability::touch_metrics();
         let _span = tchimera_obs::span!("storage.recovery.open", path = path.display());
         let snap_path = snapshot_path(path);
@@ -321,8 +289,7 @@ impl PersistentDatabase {
             log,
             vfs,
             snap_path,
-            breaker: CircuitBreaker::new(config.breaker_threshold),
-            config,
+            breaker: CircuitBreaker::new(BREAKER_THRESHOLD),
             diverged: false,
             recovered_ops,
             recovered_torn: pass.damage.is_some(),
@@ -501,8 +468,7 @@ impl PersistentDatabase {
     /// breaker either way. Every attempt writes the same bytes: a record
     /// is encoded once, however often its append is retried.
     fn append_with_retry(&mut self, records: &[u8], count: u64) -> Result<(), EngineError> {
-        let policy = self.config.retry;
-        match retry(&policy, || self.log.append_records(records, count)) {
+        match retry(|| self.log.append_records(records, count)) {
             Ok(()) => {
                 self.breaker.note_success();
                 Ok(())
@@ -628,8 +594,7 @@ impl PersistentDatabase {
     /// returns, every preceding accepted mutation survives any crash.
     pub fn sync(&mut self) -> Result<(), EngineError> {
         self.guard_writes()?;
-        let policy = self.config.retry;
-        match retry(&policy, || self.log.sync()) {
+        match retry(|| self.log.sync()) {
             Ok(()) => {
                 self.breaker.note_success();
                 Ok(())
@@ -702,11 +667,6 @@ impl PersistentDatabase {
                 false
             }
         }
-    }
-
-    /// The engine's resilience configuration.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
     }
 
     /// Install a checkpoint: durably snapshot the current state, then
@@ -856,7 +816,7 @@ impl PersistentDatabase {
     ///    (CRC re-verification; damage funnels through the same
     ///    `storage.log.scan.damaged` path as recovery) and the snapshot
     ///    is re-loaded, imported and walked against its recorded digest —
-    ///    the check [`PersistentDatabase::open_with_config`] leaves to
+    ///    the check [`PersistentDatabase::open_with`] leaves to
     ///    this cycle.
     /// 3. **State ↔ history equivalence** — the scanned suffix is folded
     ///    over that same import; when durable history is complete, the

@@ -25,13 +25,16 @@
 //! * [`txn`] — atomic multi-operation [`txn::Transaction`]s staged on a
 //!   shadow database and committed as a single CRC-framed log record.
 //! * [`resilience`] — fault classification ([`resilience::FaultKind`]),
-//!   deterministic bounded retry ([`resilience::RetryPolicy`]) and the
+//!   deterministic bounded retry ([`resilience::RETRY_ATTEMPTS`]) and the
 //!   read-only degradation [`resilience::CircuitBreaker`].
 //! * [`repl`] — log-shipping replication: a [`repl::Primary`] streams
 //!   CRC-framed log records (and full state images past compaction) over
 //!   a pluggable [`repl::Transport`] to a digest-verified
 //!   [`repl::Replica`], with deterministic term-based failover and a
 //!   seedable fault-injecting [`repl::SimTransport`].
+//! * `sim` (feature `testing`) — one seeded simulated world of nodes on
+//!   `SimFs`, `SimTransport` and `SimMem`, a session generator over the
+//!   whole op vocabulary, and the table of fault scenarios it runs.
 //! * [`observability`] — the storage half of the metric vocabulary
 //!   (`storage.log.*`, `storage.snapshot.*`, `storage.recovery.*`, …)
 //!   registered eagerly so snapshots always name it; see `DESIGN.md` §9.
@@ -47,13 +50,15 @@ pub mod observability;
 pub mod op;
 pub mod repl;
 pub mod resilience;
+#[cfg(feature = "testing")]
+pub mod sim;
 pub mod snapshot;
 pub mod txn;
 pub mod vfs;
 
 pub use codec::{Codec, CodecError, Reader};
 pub use engine::{
-    digest_database, diverged_classes, snapshot_path, EngineConfig, EngineError,
+    digest_database, diverged_classes, snapshot_path, EngineError,
     PersistentDatabase, StorageScrubReport,
 };
 pub use log::{DamageReason, LogError, LogScan, OpLog, TailDamage};
@@ -63,7 +68,7 @@ pub use repl::{
     ChannelTransport, Frame, Primary, Replica, ReplicaError, SimNetConfig, SimTransport,
     Transport, WireError,
 };
-pub use resilience::{BreakerState, CircuitBreaker, FaultKind, RetryPolicy};
+pub use resilience::{BreakerState, CircuitBreaker, FaultKind};
 pub use snapshot::{load_snapshot, write_snapshot, Snapshot, SnapshotError};
 pub use txn::Transaction;
 pub use vfs::{SimFs, StdFs, TearMode, Vfs, VfsFile};

@@ -15,14 +15,14 @@
 //! without decoding it, and the replica decodes each record once, then
 //! appends it verbatim.
 //!
-//! Replay is one pass ([`replay`]): walk → decode → apply, one record at
+//! Replay is one pass (`replay`): walk → decode → apply, one record at
 //! a time, each decoded operation moved into the model before the next
 //! record is read — no list of operations is ever built. Recovery, the
 //! scrubber's re-materialization and transaction-time travel all run it.
 //! The pass ends at EOF or the first damaged record — a torn frame, a
 //! checksum mismatch, or a CRC-valid but undecodable payload — and
-//! reports where ([`Pass::damage`]); an open then truncates everything
-//! from that point on ([`OpLog::adopt`]) before anything is appended.
+//! reports where (`Pass::damage`); an open then truncates everything
+//! from that point on (`OpLog::adopt`) before anything is appended.
 //! [`OpLog::scan_bytes`] is the same walk collecting the operations
 //! instead. All I/O goes through the pluggable [`Vfs`] layer so the
 //! crash-matrix tests can run the identical code against a

@@ -9,9 +9,9 @@
 //!   an interrupted syscall, a momentary timeout) and `Permanent` (the
 //!   disk is gone, permission was lost — retrying is wasted work and
 //!   delayed honesty);
-//! * [`RetryPolicy`] bounds how hard a write is retried. It is fully
-//!   deterministic — attempts are counted, nothing sleeps — so the crash
-//!   matrix and chaos harness replay identically every run;
+//! * [`RETRY_ATTEMPTS`] bounds how hard a write is retried. Retry is
+//!   fully deterministic — attempts are counted, nothing sleeps — so the
+//!   simulated fault scenarios replay identically every run;
 //! * [`CircuitBreaker`] degrades the engine to read-only after a run of
 //!   consecutive write failures, instead of letting every request grind
 //!   against a dead disk. `trip`/half-open probing follow the classic
@@ -78,20 +78,14 @@ impl std::fmt::Display for FaultKind {
     }
 }
 
-/// A deterministic bounded-retry policy for write-path I/O: retries
-/// follow each other at once, with no wall-clock sleep, so tests replay
-/// bit-identically.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RetryPolicy {
-    /// Total attempts per operation (1 = no retry). Clamped to ≥ 1.
-    pub max_attempts: u32,
-}
+/// Attempts per write-path I/O operation (log append, fsync), the first
+/// included. Retries follow each other at once, with no wall-clock
+/// sleep, so tests replay bit-identically.
+pub const RETRY_ATTEMPTS: u32 = 4;
 
-impl Default for RetryPolicy {
-    fn default() -> RetryPolicy {
-        RetryPolicy { max_attempts: 4 }
-    }
-}
+/// Consecutive surfaced write failures (post-retry) that open an
+/// engine's breaker.
+pub const BREAKER_THRESHOLD: u32 = 3;
 
 /// Why a retried operation ultimately failed.
 #[derive(Debug)]
@@ -104,22 +98,18 @@ pub struct RetryExhausted {
     pub source: LogError,
 }
 
-/// Run `f` under `policy`: transient failures are retried up to
-/// `max_attempts` total attempts, permanent failures return immediately.
+/// Run `f`: transient failures are retried up to [`RETRY_ATTEMPTS`]
+/// total attempts, permanent failures return immediately.
 /// Every retry increments `storage.retry.attempts`; giving up on a
 /// transient fault increments `storage.retry.exhausted`.
-pub(crate) fn retry<T>(
-    policy: &RetryPolicy,
-    mut f: impl FnMut() -> Result<T, LogError>,
-) -> Result<T, RetryExhausted> {
-    let max = policy.max_attempts.max(1);
+pub(crate) fn retry<T>(mut f: impl FnMut() -> Result<T, LogError>) -> Result<T, RetryExhausted> {
     let mut attempt = 1u32;
     loop {
         match f() {
             Ok(v) => return Ok(v),
             Err(e) => {
                 let fault = FaultKind::of_log_error(&e);
-                if fault == FaultKind::Transient && attempt < max {
+                if fault == FaultKind::Transient && attempt < RETRY_ATTEMPTS {
                     tchimera_obs::counter!("storage.retry.attempts").inc();
                     attempt += 1;
                     continue;
@@ -305,9 +295,8 @@ mod tests {
 
     #[test]
     fn retry_recovers_from_transient_runs_shorter_than_the_budget() {
-        let policy = RetryPolicy::default();
         let mut failures_left = 2;
-        let out = retry(&policy, || {
+        let out = retry(|| {
             if failures_left > 0 {
                 failures_left -= 1;
                 Err(LogError::Io(io::Error::new(
@@ -323,9 +312,8 @@ mod tests {
 
     #[test]
     fn retry_exhausts_on_long_transient_runs_and_fails_fast_on_permanent() {
-        let policy = RetryPolicy { max_attempts: 3 };
         let mut calls = 0u32;
-        let err = retry(&policy, || -> Result<(), LogError> {
+        let err = retry(|| -> Result<(), LogError> {
             calls += 1;
             Err(LogError::Io(io::Error::new(
                 io::ErrorKind::TimedOut,
@@ -333,12 +321,12 @@ mod tests {
             )))
         })
         .unwrap_err();
-        assert_eq!(calls, 3);
-        assert_eq!(err.attempts, 3);
+        assert_eq!(calls, RETRY_ATTEMPTS);
+        assert_eq!(err.attempts, RETRY_ATTEMPTS);
         assert_eq!(err.fault, FaultKind::Transient);
 
         let mut calls = 0u32;
-        let err = retry(&policy, || -> Result<(), LogError> {
+        let err = retry(|| -> Result<(), LogError> {
             calls += 1;
             Err(LogError::Io(io::Error::other("gone")))
         })

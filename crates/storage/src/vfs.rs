@@ -398,7 +398,15 @@ impl VfsFile for SimFile {
     }
     fn sync(&mut self) -> io::Result<()> {
         self.with_inode(|inode| {
-            inode.synced = inode.live.clone();
+            // Writes only append, so `live` and `synced` agree up to the
+            // shortest length either had since the last sync: copy only
+            // what lies past it.
+            let cut = inode.pending.iter().fold(inode.synced.len(), |cut, p| match p {
+                Pending::SetLen(len) => cut.min(*len as usize),
+                Pending::Write(_) => cut,
+            });
+            inode.synced.truncate(cut);
+            inode.synced.extend_from_slice(&inode.live[cut..]);
             inode.pending.clear();
         })
     }
@@ -642,6 +650,89 @@ mod tests {
         // The truncate was never synced: a crash undoes it.
         fs.crash(TearMode::DropAll);
         assert_eq!(fs.read(&p("a")).unwrap(), b"0123456789");
+    }
+
+    #[test]
+    fn sync_after_a_truncate_and_an_unsynced_flip_keeps_the_live_bytes() {
+        let fs = SimFs::new();
+        let mut f = fs.open_append(&p("a")).unwrap();
+        f.write_all(b"0123456789").unwrap();
+        f.sync().unwrap();
+        fs.sync_dir(&p(".")).unwrap();
+        f.set_len(4).unwrap();
+        f.write_all(b"abcdef").unwrap();
+        f.set_len(7).unwrap();
+        f.write_all(b"XY").unwrap();
+        fs.corrupt_byte(&p("a"), 5, 0x20).unwrap();
+        let live = fs.contents(&p("a")).unwrap();
+        assert_eq!(live, b"0123aBcXY");
+        f.sync().unwrap();
+        fs.crash(TearMode::DropAll);
+        assert_eq!(fs.read(&p("a")).unwrap(), live);
+    }
+
+    /// A `Vfs` from outside the crate: only the required methods, so
+    /// `read_from` is the trait's default body (what the benchmark's
+    /// counting wrapper gets).
+    struct Outside<V>(V);
+
+    impl<V: Vfs> Vfs for Outside<V> {
+        fn open_append(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+            self.0.open_append(path)
+        }
+        fn open_trunc(&self, path: &Path) -> io::Result<Box<dyn VfsFile>> {
+            self.0.open_trunc(path)
+        }
+        fn read(&self, path: &Path) -> io::Result<Vec<u8>> {
+            self.0.read(path)
+        }
+        fn rename(&self, from: &Path, to: &Path) -> io::Result<()> {
+            self.0.rename(from, to)
+        }
+        fn remove(&self, path: &Path) -> io::Result<()> {
+            self.0.remove(path)
+        }
+        fn sync_dir(&self, path: &Path) -> io::Result<()> {
+            self.0.sync_dir(path)
+        }
+        fn exists(&self, path: &Path) -> bool {
+            self.0.exists(path)
+        }
+    }
+
+    /// Write `synced`, sync, append `buffered` without syncing, then
+    /// compare default body and override at every offset past the end.
+    fn read_from_agrees<V: Vfs + Clone>(fs: V, path: &Path, synced: &[u8], buffered: &[u8]) {
+        let mut f = fs.open_trunc(path).unwrap();
+        f.write_all(synced).unwrap();
+        f.sync().unwrap();
+        f.write_all(buffered).unwrap();
+        let all = [synced, buffered].concat();
+        let outside = Outside(fs.clone());
+        for offset in 0..all.len() as u64 + 3 {
+            let expect = all.get(offset as usize..).unwrap_or_default();
+            assert_eq!(fs.read_from(path, offset).unwrap(), expect, "override at {offset}");
+            assert_eq!(outside.read_from(path, offset).unwrap(), expect, "default at {offset}");
+        }
+        assert_eq!(fs.read(path).unwrap(), all);
+        assert!(fs.read_from(Path::new("no-such-file"), 0).is_err());
+        assert!(outside.read_from(Path::new("no-such-file"), 0).is_err());
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn read_from_default_body_agrees_with_the_overrides(
+            synced in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..40),
+            buffered in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..40),
+        ) {
+            read_from_agrees(SimFs::new(), &p("f"), &synced, &buffered);
+            let path = format!("tchimera-read-from-{}", std::process::id());
+            let path = std::env::temp_dir().join(path);
+            read_from_agrees(StdFs, &path, &synced, &buffered);
+            std::fs::remove_file(&path).unwrap();
+        }
     }
 
     #[test]

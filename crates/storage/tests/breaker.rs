@@ -1,24 +1,18 @@
-//! Circuit-breaker behavior, end to end: the state machine mirrored
-//! into the `storage.breaker.state` gauge, read-only degradation on the
-//! engine, and half-open probing via `try_reset`.
-//!
-//! This lives in its own test binary: the breaker gauge is a global
-//! metric, so these assertions must not share a process with tests that
-//! open engines concurrently. Within the binary a mutex serializes the
-//! gauge readers.
+//! The fault scenarios that read a process-global metric: the
+//! `storage.breaker.state` gauge and the retry, breaker, replication and
+//! scrub counters. An own test binary, and a mutex serializes the tests
+//! inside it: no other test's traffic moves a metric between two reads.
 
-use std::path::PathBuf;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
-use tchimera_core::{attrs, ClassDef, Instant, Type, Value};
-use tchimera_storage::{
-    BreakerState, CircuitBreaker, EngineConfig, EngineError, PersistentDatabase, SimFs, Vfs,
-};
+use tchimera_storage::resilience::BREAKER_THRESHOLD;
+use tchimera_storage::sim;
+use tchimera_storage::{BreakerState, CircuitBreaker, EngineError, FaultKind};
 
-static GAUGE_LOCK: Mutex<()> = Mutex::new(());
+static METRICS: Mutex<()> = Mutex::new(());
 
 fn lock() -> std::sync::MutexGuard<'static, ()> {
-    GAUGE_LOCK.lock().unwrap_or_else(|e| e.into_inner())
+    METRICS.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 fn gauge() -> i64 {
@@ -37,194 +31,74 @@ fn counter(name: &str) -> u64 {
 fn breaker_gauge_mirrors_every_transition() {
     let _g = lock();
     let mut b = CircuitBreaker::new(2);
-    assert_eq!(b.state(), BreakerState::Closed);
-    assert_eq!(gauge(), 0);
-
+    assert_eq!((b.state(), gauge()), (BreakerState::Closed, 0));
     b.note_failure();
-    assert_eq!(b.state(), BreakerState::Closed, "below threshold");
-    assert_eq!(gauge(), 0);
+    assert_eq!((b.state(), gauge()), (BreakerState::Closed, 0), "below threshold");
     b.note_failure();
-    assert_eq!(b.state(), BreakerState::Open, "threshold reached");
-    assert_eq!(gauge(), 2);
-
+    assert_eq!((b.state(), gauge()), (BreakerState::Open, 2), "threshold reached");
     assert!(b.begin_probe());
-    assert_eq!(b.state(), BreakerState::HalfOpen);
-    assert_eq!(gauge(), 1);
+    assert_eq!((b.state(), gauge()), (BreakerState::HalfOpen, 1));
     b.note_failure();
-    assert_eq!(b.state(), BreakerState::Open, "failed probe re-opens");
-    assert_eq!(gauge(), 2);
-
+    assert_eq!((b.state(), gauge()), (BreakerState::Open, 2), "failed probe re-opens");
     assert!(b.begin_probe());
     assert_eq!(gauge(), 1);
     b.note_success();
-    assert_eq!(b.state(), BreakerState::Closed, "successful probe closes");
-    assert_eq!(gauge(), 0);
+    assert_eq!((b.state(), gauge()), (BreakerState::Closed, 0), "successful probe closes");
     assert_eq!(b.consecutive_failures(), 0);
-
     assert!(!b.begin_probe(), "no probe needed while closed");
 }
 
-/// N surfaced write faults flip the engine read-only: reads, metrics and
-/// recovery inspection keep working, writes fail fast with the dedicated
-/// error, and `try_reset` restores service once the VFS heals.
+/// An engine of the simulated world: the gauge reads open after
+/// `BREAKER_THRESHOLD` surfaced faults and after a manual trip, and
+/// closed after each probe that succeeds.
 #[test]
-fn engine_degrades_to_read_only_and_try_reset_restores() {
+fn engine_breaker_moves_the_gauge() {
     let _g = lock();
-    let fs = SimFs::new();
-    let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
-    let path = PathBuf::from("breaker.log");
-    let mut pdb = PersistentDatabase::open_with_config(
-        Arc::clone(&vfs),
-        &path,
-        EngineConfig {
-            breaker_threshold: 2,
-            ..EngineConfig::default()
-        },
-    )
-    .unwrap();
-    pdb.define_class(ClassDef::new("person").attr("address", Type::STRING))
-        .unwrap();
-    pdb.advance_to(Instant(1)).unwrap();
-    pdb.create_object(&"person".into(), attrs([("address", Value::str("Pisa"))]))
-        .unwrap();
-    pdb.sync().unwrap();
-    let digest = pdb.state_digest();
-    let rejected_before = counter("storage.breaker.rejected");
-    let trips_before = counter("storage.breaker.trips");
-
-    // The disk dies: threshold = 2 surfaced faults flip the breaker.
+    let mut w = sim::build("breaker/dead_disk", 0);
+    let fs = w.fs(0).clone();
+    let pdb = w.writer();
     fs.fail_after(Some(0));
-    for _ in 0..2 {
-        match pdb.tick() {
-            Err(EngineError::Write { .. }) => {}
-            other => panic!("expected a surfaced write fault, got {other:?}"),
-        }
-        assert_eq!(pdb.state_digest(), digest, "failed write mutated state");
+    for _ in 0..BREAKER_THRESHOLD {
+        assert!(matches!(pdb.tick(), Err(EngineError::Write { .. })));
     }
-    assert!(pdb.is_read_only());
-    assert_eq!(pdb.breaker_state(), BreakerState::Open);
-    assert_eq!(gauge(), 2);
-    assert!(counter("storage.breaker.trips") > trips_before);
-
-    // Writes now fail fast, without touching the VFS.
-    let io_before = fs.op_count();
-    match pdb.tick() {
-        Err(EngineError::ReadOnly {
-            consecutive_failures,
-        }) => assert!(consecutive_failures >= 2),
-        other => panic!("expected ReadOnly, got {other:?}"),
-    }
-    assert_eq!(fs.op_count(), io_before, "fast-fail must not issue I/O");
-    assert!(counter("storage.breaker.rejected") > rejected_before);
-
-    // Reads, metrics and recovery inspection still answer.
-    assert_eq!(pdb.state_digest(), digest);
-    assert_eq!(pdb.db().object_count(), 1);
-    assert!(pdb.db().check_database().is_consistent());
-    assert!(pdb.state_at_op(1).is_ok(), "recovery inspection degraded");
-
-    // A probe against a still-dead disk re-opens the breaker...
-    assert!(!pdb.try_reset());
-    assert!(pdb.is_read_only());
-    assert_eq!(gauge(), 2);
-
-    // ...and a probe after the VFS heals restores service.
+    assert_eq!((pdb.breaker_state(), gauge()), (BreakerState::Open, 2));
     fs.fail_after(None);
-    let resets_before = counter("storage.breaker.resets");
     assert!(pdb.try_reset());
-    assert!(!pdb.is_read_only());
-    assert_eq!(pdb.breaker_state(), BreakerState::Closed);
     assert_eq!(gauge(), 0);
-    assert!(counter("storage.breaker.resets") > resets_before);
-
+    pdb.trip();
+    assert_eq!(gauge(), 2);
+    assert!(pdb.try_reset(), "healthy disk: probe must succeed");
+    assert_eq!(gauge(), 0);
     pdb.tick().unwrap();
-    pdb.sync().unwrap();
-    assert_eq!(pdb.db().now(), Instant(2));
 }
 
-/// A full disk (`ENOSPC`) classifies as transient, degrades the engine
-/// to read-only once retries exhaust repeatedly, and — because the
-/// condition clears when space is freed — `try_reset`'s half-open probe
-/// restores full service without a restart.
+/// Each scenario moves the counters that account for what it did.
 #[test]
-fn disk_full_degrades_read_only_and_recovers_when_space_returns() {
+fn scenarios_move_their_counters() {
     let _g = lock();
+    let breaker = ["storage.breaker.trips", "storage.breaker.rejected", "storage.breaker.resets"];
+    for (row, counters) in [
+        ("breaker/dead_disk", &breaker[..]),
+        ("breaker/enospc", &breaker[..]),
+        ("retry/absorbed", &["storage.retry.attempts"][..]),
+        ("retry/exhausted", &["storage.retry.exhausted"][..]),
+        ("damage/undecodable", &["repl.frames.corrupt"][..]),
+        ("scrub/replica_pull", &["repl.scrub.pulls"][..]),
+    ] {
+        let before: Vec<u64> = counters.iter().map(|c| counter(c)).collect();
+        sim::replay(row, 0);
+        for (c, before) in counters.iter().zip(before) {
+            assert!(counter(c) > before, "{row} did not move {c}");
+        }
+        assert_eq!(gauge(), 0, "{row} left a breaker open");
+    }
+}
+
+#[test]
+fn a_full_disk_is_a_transient_fault() {
     assert_eq!(
-        tchimera_storage::FaultKind::of_io(&std::io::Error::from_raw_os_error(28)),
-        tchimera_storage::FaultKind::Transient,
+        FaultKind::of_io(&std::io::Error::from_raw_os_error(28)),
+        FaultKind::Transient,
         "ENOSPC must classify as transient"
     );
-
-    let fs = SimFs::new();
-    let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
-    let path = PathBuf::from("enospc.log");
-    let mut pdb = PersistentDatabase::open_with_config(
-        Arc::clone(&vfs),
-        &path,
-        EngineConfig {
-            breaker_threshold: 2,
-            ..EngineConfig::default()
-        },
-    )
-    .unwrap();
-    pdb.define_class(ClassDef::new("person").attr("address", Type::STRING))
-        .unwrap();
-    pdb.advance_to(Instant(1)).unwrap();
-    pdb.sync().unwrap();
-    let digest = pdb.state_digest();
-
-    // The disk fills up. Every write now hits ENOSPC: transient, so the
-    // full retry budget is spent before each failure surfaces.
-    fs.fail_enospc_after(Some(0));
-    for _ in 0..2 {
-        match pdb.tick() {
-            Err(EngineError::Write { fault, attempts, .. }) => {
-                assert_eq!(fault, tchimera_storage::FaultKind::Transient);
-                assert_eq!(attempts, 4, "default policy retries a full disk");
-            }
-            other => panic!("expected a surfaced write fault, got {other:?}"),
-        }
-        assert_eq!(pdb.state_digest(), digest, "failed write mutated state");
-    }
-    assert!(pdb.is_read_only(), "repeated ENOSPC must open the breaker");
-    assert_eq!(pdb.breaker_state(), BreakerState::Open);
-    assert!(matches!(pdb.tick(), Err(EngineError::ReadOnly { .. })));
-
-    // Reads keep answering while the disk is full.
-    assert!(pdb.db().check_database().is_consistent());
-
-    // Probing while the disk is still full re-opens the breaker...
-    assert!(!pdb.try_reset());
-    assert!(pdb.is_read_only());
-
-    // ...freeing space (compaction, operator clean-up) lets the probe
-    // succeed and service resumes exactly where it stopped.
-    fs.fail_enospc_after(None);
-    assert!(pdb.try_reset());
-    assert!(!pdb.is_read_only());
-    assert_eq!(pdb.breaker_state(), BreakerState::Closed);
-    pdb.tick().unwrap();
-    pdb.sync().unwrap();
-    assert_eq!(pdb.db().now(), Instant(2));
-    assert_ne!(pdb.state_digest(), digest);
-}
-
-/// `trip` forces degradation without waiting for faults (the operator
-/// override), and `try_reset` on a healthy disk closes it again.
-#[test]
-fn manual_trip_and_reset() {
-    let _g = lock();
-    let fs = SimFs::new();
-    let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
-    let path = PathBuf::from("trip.log");
-    let mut pdb = PersistentDatabase::open_with(vfs, &path).unwrap();
-    pdb.tick().unwrap();
-
-    pdb.trip();
-    assert!(pdb.is_read_only());
-    assert!(matches!(pdb.tick(), Err(EngineError::ReadOnly { .. })));
-
-    assert!(pdb.try_reset(), "healthy disk: probe must succeed");
-    assert!(!pdb.is_read_only());
-    pdb.tick().unwrap();
 }

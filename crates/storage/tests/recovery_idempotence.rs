@@ -5,106 +5,51 @@
 //!
 //! Own test binary: it owns the global trace ring buffer.
 
-use std::path::PathBuf;
-use std::sync::Arc;
+use tchimera_obs::{EventKind, TraceEvent};
+use tchimera_storage::sim;
 
-use tchimera_core::{attrs, ClassDef, Instant, Type, Value};
-use tchimera_obs::EventKind;
-use tchimera_storage::{PersistentDatabase, SimFs, Vfs};
-
-fn rungs_in(events: &[tchimera_obs::TraceEvent]) -> Vec<String> {
-    events
-        .iter()
-        .filter(|e| e.kind == EventKind::Instant && e.name == "storage.recovery.rung")
-        .map(|e| e.fields.clone())
-        .collect()
-}
-
-fn damage_events_in(events: &[tchimera_obs::TraceEvent]) -> usize {
-    events
-        .iter()
-        .filter(|e| e.kind == EventKind::Instant && e.name == "storage.log.scan.damaged")
-        .count()
+fn instants<'a>(events: &'a [TraceEvent], name: &'a str) -> impl Iterator<Item = &'a TraceEvent> {
+    events.iter().filter(move |e| e.kind == EventKind::Instant && e.name == name)
 }
 
 #[test]
 fn reopening_a_damaged_store_is_idempotent_and_loud() {
-    let fs = SimFs::new();
-    let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
-    let path = PathBuf::from("damaged.log");
-
-    // A store with a few durable records...
-    {
-        let mut pdb = PersistentDatabase::open_with(Arc::clone(&vfs), &path).unwrap();
-        pdb.define_class(
-            ClassDef::new("person")
-                .attr("address", Type::STRING)
-                .attr("salary", Type::temporal(Type::INTEGER)),
-        )
-        .unwrap();
-        pdb.advance_to(Instant(1)).unwrap();
-        for i in 0..8 {
-            pdb.create_object(
-                &"person".into(),
-                attrs([
-                    ("address", Value::str("Pisa")),
-                    ("salary", Value::Int(100 + i)),
-                ]),
-            )
-            .unwrap();
-            pdb.tick().unwrap();
-        }
-        pdb.sync().unwrap();
-    }
-
-    // ...whose tail record gets hit by media corruption: flip a bit in
-    // the last frame's payload so its CRC no longer matches.
-    let len = fs.contents(&path).expect("log exists").len();
-    fs.corrupt_byte(&path, len - 3, 0x40).unwrap();
+    // The scenario's session ends by flipping a bit in the payload of
+    // the last (synced) record, so its CRC no longer matches.
+    let mut w = sim::build("recovery/damaged_tail", 0);
 
     tchimera_obs::install_ring_buffer(4096);
-    let damaged_before = tchimera_obs::snapshot()
-        .counter("storage.log.scan.damaged")
-        .unwrap_or(0);
+    let damaged = || tchimera_obs::snapshot().counter("storage.log.scan.damaged").unwrap_or(0);
+    let damaged_before = damaged();
 
     let mut runs = Vec::new();
     for open in 0..2 {
-        let pdb = PersistentDatabase::open_with(Arc::clone(&vfs), &path)
-            .unwrap_or_else(|e| panic!("open {open} refused a truncatable tail: {e}"));
+        let pdb = w.reopen(0);
         let trace = tchimera_obs::take_trace();
-        let rungs = rungs_in(&trace);
+        let rungs = instants(&trace, "storage.recovery.rung").map(|e| e.fields.clone());
+        let rungs: Vec<String> = rungs.collect();
         assert_eq!(rungs.len(), 1, "open {open}: exactly one ladder rung");
+        let damage_events = instants(&trace, "storage.log.scan.damaged").count();
         if open == 0 {
             // The first open walks over the corrupt frame: loud.
-            assert!(
-                damage_events_in(&trace) >= 1,
-                "open 0: damage must surface as a warn trace event"
-            );
+            assert!(damage_events >= 1, "open 0: damage must surface as a warn trace event");
             assert!(pdb.recovered_torn_tail(), "open 0: tail was damaged");
         } else {
             // Recovery truncated the damage away — the second open sees
             // the repaired store and must be silent about old damage.
-            assert_eq!(damage_events_in(&trace), 0, "open 1: already repaired");
+            assert_eq!(damage_events, 0, "open 1: already repaired");
             assert!(!pdb.recovered_torn_tail(), "open 1: tail is clean");
         }
-        runs.push((pdb.state_digest(), pdb.recovered_ops(), rungs));
         // The damaged suffix is gone but the durable prefix survived.
         assert!(pdb.db().object_count() >= 1);
         assert!(pdb.db().check_database().is_consistent());
+        runs.push((pdb.state_digest(), pdb.recovered_ops(), rungs));
     }
     tchimera_obs::clear_subscriber();
-
     assert_eq!(
         runs[0], runs[1],
         "two opens of the same damaged store must recover identically \
          (digest, op count, ladder rung)"
     );
-    let damaged_after = tchimera_obs::snapshot()
-        .counter("storage.log.scan.damaged")
-        .unwrap_or(0);
-    assert!(
-        damaged_after > damaged_before,
-        "the scan over the damage must bump the metric \
-         ({damaged_before} -> {damaged_after})"
-    );
+    assert!(damaged() > damaged_before, "the scan over the damage must bump the metric");
 }

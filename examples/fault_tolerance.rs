@@ -12,9 +12,8 @@
 use std::path::Path;
 use std::sync::Arc;
 
-use tchimera::storage::{
-    BreakerState, EngineConfig, EngineError, PersistentDatabase, SimFs, TearMode, Vfs,
-};
+use tchimera::storage::resilience::BREAKER_THRESHOLD;
+use tchimera::storage::{BreakerState, EngineError, PersistentDatabase, SimFs, TearMode, Vfs};
 use tchimera::{attrs, ClassDef, Type, Value};
 
 fn main() {
@@ -22,15 +21,7 @@ fn main() {
     let fs = SimFs::new();
     let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
     let path = Path::new("tour.log");
-    let mut pdb = PersistentDatabase::open_with_config(
-        Arc::clone(&vfs),
-        path,
-        EngineConfig {
-            breaker_threshold: 2,
-            ..EngineConfig::default()
-        },
-    )
-    .unwrap();
+    let mut pdb = PersistentDatabase::open_with(Arc::clone(&vfs), path).unwrap();
 
     // ── 1. Atomic transactions ──────────────────────────────────────
     // Two people who are each other's friend: neither half may ever be
@@ -91,14 +82,14 @@ fn main() {
     pdb.sync().unwrap();
     let boundary = pdb.state_digest();
     fs.fail_after(Some(0)); // the disk dies
-    for _ in 0..2 {
+    for _ in 0..BREAKER_THRESHOLD {
         assert!(matches!(pdb.tick(), Err(EngineError::Write { .. })));
     }
     assert_eq!(pdb.breaker_state(), BreakerState::Open);
     assert!(matches!(pdb.tick(), Err(EngineError::ReadOnly { .. })));
     assert_eq!(pdb.state_digest(), boundary, "reads still serve the boundary");
     println!(
-        "breaker open after 2 surfaced faults (gauge storage.breaker.state = {})",
+        "breaker open after {BREAKER_THRESHOLD} surfaced faults (gauge storage.breaker.state = {})",
         tchimera::obs::snapshot()
             .gauge("storage.breaker.state")
             .unwrap()

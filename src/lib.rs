@@ -51,7 +51,7 @@ pub use tchimera_core::{
     CAPABILITIES,
 };
 pub use tchimera_query::{Interpreter, Outcome, QueryError, QueryResult};
-pub use tchimera_storage::{EngineConfig, EngineError, PersistentDatabase, Transaction};
+pub use tchimera_storage::{EngineError, PersistentDatabase, Transaction};
 
 /// The README's code examples, compile-checked as doctests.
 #[doc = include_str!("../README.md")]

@@ -1,6 +1,7 @@
 //! Governor chaos: pathological queries, adversarial parser input and
 //! mid-flight cancellation hammer the query layer **concurrently with**
-//! the storage-fault workload of the chaos harness. The point is
+//! a storage-fault scenario of the simulated world
+//! (`governor/transient_bursts`). The point is
 //! end-to-end robustness, not any single mechanism:
 //!
 //! * every pathological query terminates with a *typed* error
@@ -10,13 +11,9 @@
 //! * afterwards the database is consistent (Definition 5.6), a normal
 //!   query answers correctly, and the admission gauge is back to zero.
 
-use std::path::Path;
-use std::sync::Arc;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tchimera::query::{ExecBudget, Interpreter, Outcome, QueryError};
-use tchimera::storage::{PersistentDatabase, SimFs, Vfs};
 use tchimera::{Database, Value};
 
 const SEED: u64 = 0x60BE12;
@@ -127,22 +124,6 @@ fn attack(db: Database, seed: u64) {
 #[test]
 fn pathological_queries_and_storage_faults_dont_take_the_engine_down() {
     let db = chaos_db();
-
-    // Storage side: a persistent engine on a fault-injecting SimFs,
-    // committing transactions while the query side attacks.
-    let fs = SimFs::new();
-    let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
-    let mut pdb =
-        PersistentDatabase::open_with(Arc::clone(&vfs), Path::new("governor_chaos.log")).unwrap();
-    pdb.txn(|t| {
-        t.define_class(
-            tchimera::ClassDef::new("w").attr("n", tchimera::Type::temporal(tchimera::Type::INTEGER)),
-        )?;
-        t.advance_to(tchimera::Instant(1))?;
-        Ok(())
-    })
-    .unwrap();
-
     let attackers: Vec<_> = (0..4)
         .map(|i| {
             let db = db.clone();
@@ -150,32 +131,11 @@ fn pathological_queries_and_storage_faults_dont_take_the_engine_down() {
         })
         .collect();
 
-    // Writer keeps committing under scheduled transient faults. The
-    // retry budget (4 attempts) absorbs bursts of 2; occasional longer
-    // bursts may surface — both are legitimate, corruption is not.
-    let mut rng = StdRng::seed_from_u64(SEED);
-    let mut committed = 0usize;
-    for i in 0..60 {
-        if i % 9 == 4 {
-            fs.fail_transient_next(rng.gen_range(1..3));
-        }
-        let r = pdb.txn(|t| {
-            t.tick()?;
-            t.create_object(
-                &tchimera::ClassId::from("w"),
-                tchimera::attrs([("n", Value::Int(i as i64))]),
-            )?;
-            Ok(())
-        });
-        if r.is_ok() {
-            committed += 1;
-        }
-        if pdb.is_read_only() {
-            break;
-        }
-    }
-    assert!(committed > 0, "storage made no progress under chaos");
-    assert!(pdb.db().check_database().is_consistent());
+    // Storage side, while the query side attacks: the simulated world's
+    // engine keeps committing under bursts of transient faults (the
+    // retry budget absorbs them; a longer one may surface — corruption
+    // may not), and ends consistent and recoverable.
+    tchimera::storage::sim::replay("governor/transient_bursts", 0);
 
     for a in attackers {
         a.join().expect("attacker thread panicked — governor leaked a panic");
