@@ -9,16 +9,17 @@
 //! * [`op`] — the logged [`op::Operation`] vocabulary mirroring every
 //!   database mutation, with a single `apply` path shared by online
 //!   execution and recovery.
-//! * [`log`] — the CRC-framed append-only [`log::OpLog`] with torn-tail
-//!   truncation, damage reporting and header-based compaction.
+//! * [`log`] — the CRC-framed append-only [`log::OpLog`], the one durable
+//!   file: an optional checkpoint image, then op records; torn-tail
+//!   truncation, damage reporting, and fsync failures written again.
 //! * [`vfs`] — the pluggable [`vfs::Vfs`] I/O layer: [`vfs::StdFs`] for
 //!   real disks and the deterministic fault-injection [`vfs::SimFs`]
 //!   (fail at the Nth write, tear unsynced data, flip bits, simulate
 //!   crashes that drop everything not fsynced).
-//! * [`snapshot`] — checksummed, atomically-installed checkpoints of the
-//!   full database state, enabling log compaction and fast recovery.
+//! * [`image`] — the checkpoint image: the full database state as log
+//!   records, with which a compacted log begins.
 //! * [`engine`] — [`engine::PersistentDatabase`], an event-sourced,
-//!   write-ahead-logged database with snapshot + suffix-replay recovery
+//!   write-ahead-logged database with image + suffix-replay recovery
 //!   and state digests. (T_Chimera state is a pure fold of its history —
 //!   the model's own valid-time semantics make event sourcing the natural
 //!   storage design.)
@@ -28,7 +29,7 @@
 //!   deterministic bounded retry ([`resilience::RETRY_ATTEMPTS`]) and the
 //!   read-only degradation [`resilience::CircuitBreaker`].
 //! * [`repl`] — log-shipping replication: a [`repl::Primary`] streams
-//!   CRC-framed log records (and full state images past compaction) over
+//!   CRC-framed log records (its whole log file past compaction) over
 //!   a pluggable [`repl::Transport`] to a digest-verified
 //!   [`repl::Replica`], with deterministic term-based failover and a
 //!   seedable fault-injecting [`repl::SimTransport`].
@@ -44,7 +45,10 @@
 #![warn(rust_2018_idioms)]
 
 pub mod codec;
+#[doc(hidden)]
+pub mod driver_compat;
 pub mod engine;
+pub mod image;
 pub mod log;
 pub mod observability;
 pub mod op;
@@ -52,16 +56,18 @@ pub mod repl;
 pub mod resilience;
 #[cfg(feature = "testing")]
 pub mod sim;
-pub mod snapshot;
 pub mod txn;
 pub mod vfs;
 
 pub use codec::{Codec, CodecError, Reader};
-pub use engine::{
-    digest_database, diverged_classes, snapshot_path, EngineError,
-    PersistentDatabase, StorageScrubReport,
+#[doc(hidden)]
+pub use driver_compat::{
+    load_snapshot, snapshot_path, write_snapshot, LogScan, Snapshot, SnapshotError,
 };
-pub use log::{DamageReason, LogError, LogScan, OpLog, TailDamage};
+pub use engine::{
+    digest_database, diverged_classes, EngineError, PersistentDatabase, StorageScrubReport,
+};
+pub use log::{DamageReason, LogError, OpLog, TailDamage};
 pub use observability::{touch_metrics, REPL_METRICS, STORAGE_METRICS};
 pub use op::{Operation, ReplayError};
 pub use repl::{
@@ -69,6 +75,5 @@ pub use repl::{
     Transport, WireError,
 };
 pub use resilience::{BreakerState, CircuitBreaker, FaultKind};
-pub use snapshot::{load_snapshot, write_snapshot, Snapshot, SnapshotError};
 pub use txn::Transaction;
 pub use vfs::{SimFs, StdFs, TearMode, Vfs, VfsFile};

@@ -1,19 +1,18 @@
-//! The append-only operation log.
+//! The append-only operation log: the one durable file of a database.
 //!
-//! Record framing: `[len: u32 LE][crc32: u32 LE][payload: len bytes]`,
-//! where the CRC covers the payload. A compacted log starts with a
-//! 20-byte header — the magic `TCLOG001`, a u64 LE *base* (the number of
-//! operations that were folded into a snapshot and dropped from the
-//! log), and a u32 LE CRC of the base field: a flipped bit in the base
-//! must be *detected*, never silently shift the replay origin.
-//! Headerless files read as base 0 (the pre-compaction format).
+//! A log file (format: `DESIGN.md` §8.1) is a header and an image —
+//! written by a checkpoint: magic `TCLOG002`, base, image record count,
+//! digest and a CRC over the three, then the image records of
+//! [`crate::image`] — followed by op records, op record `i` being
+//! operation `base + i`. Every record is framed `[len: u32][crc32:
+//! u32][payload]`. A file with no header is a log of base 0.
 //!
-//! Reading is two steps. The frame walker ([`RecordWalk`]) yields each
-//! CRC-valid record and stops at the first torn or checksum-damaged
-//! frame; the decode step turns one record's payload into an
-//! [`Operation`]. A replication primary ships what the walker yields
-//! without decoding it, and the replica decodes each record once, then
-//! appends it verbatim.
+//! Reading is two steps. The frame walker ([`RecordWalk`]) checks the
+//! header, walks the image, then yields each CRC-valid op record and
+//! stops at the first torn or checksum-damaged frame; the decode step
+//! turns one record's payload into an [`Operation`]. A replication
+//! primary ships what the walker yields without decoding it, and the
+//! replica decodes each record once, then appends it verbatim.
 //!
 //! Replay is one pass (`replay`): walk → decode → apply, one record at
 //! a time, each decoded operation moved into the model before the next
@@ -23,10 +22,12 @@
 //! checksum mismatch, or a CRC-valid but undecodable payload — and
 //! reports where (`Pass::damage`); an open then truncates everything
 //! from that point on (`OpLog::adopt`) before anything is appended.
-//! [`OpLog::scan_bytes`] is the same walk collecting the operations
-//! instead. All I/O goes through the pluggable [`Vfs`] layer so the
-//! crash-matrix tests can run the identical code against a
-//! fault-injecting filesystem.
+//!
+//! Writing follows the fsync rule of `DESIGN.md` §8.1: an fsync is never
+//! retried, and after a failed one the next sync first writes again the
+//! records appended since the last good one. All I/O goes through the
+//! pluggable [`Vfs`] layer so the fault scenarios run the identical code
+//! against a fault-injecting filesystem.
 
 use std::io;
 use std::path::{Path, PathBuf};
@@ -36,13 +37,19 @@ use tchimera_core::Database;
 
 use crate::codec::{Codec, CodecError, Reader};
 use crate::op::{note_applied, note_decoded, Operation, ReplayError};
-use crate::vfs::{StdFs, Vfs, VfsFile};
+use crate::vfs::{Vfs, VfsFile};
 
-/// Magic prefix of a log file carrying a compaction header.
-pub const LOG_MAGIC: &[u8; 8] = b"TCLOG001";
+#[doc(hidden)]
+pub use crate::driver_compat::LogScan;
 
-/// Byte length of the compaction header (magic + u64 base + u32 CRC).
-const HEADER_LEN: u64 = 20;
+/// Magic prefix of a log file that begins with a checkpoint image.
+pub const LOG_MAGIC: &[u8; 8] = b"TCLOG002";
+
+/// Byte length of the header (magic, base, image records, digest, CRC).
+pub(crate) const HEADER_LEN: usize = 36;
+
+/// Bytes of unsynced records past which an append syncs the log itself.
+const TAIL_LIMIT: usize = 1 << 20;
 
 /// Byte length of a record's (and a wire frame's) `[len][crc32]` prefix.
 const FRAME_HEAD: usize = 8;
@@ -152,6 +159,25 @@ pub(crate) fn parent_dir(path: &Path) -> PathBuf {
     }
 }
 
+/// Write `bytes` to a temp file beside `path`, fsync it and rename it
+/// over `path`: the file appears whole or not at all, and the rename is
+/// durable once the directory is synced. Returns the handle that wrote
+/// it, which appends at its end.
+pub(crate) fn write_and_rename(
+    vfs: &Arc<dyn Vfs>,
+    path: &Path,
+    bytes: &[u8],
+) -> Result<Box<dyn VfsFile>, LogError> {
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    let mut f = vfs.open_trunc(&tmp)?;
+    f.write_all(bytes)?;
+    f.sync()?;
+    vfs.rename(&tmp, path)?;
+    Ok(f)
+}
+
 /// Errors raised by the log.
 #[derive(Debug)]
 pub enum LogError {
@@ -216,16 +242,60 @@ pub(crate) fn report_scan_damage(damage: Option<&TailDamage>) {
     }
 }
 
-/// The frame walker: the CRC-valid records of a buffer, in order, each as
-/// its absolute byte offset and its payload. The walk stops at the first
-/// torn or checksum-damaged frame and keeps it in [`RecordWalk::damage`];
-/// nothing is decoded.
+/// What a log header records.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct Head {
+    /// Operations the image folds: the first op record is operation
+    /// `base`.
+    pub base: u64,
+    /// Image records between the header and the first op record.
+    pub images: u64,
+    /// `digest_database` of the image.
+    pub digest: u64,
+}
+
+impl Head {
+    /// The header's bytes.
+    pub(crate) fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER_LEN);
+        out.extend_from_slice(LOG_MAGIC);
+        for v in [self.base, self.images, self.digest] {
+            out.extend_from_slice(&v.to_le_bytes());
+        }
+        out.extend_from_slice(&crc32(&out[8..]).to_le_bytes());
+        out
+    }
+
+    /// Parse the header `buf` begins with: `Err` says why it is unusable.
+    fn decode(buf: &[u8]) -> Result<Head, (&'static str, DamageReason)> {
+        let field = |at: usize| u64::from_le_bytes(buf[at..at + 8].try_into().unwrap());
+        if buf.len() < HEADER_LEN {
+            Err(("torn log header", DamageReason::TruncatedFrame))
+        } else if !buf.starts_with(LOG_MAGIC) {
+            Err(("unknown log format", DamageReason::ChecksumMismatch))
+        } else if crc32(&buf[8..32]) != u32::from_le_bytes(buf[32..36].try_into().unwrap()) {
+            // A flipped bit in the base would silently shift every
+            // operation number: refuse the whole file instead.
+            Err(("log header checksum mismatch", DamageReason::ChecksumMismatch))
+        } else {
+            Ok(Head { base: field(8), images: field(16), digest: field(24) })
+        }
+    }
+}
+
+/// The frame walker: the CRC-valid op records of a buffer, in order,
+/// each as its absolute byte offset and its payload. The walk stops at
+/// the first torn or checksum-damaged frame and keeps it in
+/// [`RecordWalk::damage`]; nothing is decoded.
 pub struct RecordWalk<'a> {
     buf: &'a [u8],
     pos: usize,
     /// Absolute offset of `buf[0]`.
     origin: u64,
-    base: u64,
+    head: Option<Head>,
+    /// The image records' bytes, or why the header or the image is
+    /// unusable (the walk then yields nothing).
+    image: Result<Option<&'a [u8]>, &'static str>,
     damage: Option<TailDamage>,
 }
 
@@ -237,46 +307,75 @@ impl<'a> RecordWalk<'a> {
             buf,
             pos: 0,
             origin: 0,
-            base: 0,
+            head: None,
+            image: Ok(None),
             damage: None,
         }
     }
 
     /// Walk a log file's bytes from byte `offset` on: 0 — the whole file,
-    /// whose compaction header (if any) is checked and skipped — or a
-    /// record boundary such as an earlier walk's [`RecordWalk::offset`].
+    /// whose header and image records (if any) are checked and passed
+    /// over — or an op record boundary such as an earlier walk's
+    /// [`RecordWalk::offset`].
     pub fn log(buf: &'a [u8], offset: u64) -> RecordWalk<'a> {
         let mut walk = RecordWalk {
             origin: offset,
             ..RecordWalk::new(buf)
         };
-        if offset > 0 || !buf.starts_with(LOG_MAGIC) {
+        // Anything that begins like a header is one, or unusable: a record
+        // never starts with seven bytes of the magic, nor holds a CRC of
+        // its bytes 8..32 at 32..36, so a damaged magic is damage to
+        // refuse, not a torn first record to cut away.
+        let near = buf.iter().zip(LOG_MAGIC).filter(|(b, m)| b != m).count();
+        let sealed = buf.len() >= HEADER_LEN
+            && crc32(&buf[8..32]) == u32::from_le_bytes(buf[32..36].try_into().unwrap());
+        if offset > 0 || buf.len() < LOG_MAGIC.len() || (near > 1 && !sealed) {
             return walk;
         }
-        let reason = if buf.len() < HEADER_LEN as usize {
-            // A torn header: nothing usable in the file.
-            DamageReason::TruncatedFrame
-        } else if crc32(&buf[8..16]) != u32::from_le_bytes(buf[16..20].try_into().unwrap()) {
-            // A corrupted base would silently shift the replay origin —
-            // refuse the whole file instead.
-            DamageReason::ChecksumMismatch
-        } else {
-            walk.base = u64::from_le_bytes(buf[8..16].try_into().unwrap());
-            walk.pos = HEADER_LEN as usize;
-            return walk;
+        let head = match Head::decode(buf) {
+            Ok(head) => head,
+            Err((why, reason)) => {
+                walk.image = Err(why);
+                walk.damage = Some(TailDamage { offset: 0, reason });
+                return walk;
+            }
         };
-        walk.damage = Some(TailDamage { offset: 0, reason });
+        walk.head = Some(head);
+        walk.pos = HEADER_LEN;
+        let walked = walk.by_ref().take(head.images as usize).count() as u64;
+        walk.image = if walked == head.images {
+            Ok(Some(&buf[HEADER_LEN..walk.pos]))
+        } else {
+            let at = walk.offset();
+            walk.damage.get_or_insert(TailDamage {
+                offset: at,
+                reason: DamageReason::TruncatedFrame,
+            });
+            Err("damaged image record")
+        };
         walk
     }
 
-    /// The base the compaction header records (0 without a header, and
-    /// for a walk that did not start at byte 0).
+    /// The header, when the walk started at byte 0 of a file that has
+    /// one and it is intact.
+    pub fn head(&self) -> Option<&Head> {
+        self.head.as_ref()
+    }
+
+    /// The base the header records (0 without a header, and for a walk
+    /// that did not start at byte 0).
     pub fn base(&self) -> u64 {
-        self.base
+        self.head.map_or(0, |h| h.base)
+    }
+
+    /// The image records' bytes (`None` for a log that starts from the
+    /// empty database), or why the header or an image record is damaged.
+    pub(crate) fn image(&self) -> Result<Option<&'a [u8]>, &'static str> {
+        self.image
     }
 
     /// Bytes of the buffer walked so far: the end of the last record
-    /// yielded (or of the header).
+    /// yielded (or of the header and image).
     pub fn pos(&self) -> usize {
         self.pos
     }
@@ -321,13 +420,13 @@ impl<'a> Iterator for RecordWalk<'a> {
     }
 }
 
-/// What one pass over a log's bytes found: the records it decoded, where
-/// the valid prefix ends and the damage that ended it.
+/// What one pass over a log's bytes found: the op records it decoded,
+/// where the valid prefix ends and the damage that ended it.
 pub(crate) struct Pass {
-    /// Operations compacted away before the log's first record (the
-    /// header base; 0 for headerless logs).
+    /// Operations the log's image folds (the header base; 0 without
+    /// one).
     pub(crate) base: u64,
-    /// Records decoded.
+    /// Op records decoded.
     pub(crate) records: u64,
     /// Bytes of valid prefix (where the damage begins, if any).
     pub(crate) valid_len: u64,
@@ -341,7 +440,11 @@ impl Pass {
     /// `each` by value. A CRC-valid record that does not decode is damage
     /// at its offset like any other: it ends the pass and is reported,
     /// never raised.
-    fn run(mut walk: RecordWalk<'_>, limit: u64, mut each: impl FnMut(Operation)) -> Pass {
+    pub(crate) fn run(
+        mut walk: RecordWalk<'_>,
+        limit: u64,
+        mut each: impl FnMut(Operation),
+    ) -> Pass {
         let _span = tchimera_obs::span!("storage.log.scan", bytes = walk.buf.len());
         let mut r = Reader::new(&[]);
         let (mut records, mut damage) = (0, None);
@@ -376,12 +479,10 @@ impl Pass {
     }
 }
 
-/// The one replay loop: decode the records of `walk` one at a time and
-/// fold them into `db`. The first `skip` records are passed over — a
-/// snapshot holds them — but still decoded, so damage among them is
-/// still found; the next `take` are applied by value, and the pass ends
-/// after them. With no `db` every record is passed over: the pass only
-/// counts and finds damage.
+/// The one replay loop: decode the op records of `walk` one at a time
+/// and fold the first `take` into `db`, by value; the pass ends after
+/// them. With no `db` every record is passed over: the pass only counts
+/// and finds damage.
 ///
 /// A record the model rejects ends the applying, not the pass: the
 /// records after it are still decoded, so the count and the damage are
@@ -390,35 +491,14 @@ impl Pass {
 pub(crate) fn replay(
     walk: RecordWalk<'_>,
     mut db: Option<&mut Database>,
-    skip: u64,
     take: u64,
 ) -> (Pass, Result<(), ReplayError>) {
-    let (mut seen, mut outcome) = (0, Ok(()));
-    let pass = Pass::run(walk, skip.saturating_add(take), |op| {
-        seen += 1;
-        match db.as_deref_mut() {
-            Some(db) if seen > skip && outcome.is_ok() => outcome = op.apply_owned(db),
-            _ => note_applied(),
-        }
+    let mut outcome = Ok(());
+    let pass = Pass::run(walk, take, |op| match db.as_deref_mut() {
+        Some(db) if outcome.is_ok() => outcome = op.apply_owned(db),
+        _ => note_applied(),
     });
     (pass, outcome)
-}
-
-/// The outcome of opening a log: the decoded operations plus tail
-/// diagnostics.
-pub struct LogScan {
-    /// All intact operations, in append order.
-    pub ops: Vec<Operation>,
-    /// Operations compacted away before this file's first record (the
-    /// header base; 0 for headerless logs).
-    pub base_op: u64,
-    /// Bytes of valid prefix.
-    pub valid_len: u64,
-    /// `true` if a torn/corrupt tail was found (and will be truncated on
-    /// the next append).
-    pub torn_tail: bool,
-    /// Where and why the tail was damaged, when `torn_tail` is set.
-    pub damage: Option<TailDamage>,
 }
 
 /// An append-only, CRC-framed operation log backed by a single file.
@@ -426,40 +506,33 @@ pub struct OpLog {
     vfs: Arc<dyn Vfs>,
     file: Box<dyn VfsFile>,
     path: PathBuf,
+    /// Bytes of the valid log: where the next record goes.
     len: u64,
-    appended: u64,
+    /// `len` at the last successful fsync.
+    durable_len: u64,
+    /// The records appended since that fsync, as they were appended:
+    /// what the file holds between `durable_len` and `len`.
+    tail: Vec<u8>,
+    /// The file past `durable_len` is not known to hold `tail`: an append
+    /// failed part-way, or an fsync failed and its pages may be gone. The
+    /// next append or sync first writes `tail` there again.
+    rewrite: bool,
+    /// A file was renamed over the log and the directory sync that makes
+    /// the rename durable failed: the next sync makes it first.
+    dir_owed: bool,
+    /// Op records in the file.
+    records: u64,
     base: u64,
-    /// Set when a failed append may have left partial frame bytes on disk
-    /// that could not be truncated away. While set, every append/sync
-    /// first re-attempts the truncation ([`OpLog::heal`]) — appending
-    /// after unremoved garbage would silently lose every later record at
-    /// recovery (the scan stops at the first damaged frame).
-    dirty: bool,
 }
 
 impl OpLog {
-    /// Open (or create) the log at `path` on the real filesystem and scan
-    /// its contents.
-    pub fn open(path: impl AsRef<Path>) -> Result<(OpLog, LogScan), LogError> {
-        Self::open_with(Arc::new(StdFs), path.as_ref())
-    }
-
-    /// Open (or create) the log at `path` through the given [`Vfs`].
-    ///
-    /// Durability discipline: a freshly created log file is followed by an
-    /// fsync of its parent directory (a crash right after create must not
-    /// lose the file), and a torn-tail truncation is itself fsynced (the
-    /// truncate must not un-happen after appends resume).
-    pub fn open_with(vfs: Arc<dyn Vfs>, path: &Path) -> Result<(OpLog, LogScan), LogError> {
-        let (mut log, buf) = Self::open_unscanned(vfs, path)?;
-        let scan = Self::scan_bytes(&buf);
-        log.adopt(scan.base_op, scan.valid_len, scan.torn_tail)?;
-        Ok((log, scan))
-    }
-
     /// Open (or create) the log at `path` and read its bytes, leaving the
     /// pass over them to the caller: [`OpLog::adopt`] what it found
     /// before the first append.
+    ///
+    /// Durability discipline: a freshly created log file is followed by an
+    /// fsync of its parent directory (a crash right after create must not
+    /// lose the file).
     pub(crate) fn open_unscanned(
         vfs: Arc<dyn Vfs>,
         path: &Path,
@@ -476,68 +549,68 @@ impl OpLog {
             file,
             path,
             len: 0,
-            appended: 0,
+            durable_len: 0,
+            tail: Vec::new(),
+            rewrite: false,
+            dir_owed: false,
+            records: 0,
             base: 0,
-            dirty: false,
         };
         Ok((log, buf))
     }
 
     /// Take up what a pass over this log's bytes found: the header's
-    /// `base` and the `valid_len` bytes before any damage. A `damaged`
-    /// tail is truncated so appends resume from the valid prefix, and the
-    /// truncation is made durable before anything is appended after it.
-    pub(crate) fn adopt(&mut self, base: u64, valid_len: u64, damaged: bool) -> Result<(), LogError> {
-        if damaged {
-            self.file.set_len(valid_len)?;
+    /// `base`, the `records` op records and the `valid_len` bytes before
+    /// any damage. A `damaged` tail is truncated so appends resume from
+    /// the valid prefix, and the truncation is made durable before
+    /// anything is appended after it.
+    pub(crate) fn adopt(&mut self, pass: &Pass) -> Result<(), LogError> {
+        if pass.damage.is_some() {
+            self.file.set_len(pass.valid_len)?;
             self.file.sync()?;
         }
-        self.len = valid_len;
-        self.base = base;
+        (self.len, self.durable_len) = (pass.valid_len, pass.valid_len);
+        (self.base, self.records) = (pass.base, pass.records);
         Ok(())
     }
 
-    /// Scan raw log bytes: walk the header (if any) and every intact
-    /// record, decoding each, and stop at the first damage. Never fails —
-    /// damage is reported in the scan, not raised.
-    pub fn scan_bytes(buf: &[u8]) -> LogScan {
-        let mut ops = Vec::new();
-        let pass = Pass::run(RecordWalk::log(buf, 0), u64::MAX, |op| ops.push(op));
-        LogScan {
-            ops,
-            base_op: pass.base,
-            valid_len: pass.valid_len,
-            torn_tail: pass.damage.is_some(),
-            damage: pass.damage,
-        }
-    }
-
     /// The bytes of this log from byte `offset` on — 0 (the whole file,
-    /// header included) or a record boundary — durable bytes and buffered
-    /// appends alike, as any `Vfs` read sees them. Walk them with
-    /// [`RecordWalk::log`] and the same `offset`.
+    /// header included) or an op record boundary — durable bytes and
+    /// buffered appends alike, as any `Vfs` read sees them. Walk them
+    /// with [`RecordWalk::log`] and the same `offset`.
     pub(crate) fn read_from(&self, offset: u64) -> Result<Vec<u8>, LogError> {
         Ok(self.vfs.read_from(&self.path, offset)?)
     }
 
-    /// Re-truncate the file to the last known-good length after a failed
-    /// append may have left partial frame bytes behind. Idempotent; a
-    /// no-op when the log is clean.
-    fn heal(&mut self) -> Result<(), LogError> {
-        if !self.dirty {
+    /// The log's bytes as they stand with every appended record in
+    /// place: the file, and — when it may no longer hold them — the
+    /// records appended since the last good fsync put back after its
+    /// durable prefix.
+    pub(crate) fn read_all(&self) -> Result<Vec<u8>, LogError> {
+        let mut buf = self.vfs.read(&self.path)?;
+        if self.rewrite {
+            buf.truncate(self.durable_len as usize);
+            buf.extend_from_slice(&self.tail);
+        }
+        Ok(buf)
+    }
+
+    /// Put the records appended since the last good fsync back after the
+    /// durable prefix, when the file may no longer hold them. A no-op
+    /// when it does.
+    fn restore(&mut self) -> Result<(), LogError> {
+        if !self.rewrite {
             return Ok(());
         }
-        self.file.set_len(self.len)?;
-        self.file.sync()?;
-        self.dirty = false;
+        self.file.set_len(self.durable_len)?;
+        self.file.write_all(&self.tail)?;
+        self.rewrite = false;
+        tchimera_obs::counter!("storage.log.rewrites").inc();
         Ok(())
     }
 
     /// Append one operation (buffered; call [`OpLog::sync`] to make it
     /// durable): encode it, then append the one record.
-    ///
-    /// On failure the file is rolled back to its pre-append length, so a
-    /// partially-written frame can never sit underneath later appends.
     pub fn append(&mut self, op: &Operation) -> Result<(), LogError> {
         self.append_records(&encode_record(op), 1)
     }
@@ -549,74 +622,92 @@ impl OpLog {
     /// are whole, CRC-valid records that decode ([`encode_record`]'s, or
     /// ones a walk accepted and a decode read).
     ///
-    /// On failure the file is rolled back to its pre-append length, so a
+    /// On failure the file is put back as it was before the append, so a
     /// partially-written frame can never sit underneath later appends
     /// (which would make every later record unrecoverable — the scan
-    /// stops at the first damaged frame). If the rollback itself fails,
-    /// the log stays poisoned and re-attempts the rollback before any
-    /// further append or sync.
+    /// stops at the first damaged frame). If that fails too, it is tried
+    /// again before any further append or sync.
     pub(crate) fn append_records(&mut self, records: &[u8], count: u64) -> Result<(), LogError> {
-        self.heal()?;
+        self.restore()?;
         if let Err(e) = self.file.write_all(records) {
-            self.dirty = true;
-            let _ = self.heal();
+            self.rewrite = true;
+            let _ = self.restore();
             return Err(LogError::Io(e));
         }
+        self.tail.extend_from_slice(records);
         self.len += records.len() as u64;
-        self.appended += count;
+        self.records += count;
         tchimera_obs::counter!("storage.log.appends").add(count);
         tchimera_obs::counter!("storage.log.bytes").add(records.len() as u64);
+        // The tail is kept for a failed fsync to be written again, so a
+        // writer that does not sync (a follower between its syncs, a bulk
+        // load) would keep all it appends: past a bound, sync early. A
+        // failure here is the next sync's to surface.
+        if self.tail.len() > TAIL_LIMIT {
+            let _ = self.sync();
+        }
         Ok(())
     }
 
-    /// Flush and fsync.
+    /// Make every appended record durable: flush and fsync, never
+    /// retried. A failed fsync may have lost what it was to write, so the
+    /// next sync writes the records since the last good one again first.
     pub fn sync(&mut self) -> Result<(), LogError> {
         let _span = tchimera_obs::span!("storage.log.fsync");
-        self.heal()?;
-        self.file.sync()?;
+        self.restore()?;
+        if self.dir_owed {
+            self.vfs.sync_dir(&parent_dir(&self.path))?;
+            self.dir_owed = false;
+        }
+        if let Err(e) = self.file.sync() {
+            self.rewrite = true;
+            return Err(e.into());
+        }
+        self.durable_len = self.len;
+        self.tail.clear();
+        // A long unsynced run (a bulk load) leaves no large buffer behind.
+        self.tail.shrink_to(1 << 16);
         Ok(())
     }
 
-    /// Replace the log with an empty one whose header records that the
-    /// first `base` operations live in a snapshot (log compaction). The
-    /// swap is atomic and durable: write a temp file, fsync it, rename
-    /// over the log, fsync the directory. On return this handle appends
-    /// to the fresh log and [`OpLog::appended`] restarts from 0.
-    pub fn compact_to(&mut self, base: u64) -> Result<(), LogError> {
+    /// Replace the log with `file` — a checkpoint, or a primary's log from
+    /// byte 0 — whose header records `base` and which holds `records` op
+    /// records, in one atomic, durable step: write it to a sibling temp
+    /// file, fsync that, rename it over the log and fsync the directory.
+    /// The handle that wrote the temp file appends to the log from then
+    /// on.
+    ///
+    /// A failure up to the rename leaves the log as it was. A failed
+    /// directory sync leaves the new file in place, its rename not yet
+    /// durable: a crash may still bring the old file back, so the next
+    /// sync makes the rename durable before it acknowledges anything.
+    pub(crate) fn replace(&mut self, file: &[u8], base: u64, records: u64) -> Result<(), LogError> {
+        let _span = tchimera_obs::span!("storage.snapshot.install", base = base);
         tchimera_obs::counter!("storage.log.compactions").inc();
-        let tmp = self.path.with_extension("log.tmp");
-        let mut header = Vec::with_capacity(HEADER_LEN as usize);
-        header.extend_from_slice(LOG_MAGIC);
-        header.extend_from_slice(&base.to_le_bytes());
-        header.extend_from_slice(&crc32(&base.to_le_bytes()).to_le_bytes());
-        let mut f = self.vfs.open_trunc(&tmp)?;
-        f.write_all(&header)?;
-        f.sync()?;
-        drop(f);
-        self.vfs.rename(&tmp, &self.path)?;
+        self.file = write_and_rename(&self.vfs, &self.path, file)?;
+        (self.len, self.durable_len) = (file.len() as u64, file.len() as u64);
+        (self.base, self.records) = (base, records);
+        self.tail.clear();
+        self.rewrite = false;
+        self.dir_owed = true;
         self.vfs.sync_dir(&parent_dir(&self.path))?;
-        self.file = self.vfs.open_append(&self.path)?;
-        self.len = HEADER_LEN;
-        self.appended = 0;
-        self.base = base;
-        self.dirty = false;
+        self.dir_owed = false;
         Ok(())
     }
 
-    /// Operations compacted away before this log's first record.
+    /// Operations folded into the image this log starts with.
     pub fn base_op(&self) -> u64 {
         self.base
+    }
+
+    /// Op records in the log (after its image).
+    pub fn records(&self) -> u64 {
+        self.records
     }
 
     /// Current byte length of the valid log.
     pub fn len_bytes(&self) -> u64 {
         self.len
-    }
-
-    /// Operations appended through this handle (since open or the last
-    /// compaction).
-    pub fn appended(&self) -> u64 {
-        self.appended
     }
 
     /// The log file path.
@@ -628,7 +719,7 @@ impl OpLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::vfs::SimFs;
+    use crate::vfs::{SimFs, StdFs, TearMode};
     use tchimera_core::{ClassDef, ClassId, Instant};
 
     fn tmp(name: &str) -> PathBuf {
@@ -636,6 +727,20 @@ mod tests {
         p.push(format!("tchimera-log-{}-{}", std::process::id(), name));
         let _ = std::fs::remove_file(&p);
         p
+    }
+
+    /// Open the log at `path` the way an engine does: read it, pass over
+    /// it collecting the operations, adopt what the pass found.
+    fn open(vfs: Arc<dyn Vfs>, path: &Path) -> (OpLog, Vec<Operation>, Pass) {
+        let (mut log, buf) = OpLog::open_unscanned(vfs, path).unwrap();
+        let mut ops = Vec::new();
+        let pass = Pass::run(RecordWalk::log(&buf, 0), u64::MAX, |op| ops.push(op));
+        log.adopt(&pass).unwrap();
+        (log, ops, pass)
+    }
+
+    fn std_open(path: &Path) -> (OpLog, Vec<Operation>, Pass) {
+        open(Arc::new(StdFs), path)
     }
 
     fn sample_ops() -> Vec<Operation> {
@@ -654,21 +759,18 @@ mod tests {
     fn append_and_rescan() {
         let path = tmp("basic");
         {
-            let (mut log, scan) = OpLog::open(&path).unwrap();
-            assert!(scan.ops.is_empty());
-            assert!(!scan.torn_tail);
+            let (mut log, ops, pass) = std_open(&path);
+            assert!(ops.is_empty() && pass.damage.is_none());
             for op in sample_ops() {
                 log.append(&op).unwrap();
             }
             log.sync().unwrap();
-            assert_eq!(log.appended(), 3);
+            assert_eq!(log.records(), 3);
         }
-        let (log, scan) = OpLog::open(&path).unwrap();
-        assert_eq!(scan.ops.len(), 3);
-        assert!(!scan.torn_tail);
-        assert!(scan.damage.is_none());
-        assert_eq!(scan.base_op, 0);
-        assert_eq!(scan.valid_len, log.len_bytes());
+        let (log, ops, pass) = std_open(&path);
+        assert_eq!((ops.len(), log.records(), pass.base), (3, 3, 0));
+        assert!(pass.damage.is_none());
+        assert_eq!(pass.valid_len, log.len_bytes());
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -676,7 +778,7 @@ mod tests {
     fn torn_tail_is_truncated() {
         let path = tmp("torn");
         {
-            let (mut log, _) = OpLog::open(&path).unwrap();
+            let (mut log, ..) = std_open(&path);
             for op in sample_ops() {
                 log.append(&op).unwrap();
             }
@@ -685,19 +787,18 @@ mod tests {
         // Simulate a crash mid-append: chop bytes off the end.
         let full = std::fs::read(&path).unwrap();
         std::fs::write(&path, &full[..full.len() - 3]).unwrap();
-        let (mut log, scan) = OpLog::open(&path).unwrap();
-        assert!(scan.torn_tail);
-        assert_eq!(scan.ops.len(), 2); // last record lost
-        let damage = scan.damage.expect("damage reported");
-        assert_eq!(damage.offset, scan.valid_len);
+        let (mut log, ops, pass) = std_open(&path);
+        assert_eq!(ops.len(), 2); // last record lost
+        let damage = pass.damage.expect("damage reported");
+        assert_eq!(damage.offset, pass.valid_len);
         assert_eq!(damage.reason, DamageReason::TruncatedFrame);
         // The file was truncated to the valid prefix; appends resume.
         log.append(&Operation::AdvanceTo(Instant(9))).unwrap();
         log.sync().unwrap();
         drop(log);
-        let (_, scan) = OpLog::open(&path).unwrap();
-        assert!(!scan.torn_tail);
-        assert_eq!(scan.ops.len(), 3);
+        let (_, ops, pass) = std_open(&path);
+        assert!(pass.damage.is_none());
+        assert_eq!(ops.len(), 3);
         std::fs::remove_file(&path).unwrap();
     }
 
@@ -705,7 +806,7 @@ mod tests {
     fn bitflip_in_payload_detected() {
         let path = tmp("bitflip");
         {
-            let (mut log, _) = OpLog::open(&path).unwrap();
+            let (mut log, ..) = std_open(&path);
             for op in sample_ops() {
                 log.append(&op).unwrap();
             }
@@ -715,31 +816,25 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
         std::fs::write(&path, &bytes).unwrap();
-        let (_, scan) = OpLog::open(&path).unwrap();
-        assert!(scan.torn_tail);
-        assert!(scan.ops.len() < 3);
+        let (_, ops, pass) = std_open(&path);
+        assert!(pass.damage.is_some());
+        assert!(ops.len() < 3);
         std::fs::remove_file(&path).unwrap();
     }
 
     #[test]
     fn undecodable_record_is_damage_not_abort() {
-        // A frame whose CRC is valid but whose payload is garbage: scan
-        // must truncate at that record's offset, keeping the prefix.
-        let op = Operation::AdvanceTo(Instant(5));
-        let payload = op.to_bytes();
-        let mut buf = Vec::new();
-        buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-        buf.extend_from_slice(&payload);
+        // A frame whose CRC is valid but whose payload is garbage: the
+        // pass ends at that record's offset, keeping the prefix.
+        let mut buf = encode_record(&Operation::AdvanceTo(Instant(5)));
         let good_len = buf.len() as u64;
         let garbage = [0xfeu8, 0xff, 0xff];
         buf.extend_from_slice(&(garbage.len() as u32).to_le_bytes());
         buf.extend_from_slice(&crc32(&garbage).to_le_bytes());
         buf.extend_from_slice(&garbage);
-        let scan = OpLog::scan_bytes(&buf);
-        assert_eq!(scan.ops.len(), 1);
-        assert_eq!(scan.valid_len, good_len);
-        let damage = scan.damage.expect("undecodable tail reported");
+        let pass = Pass::run(RecordWalk::log(&buf, 0), u64::MAX, drop);
+        assert_eq!((pass.records, pass.valid_len), (1, good_len));
+        let damage = pass.damage.expect("undecodable tail reported");
         assert_eq!(damage.offset, good_len);
         assert!(matches!(damage.reason, DamageReason::Undecodable(_)));
     }
@@ -781,38 +876,131 @@ mod tests {
     fn appended_records_land_verbatim() {
         let fs = SimFs::new();
         let path = PathBuf::from("wal.log");
-        let (mut log, _) = OpLog::open_with(Arc::new(fs.clone()), &path).unwrap();
+        let (mut log, ..) = open(Arc::new(fs.clone()), &path);
         log.append(&Operation::AdvanceTo(Instant(1))).unwrap();
         let run: Vec<u8> = sample_ops().iter().flat_map(encode_record).collect();
         log.append_records(&run, 3).unwrap();
-        assert_eq!(log.appended(), 4);
+        assert_eq!(log.records(), 4);
         let bytes = fs.contents(&path).unwrap();
         assert!(bytes.ends_with(&run));
         assert_eq!(log.len_bytes(), bytes.len() as u64);
-        let scan = OpLog::scan_bytes(&bytes);
-        assert_eq!((scan.ops.len(), scan.torn_tail), (4, false));
+        let pass = Pass::run(RecordWalk::log(&bytes, 0), u64::MAX, drop);
+        assert_eq!((pass.records, pass.damage), (4, None));
+    }
+
+    /// A log file that starts with a header and `images` image records.
+    fn checkpoint_file(base: u64, images: u64) -> Vec<u8> {
+        let mut file = Head { base, images, digest: 7 }.encode();
+        for k in 0..images {
+            let mut record = vec![0; FRAME_HEAD];
+            record.extend_from_slice(&[0xee, k as u8]);
+            seal_frame(&mut record);
+            file.extend_from_slice(&record);
+        }
+        file
     }
 
     #[test]
-    fn compaction_rewrites_header_and_resets_log() {
-        let path = tmp("compact");
-        let (mut log, _) = OpLog::open(&path).unwrap();
+    fn a_replaced_log_walks_its_image_then_its_records() {
+        let fs = SimFs::new();
+        let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+        let path = PathBuf::from("wal.log");
+        let (mut log, ..) = open(Arc::clone(&vfs), &path);
         for op in sample_ops() {
             log.append(&op).unwrap();
         }
-        log.sync().unwrap();
-        log.compact_to(3).unwrap();
-        assert_eq!(log.base_op(), 3);
-        assert_eq!(log.appended(), 0);
+        let file = checkpoint_file(3, 2);
+        log.replace(&file, 3, 0).unwrap();
+        assert_eq!((log.base_op(), log.records()), (3, 0));
         log.append(&Operation::AdvanceTo(Instant(9))).unwrap();
         log.sync().unwrap();
         drop(log);
-        let (log, scan) = OpLog::open(&path).unwrap();
-        assert_eq!(scan.base_op, 3);
-        assert_eq!(log.base_op(), 3);
-        assert_eq!(scan.ops.len(), 1);
-        assert!(!scan.torn_tail);
-        std::fs::remove_file(&path).unwrap();
+        fs.crash(TearMode::DropAll);
+        let (log, ops, pass) = open(vfs, &path);
+        assert_eq!((pass.base, ops.len(), log.records()), (3, 1, 1));
+        let bytes = fs.contents(&path).unwrap();
+        assert!(bytes.starts_with(&file));
+        let walk = RecordWalk::log(&bytes, 0);
+        assert_eq!(walk.head(), Some(&Head { base: 3, images: 2, digest: 7 }));
+        assert_eq!(walk.image(), Ok(Some(&file[HEADER_LEN..])));
+        // However much of the magic is damaged, the header's own CRC
+        // still tells it from a first record.
+        let mut bad = bytes.clone();
+        bad[..LOG_MAGIC.len()].fill(0);
+        assert_eq!(RecordWalk::log(&bad, 0).image(), Err("unknown log format"));
+        // A headerless file starts from the empty database.
+        let plain = encode_record(&Operation::AdvanceTo(Instant(1)));
+        assert_eq!(RecordWalk::log(&plain, 0).image(), Ok(None));
+    }
+
+    #[test]
+    fn a_failed_fsync_is_written_again_before_the_next_one_acknowledges() {
+        for errno in [5, 28] {
+            let fs = SimFs::new();
+            let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+            let path = PathBuf::from("wal.log");
+            let (mut log, ..) = open(Arc::clone(&vfs), &path);
+            log.append(&Operation::AdvanceTo(Instant(1))).unwrap();
+            log.sync().unwrap();
+            log.append(&Operation::AdvanceTo(Instant(2))).unwrap();
+            log.append(&Operation::AdvanceTo(Instant(3))).unwrap();
+            fs.fail_next_sync(errno);
+            assert!(log.sync().is_err());
+            log.append(&Operation::AdvanceTo(Instant(4))).unwrap();
+            log.sync().unwrap();
+            drop(log);
+            fs.crash(TearMode::DropAll);
+            let (_, ops, pass) = open(Arc::clone(&vfs), &path);
+            assert_eq!((ops.len(), pass.damage), (4, None), "errno {errno}");
+        }
+    }
+
+    #[test]
+    fn a_long_unsynced_run_syncs_itself_past_the_tail_bound() {
+        let fs = SimFs::new();
+        let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+        let path = PathBuf::from("wal.log");
+        let (mut log, ..) = open(Arc::clone(&vfs), &path);
+        let batch = encode_record(&Operation::AdvanceTo(Instant(1))).repeat(20_000);
+        while log.len_bytes() <= TAIL_LIMIT as u64 {
+            log.append_records(&batch, 20_000).unwrap();
+        }
+        assert!(log.tail.is_empty(), "the records kept for a rewrite stay bounded");
+        drop(log);
+        fs.crash(TearMode::DropAll);
+        let (log, ..) = open(vfs, &path);
+        assert!(log.len_bytes() > TAIL_LIMIT as u64, "the early sync made them durable");
+    }
+
+    #[test]
+    fn a_rename_whose_directory_sync_failed_is_made_durable_by_the_next_sync() {
+        for crash_first in [true, false] {
+            let fs = SimFs::new();
+            let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+            let path = PathBuf::from("wal.log");
+            let (mut log, ..) = open(Arc::clone(&vfs), &path);
+            log.append(&Operation::AdvanceTo(Instant(1))).unwrap();
+            log.sync().unwrap();
+            // Create, write, fsync and rename go through; the directory
+            // sync fails.
+            fs.fail_after(Some(4));
+            assert!(log.replace(&checkpoint_file(1, 1), 1, 0).is_err());
+            fs.fail_after(None);
+            log.append(&Operation::AdvanceTo(Instant(2))).unwrap();
+            if crash_first {
+                // Nothing was acknowledged since: the old file is back.
+                drop(log);
+                fs.crash(TearMode::KeepAll);
+                let (_, ops, pass) = open(Arc::clone(&vfs), &path);
+                assert_eq!((pass.base, ops.len()), (0, 1));
+                continue;
+            }
+            log.sync().unwrap();
+            drop(log);
+            fs.crash(TearMode::DropAll);
+            let (_, ops, pass) = open(Arc::clone(&vfs), &path);
+            assert_eq!((pass.base, ops.len()), (1, 1));
+        }
     }
 
     #[test]
@@ -822,9 +1010,8 @@ mod tests {
         let fs = SimFs::new();
         let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
         let path = PathBuf::from("wal.log");
-        let (log, _) = OpLog::open_with(Arc::clone(&vfs), &path).unwrap();
-        drop(log);
-        fs.crash(crate::vfs::TearMode::DropAll);
+        drop(open(Arc::clone(&vfs), &path));
+        fs.crash(TearMode::DropAll);
         assert!(fs.exists(&path), "log file lost after crash-after-create");
     }
 
@@ -837,21 +1024,21 @@ mod tests {
         let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
         let path = PathBuf::from("wal.log");
         {
-            let (mut log, _) = OpLog::open_with(Arc::clone(&vfs), &path).unwrap();
+            let (mut log, ..) = open(Arc::clone(&vfs), &path);
             log.append(&Operation::AdvanceTo(Instant(1))).unwrap();
             log.append(&Operation::AdvanceTo(Instant(2))).unwrap();
             log.sync().unwrap();
             log.append(&Operation::DefineClass(ClassDef::new("c"))).unwrap();
         }
-        fs.crash(crate::vfs::TearMode::KeepHalf);
-        let (log, scan) = OpLog::open_with(Arc::clone(&vfs), &path).unwrap();
-        assert!(scan.torn_tail);
-        assert_eq!(scan.ops.len(), 2);
+        fs.crash(TearMode::KeepHalf);
+        let (log, ops, pass) = open(Arc::clone(&vfs), &path);
+        assert!(pass.damage.is_some());
+        assert_eq!(ops.len(), 2);
         drop(log);
-        fs.crash(crate::vfs::TearMode::KeepAll);
-        let (_, scan) = OpLog::open_with(vfs, &path).unwrap();
-        assert!(!scan.torn_tail, "truncation was not durable");
-        assert_eq!(scan.ops.len(), 2);
+        fs.crash(TearMode::KeepAll);
+        let (_, ops, pass) = open(vfs, &path);
+        assert!(pass.damage.is_none(), "truncation was not durable");
+        assert_eq!(ops.len(), 2);
     }
 
     #[test]

@@ -27,6 +27,7 @@ pub const STORAGE_METRICS: &[&str] = &[
     "storage.log.bytes",
     "storage.log.compactions",
     "storage.log.fsync",
+    "storage.log.rewrites",
     "storage.log.scan",
     "storage.log.scan.damaged",
     "storage.log.scanned_ops",

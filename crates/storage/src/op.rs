@@ -106,12 +106,6 @@ impl From<ModelError> for ReplayError {
 }
 
 impl Operation {
-    /// Apply a copy of the operation to a database, keeping this one (to
-    /// stage it, or to encode it after). See [`Operation::apply_owned`].
-    pub fn apply(&self, db: &mut Database) -> Result<(), ReplayError> {
-        self.clone().apply_owned(db)
-    }
-
     /// Apply the operation to a database, moving its payload (a value, a
     /// binding map, a class definition) into the model. Replay and online
     /// execution use the same code path, so a successfully recovered
@@ -375,14 +369,14 @@ mod tests {
     #[test]
     fn apply_executes_and_checks_oids() {
         let mut db = Database::new();
-        Operation::AdvanceTo(Instant(5)).apply(&mut db).unwrap();
-        Operation::DefineClass(ClassDef::new("c")).apply(&mut db).unwrap();
+        Operation::AdvanceTo(Instant(5)).apply_owned(&mut db).unwrap();
+        Operation::DefineClass(ClassDef::new("c")).apply_owned(&mut db).unwrap();
         Operation::CreateObject {
             class: ClassId::from("c"),
             init: Attrs::new(),
             expect: Oid(0),
         }
-        .apply(&mut db)
+        .apply_owned(&mut db)
         .unwrap();
         // Wrong expectation is a replay error.
         let err = Operation::CreateObject {
@@ -390,12 +384,12 @@ mod tests {
             init: Attrs::new(),
             expect: Oid(99),
         }
-        .apply(&mut db)
+        .apply_owned(&mut db)
         .unwrap_err();
         assert!(matches!(err, ReplayError::OidMismatch { .. }));
         // Model rejections surface as replay errors.
         let err = Operation::DropClass(ClassId::from("ghost"))
-            .apply(&mut db)
+            .apply_owned(&mut db)
             .unwrap_err();
         assert!(matches!(err, ReplayError::Model(_)));
         assert!(err.to_string().contains("ghost"));
@@ -413,13 +407,13 @@ mod tests {
                 expect: Oid(0),
             },
         ])
-        .apply(&mut db)
+        .apply_owned(&mut db)
         .unwrap();
         assert_eq!(db.now(), Instant(5));
         assert!(db.object(Oid(0)).is_ok());
         // A failing sub-operation surfaces as the txn's error.
         let err = Operation::Txn(vec![Operation::DropClass(ClassId::from("ghost"))])
-            .apply(&mut db)
+            .apply_owned(&mut db)
             .unwrap_err();
         assert!(matches!(err, ReplayError::Model(_)));
     }

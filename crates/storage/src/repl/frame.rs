@@ -14,7 +14,11 @@
 //! A [`Frame::Batch`] carries log records verbatim — the bytes of the
 //! primary's log, each record's own `[len][crc32]` included — so a
 //! record is encoded once, by the node that first logged it, and
-//! decoded once, by the replica that applies it.
+//! decoded once, by the replica that applies it. A batch that starts at
+//! operation 0 carries the primary's log from byte 0, its header and
+//! checkpoint image included when it has them: that is how a follower
+//! behind the compaction horizon catches up. (Kind tag 1, a state image
+//! frame before that, is refused as an unknown kind.)
 
 use crate::codec::{read_u64, write_u64, Codec, CodecError, Reader};
 use crate::log::{seal_frame, DamageReason, RecordWalk};
@@ -30,9 +34,11 @@ pub const WIRE_VERSION: u8 = 6;
 pub enum Frame {
     /// `count` log records starting at global operation index `start`
     /// (0-based; `start` = number of operations preceding the first one
-    /// here). When `commit_digest` is set, the batch is the last of a
-    /// shipment and the digest is the primary's `state_digest()` after
-    /// the final record — the replica verifies it once aligned.
+    /// here). With `start` 0, `records` is the primary's log from byte 0,
+    /// whose checkpoint image (if any) stands for the first operations.
+    /// When `commit_digest` is set, the batch is the last of a shipment
+    /// and the digest is the primary's `state_digest()` after the final
+    /// record — the replica verifies it once aligned.
     Batch {
         /// Sender's replication term.
         term: u64,
@@ -46,19 +52,6 @@ pub enum Frame {
         /// The records, back to back, byte for byte as the primary's log
         /// holds them: `[len][crc32][payload]` each, CRC included.
         records: Vec<u8>,
-    },
-    /// A full state image for a follower whose resume point was compacted
-    /// away on the primary: the serialized `DatabaseState` covering the
-    /// first `ops_covered` operations, plus the digest it must hash to.
-    Snapshot {
-        /// Sender's replication term.
-        term: u64,
-        /// Operations folded into the image.
-        ops_covered: u64,
-        /// `digest_database` of the image.
-        digest: u64,
-        /// Codec-encoded `DatabaseState`.
-        state: Vec<u8>,
     },
     /// Periodic primary → replica beacon: the primary's current operation
     /// count and state digest. Lets a replica detect lost frames (it is
@@ -91,9 +84,8 @@ pub enum Frame {
     /// Replica → primary anti-entropy request from the integrity
     /// scrubber: the replica found corruption it cannot repair locally
     /// (damaged log *and* damaged or unverifiable live state) and asks
-    /// for an authoritative full state image. The primary answers with
-    /// a [`Frame::Snapshot`] at its current head regardless of how far
-    /// the replica has applied.
+    /// for an authoritative copy. The primary answers with its log from
+    /// byte 0 regardless of how far the replica has applied.
     ScrubPull {
         /// Sender's replication term.
         term: u64,
@@ -134,7 +126,6 @@ impl Frame {
     pub fn term(&self) -> u64 {
         match self {
             Frame::Batch { term, .. }
-            | Frame::Snapshot { term, .. }
             | Frame::Heartbeat { term, .. }
             | Frame::Ack { term, .. }
             | Frame::CatchUp { term, .. }
@@ -152,19 +143,6 @@ impl Frame {
                 commit_digest,
                 records,
             } => Frame::batch_wire(*term, *start, *count, *commit_digest, records),
-            Frame::Snapshot {
-                term,
-                ops_covered,
-                digest,
-                state,
-            } => {
-                let mut out = wire_head(1, 40 + state.len());
-                for v in [*term, *ops_covered, *digest, state.len() as u64] {
-                    write_u64(&mut out, v);
-                }
-                out.extend_from_slice(state);
-                sealed(out)
-            }
             Frame::Heartbeat {
                 term,
                 total,
@@ -239,15 +217,6 @@ impl Frame {
                 commit_digest: Option::<u64>::decode(r)?,
                 records: r.bytes(r.remaining())?.to_vec(),
             },
-            1 => {
-                let term = read_u64(r)?;
-                let ops_covered = read_u64(r)?;
-                let digest = read_u64(r)?;
-                let n = usize::try_from(read_u64(r)?)
-                    .map_err(|_| CodecError::Corrupt("snapshot length prefix"))?;
-                let state = r.bytes(n)?.to_vec();
-                Frame::Snapshot { term, ops_covered, digest, state }
-            }
             2 => Frame::Heartbeat {
                 term: read_u64(r)?,
                 total: read_u64(r)?,
@@ -330,12 +299,6 @@ mod tests {
             count: 2,
             commit_digest: Some(0xdead_beef),
             records: records(&[9, 10]),
-        });
-        wire_round_trip(&Frame::Snapshot {
-            term: 4,
-            ops_covered: 100,
-            digest: 17,
-            state: vec![1, 2, 3, 0xff],
         });
         wire_round_trip(&Frame::ScrubPull { term: 6, applied: 12, digest: 0x0123_4567 });
     }

@@ -14,9 +14,9 @@
 //! The protocol is built for a hostile network — [`SimTransport`] drops,
 //! duplicates, reorders, delays, corrupts and partitions frames under a
 //! deterministic seed — and collapses every fault into two repairs:
-//! cumulative acks with [`Frame::CatchUp`] resends, and full
-//! [`Frame::Snapshot`] images when the follower's resume point was
-//! compacted away. Failover is a single monotonic **term**: a promoted
+//! cumulative acks with [`Frame::CatchUp`] resends, and the primary's log
+//! from byte 0 when the follower's resume point was compacted away.
+//! Failover is a single monotonic **term**: a promoted
 //! replica ([`Replica::promote`]) ships under `term + 1`, and any node
 //! hearing a term above its own trips its circuit breaker read-only —
 //! at most one node accepts writes, by construction.

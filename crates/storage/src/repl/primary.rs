@@ -14,9 +14,11 @@
 //!   the records appended since the last one, and stamps its frames with
 //!   the maintained state digest (`O(components written)`). A walk checks
 //!   each record's CRC and decodes nothing: batches are slices of the
-//!   bytes read, shipped verbatim. The offset is dropped — one re-walk
-//!   from the header finds it again — when a catch-up rewinds the cursor
-//!   or a checkpoint replaces the log file, and the cursor only ever
+//!   bytes read, shipped verbatim. A follower behind the compaction
+//!   horizon gets the log from byte 0, header and image included, in the
+//!   same kind of batch. The offset is dropped — one re-walk from the
+//!   header finds it again — when a catch-up rewinds the cursor or a
+//!   checkpoint replaces the log file, and the cursor only ever
 //!   advances over records that were walked and shipped: damage stalls
 //!   it, never jumps it. Damage *below* a rewound cursor parks the offset
 //!   at the damage, so a stalled primary reads nothing past it per pump
@@ -60,14 +62,14 @@ pub struct Primary<T: Transport> {
     /// Where to read the log from: the record boundary the last walk
     /// stopped at. It is the cursor's own record unless damage stopped
     /// that walk below the cursor. Good for the log file with that base
-    /// and a cursor at or above it only; otherwise (and when `None`: fresh
-    /// node, snapshot just shipped) the pump walks from the header.
+    /// and a cursor at or above it only; otherwise (and when `None`: a
+    /// fresh node) the pump walks from the header.
     cursor_at: Option<LogPos>,
     /// Follower's cumulative acknowledged watermark.
     acked: u64,
     deposed: bool,
-    /// A follower's scrubber asked for an authoritative state image
-    /// ([`Frame::ScrubPull`]); the next pump ships a full snapshot
+    /// A follower's scrubber asked for an authoritative copy
+    /// ([`Frame::ScrubPull`]); the next pump ships the log from byte 0
     /// regardless of the shipping cursor.
     scrub_pull: bool,
     transport: T,
@@ -134,11 +136,12 @@ impl<T: Transport> Primary<T> {
     }
 
     /// Drain follower feedback, then ship the un-acked log suffix: sync
-    /// the local log (fsync before ship), and either send [`Frame::Batch`]
-    /// runs from the shipping cursor — reading the log from the cursor's
-    /// byte offset, not from its start, and slicing the records read into
-    /// batches without decoding them — or, when the cursor points below
-    /// the local compaction horizon, a full [`Frame::Snapshot`] image.
+    /// the local log (fsync before ship) and send [`Frame::Batch`] runs
+    /// from the shipping cursor — reading the log from the cursor's byte
+    /// offset, not from its start, and slicing the records read into
+    /// batches without decoding them. When the cursor points below the
+    /// local compaction horizon, or a scrubber pulled, the first batch
+    /// starts at byte 0: the header and image, then the op records.
     /// Ends with a [`Frame::Heartbeat`] carrying the current op count and
     /// state digest so the follower can detect gaps and verify alignment.
     ///
@@ -155,69 +158,60 @@ impl<T: Transport> Primary<T> {
         let total = self.pdb.op_count() as u64;
         let digest = self.pdb.state_digest();
         let base = self.pdb.base_op();
-        if self.cursor < base || self.scrub_pull {
-            // The follower needs records that were compacted into the
-            // local snapshot — or its scrubber asked for an authoritative
-            // image (anti-entropy): ship the full current state instead.
-            self.scrub_pull = false;
-            let state = self.pdb.db().export_state();
-            self.transport.send(
-                Frame::Snapshot {
-                    term: self.term,
-                    ops_covered: total,
-                    digest,
-                    state: crate::codec::Codec::to_bytes(&state),
-                }
-                .to_wire(),
-            );
+        // The follower needs operations folded into the local image — or
+        // its scrubber asked for an authoritative copy: ship the file.
+        let whole = self.cursor < base || std::mem::take(&mut self.scrub_pull);
+        if whole {
             tchimera_obs::counter!("repl.snapshot.ships").inc();
-            self.cursor = total;
-            self.cursor_at = None;
-        } else {
-            let (from_op, offset) = match self.cursor_at {
-                Some(at) if at.base == base && at.op <= self.cursor => (at.op, at.offset),
-                _ => {
-                    tchimera_obs::counter!("repl.cursor.rescans").inc();
-                    (base, 0)
-                }
-            };
-            let buf = self.pdb.read_log_from(offset)?;
-            let mut walk = RecordWalk::log(&buf, offset);
-            // Records `from_op..cursor` were shipped before: walk past
-            // them. Damage below the cursor leaves nothing to ship.
-            let shipped = self.cursor - from_op;
-            let mut walked = walk.by_ref().take(shipped as usize).count() as u64;
-            if walked == shipped {
-                loop {
-                    let begin = walk.pos();
-                    let n = walk.by_ref().take(BATCH_OPS).count() as u64;
-                    if n == 0 {
-                        break;
-                    }
-                    let end = self.cursor + n;
-                    tchimera_obs::counter!("repl.ops.shipped").add(n);
-                    self.transport.send(Frame::batch_wire(
-                        self.term,
-                        self.cursor,
-                        n,
-                        // `digest` is the state after op `total`: a walk
-                        // cut short by damage ends below it.
-                        (end == total).then_some(digest),
-                        &buf[begin..walk.pos()],
-                    ));
-                    self.cursor = end;
-                    walked += n;
-                }
-            }
-            report_scan_damage(walk.damage());
-            // The next pump reads on from where this walk stopped: the
-            // cursor's record, or the damage that keeps the cursor stalled.
-            self.cursor_at = Some(LogPos {
-                base,
-                op: from_op + walked,
-                offset: walk.offset(),
-            });
+            (self.cursor, self.cursor_at) = (base, None);
         }
+        let (from_op, offset) = match self.cursor_at {
+            Some(at) if at.base == base && at.op <= self.cursor => (at.op, at.offset),
+            _ => {
+                tchimera_obs::counter!("repl.cursor.rescans").add(u64::from(!whole));
+                (base, 0)
+            }
+        };
+        let buf = self.pdb.read_log_from(offset)?;
+        let mut walk = RecordWalk::log(&buf, offset);
+        // Records `from_op..cursor` were shipped before: walk past them.
+        // Damage below the cursor leaves nothing to ship.
+        let shipped = self.cursor - from_op;
+        let mut walked = walk.by_ref().take(shipped as usize).count() as u64;
+        // A whole-file batch starts at byte 0, where the header and image
+        // stand for operations 0..base.
+        let mut from_zero = whole && walk.image().is_ok();
+        if walked == shipped {
+            loop {
+                let begin = if from_zero { 0 } else { walk.pos() };
+                let n = walk.by_ref().take(BATCH_OPS).count() as u64;
+                if n == 0 && !from_zero {
+                    break;
+                }
+                let (start, end) = (if from_zero { 0 } else { self.cursor }, self.cursor + n);
+                tchimera_obs::counter!("repl.ops.shipped").add(n);
+                self.transport.send(Frame::batch_wire(
+                    self.term,
+                    start,
+                    end - start,
+                    // `digest` is the state after op `total`: a walk cut
+                    // short by damage ends below it.
+                    (end == total).then_some(digest),
+                    &buf[begin..walk.pos()],
+                ));
+                self.cursor = end;
+                walked += n;
+                from_zero = false;
+            }
+        }
+        report_scan_damage(walk.damage());
+        // The next pump reads on from where this walk stopped: the
+        // cursor's record, or the damage that keeps the cursor stalled.
+        self.cursor_at = Some(LogPos {
+            base,
+            op: from_op + walked,
+            offset: walk.offset(),
+        });
         self.transport.send(
             Frame::Heartbeat { term: self.term, total, digest }.to_wire(),
         );
@@ -253,13 +247,13 @@ impl<T: Transport> Primary<T> {
                 }
                 Frame::ScrubPull { .. } => {
                     // A follower's scrubber found locally-unrepairable
-                    // corruption: answer with a full state image on the
-                    // next pump (the carried watermark/digest are
-                    // diagnostics only — ship the head unconditionally).
+                    // corruption: answer with the whole log on the next
+                    // pump (the carried watermark/digest are diagnostics
+                    // only — ship the head unconditionally).
                     tchimera_obs::counter!("repl.scrub.pulls").inc();
                     self.scrub_pull = true;
                 }
-                // Batches/snapshots/heartbeats only flow primary→replica;
+                // Batches and heartbeats only flow primary→replica;
                 // stale or reflected ones are ignored.
                 _ => {}
             }

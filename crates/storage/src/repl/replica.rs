@@ -9,7 +9,9 @@
 //! applied or appended: the records before it are, and the replica asks
 //! for a resend from its watermark — the link stalls there, as it does
 //! at a damaged record on the primary, until the primary's scrubber
-//! re-checkpoints over the record and ships an image. Identity with
+//! re-checkpoints over the record and ships its new log. A follower
+//! behind the primary's compaction horizon receives the primary's log
+//! from byte 0 and installs it as its own, byte for byte. Identity with
 //! the primary is *verified*, not assumed: whenever the replica is
 //! exactly aligned with a digest-carrying frame it compares
 //! `state_digest()` values and halts on mismatch rather than serve a
@@ -21,9 +23,8 @@
 //! primary's history; [`Replica::promote`] can therefore fail over at
 //! any quiescent point.
 
-use tchimera_core::{Database, DatabaseState};
+use tchimera_core::Database;
 
-use crate::codec::Codec;
 use crate::engine::{EngineError, PersistentDatabase};
 use crate::repl::frame::Frame;
 use crate::repl::primary::Primary;
@@ -66,18 +67,17 @@ pub struct Replica<T: Transport> {
     primary_total: u64,
     halted: Option<&'static str>,
     /// A [`Frame::ScrubPull`] is outstanding: the local scrubber found
-    /// corruption it cannot repair and the next snapshot ship from the
-    /// primary is installed unconditionally (even over a halted replica
-    /// or at an equal op count).
+    /// corruption it cannot repair and the next log the primary ships
+    /// from byte 0 is installed unconditionally (even over a halted
+    /// replica or at an equal op count).
     scrub_pending: bool,
     transport: T,
 }
 
 impl<T: Transport> Replica<T> {
     /// Wrap `pdb` as the follower end of a replication link. `pdb` may be
-    /// empty (a fresh follower bootstraps via catch-up or a snapshot
-    /// ship) or recovered from a previous life (it resumes from its
-    /// durable op count).
+    /// empty (a fresh follower bootstraps via catch-up) or recovered from
+    /// a previous life (it resumes from its durable op count).
     pub fn new(pdb: PersistentDatabase, transport: T) -> Replica<T> {
         crate::observability::touch_metrics();
         Replica { pdb, term: 0, primary_total: 0, halted: None, scrub_pending: false, transport }
@@ -168,58 +168,56 @@ impl<T: Transport> Replica<T> {
                     records,
                     ..
                 } => {
-                    if self.halted.is_some() {
-                        // Awaiting an authoritative image; incremental
-                        // records would replay onto a diverged state.
-                        continue;
-                    }
                     let applied = self.applied();
                     let end = start.saturating_add(count);
-                    if start > applied {
+                    // The primary's log from byte 0, with its image: a
+                    // catch-up past the horizon, or the answer to a pull.
+                    let whole = start == 0
+                        && (self.scrub_pending || records.starts_with(crate::log::LOG_MAGIC));
+                    if whole && (self.scrub_pending || end > applied) {
+                        match self.pdb.install_log(&records) {
+                            Ok(n) if n == end => {}
+                            Ok(_) | Err(EngineError::Damaged(_)) => {
+                                tchimera_obs::counter!("repl.frames.corrupt").inc();
+                                want_catchup = true;
+                                continue;
+                            }
+                            Err(e) => return Err(e),
+                        }
+                        if std::mem::take(&mut self.scrub_pending) {
+                            // Anti-entropy repair: the primary's log
+                            // replaced whatever was corrupt, so the halt
+                            // and any scrubber quarantine are lifted.
+                            self.halted = None;
+                            self.pdb.db().quarantine().clear();
+                            tchimera_obs::counter!("core.scrub.repairs.replica_pull").inc();
+                        }
+                    } else if self.halted.is_some() {
+                        // Awaiting an authoritative copy; incremental
+                        // records would replay onto a diverged state.
+                        continue;
+                    } else if start > applied {
                         // A gap: frames before this batch never arrived.
                         want_catchup = true;
                         continue;
-                    }
-                    if end <= applied {
+                    } else if end <= applied {
                         continue; // pure duplicate
-                    }
-                    let n = self.pdb.apply_replicated(&records, applied - start)?;
-                    tchimera_obs::counter!("repl.ops.applied").add(n);
-                    if n != end - applied {
-                        // A record the frame's CRC vouched for does not
-                        // walk or decode: the run before it is applied,
-                        // nothing after. Ask again from the watermark.
-                        tchimera_obs::counter!("repl.frames.corrupt").inc();
-                        want_catchup = true;
-                        continue;
-                    }
-                    self.primary_total = self.primary_total.max(end);
-                    if let Some(d) = commit_digest {
-                        self.check_digest(end, d);
-                    }
-                }
-                Frame::Snapshot { ops_covered, digest, state, .. } => {
-                    if !self.scrub_pending && ops_covered <= self.applied() {
-                        continue; // stale or duplicate image
-                    }
-                    let image = match DatabaseState::from_bytes(&state) {
-                        Ok(s) => s,
-                        Err(_) => {
+                    } else {
+                        let n = self.pdb.apply_replicated(&records, applied - start)?;
+                        tchimera_obs::counter!("repl.ops.applied").add(n);
+                        if n != end - applied {
+                            // A record the frame's CRC vouched for does
+                            // not walk or decode: the run before it is
+                            // applied, nothing after. Ask again from the
+                            // watermark.
                             tchimera_obs::counter!("repl.frames.corrupt").inc();
                             want_catchup = true;
                             continue;
                         }
-                    };
-                    self.pdb.install_snapshot_image(image, ops_covered, digest)?;
-                    self.primary_total = self.primary_total.max(ops_covered);
-                    if self.scrub_pending {
-                        // Anti-entropy repair: the authoritative image
-                        // replaced whatever was corrupt, so the halt and
-                        // any scrubber quarantine are lifted.
-                        self.scrub_pending = false;
-                        self.halted = None;
-                        self.pdb.db().quarantine().clear();
-                        tchimera_obs::counter!("core.scrub.repairs.replica_pull").inc();
+                    }
+                    self.primary_total = self.primary_total.max(end);
+                    if let Some(d) = commit_digest {
+                        self.check_digest(end, d);
                     }
                 }
                 Frame::Heartbeat { total, digest, .. } => {
@@ -258,8 +256,8 @@ impl<T: Transport> Replica<T> {
 
     /// Ask the primary for an authoritative full state image
     /// ([`Frame::ScrubPull`] anti-entropy). Used by the scrubber when
-    /// local repair is exhausted: the next [`Frame::Snapshot`] received
-    /// is installed unconditionally, clearing any halt and quarantine.
+    /// local repair is exhausted: the next log received from byte 0 is
+    /// installed unconditionally, clearing any halt and quarantine.
     pub fn request_scrub_repair(&mut self) {
         self.scrub_pending = true;
         self.transport.send(
@@ -307,7 +305,7 @@ impl<T: Transport> Replica<T> {
     /// frame and trips read-only: at most one node accepts writes.
     pub fn promote(mut self) -> Result<Primary<T>, EngineError> {
         if let Some(why) = self.halted {
-            return Err(EngineError::Snapshot(crate::snapshot::SnapshotError::Corrupt(why)));
+            return Err(EngineError::Damaged(why));
         }
         self.pdb.sync()?;
         tchimera_obs::counter!("repl.promotions").inc();

@@ -8,9 +8,9 @@ use rand::{Rng, SeedableRng};
 use tchimera_core::{ClassId, MemFault, ModelError, ScrubFinding, SimMem, Value};
 
 use super::{walk, Op, Role, Watch, World, Write, PATH};
-use crate::log::{crc32, LOG_MAGIC};
+use crate::log::{crc32, RecordWalk};
 use crate::resilience::{BREAKER_THRESHOLD, RETRY_ATTEMPTS};
-use crate::{BreakerState, EngineError, FaultKind, OpLog, TearMode};
+use crate::{BreakerState, EngineError, FaultKind, TearMode};
 
 /// What to damage.
 #[derive(Clone, Copy, Debug)]
@@ -37,15 +37,9 @@ pub(crate) enum Damage {
     Beyond,
 }
 
-/// The byte offset of the last record of `log`.
+/// The byte offset of the last op record of `log`.
 fn last_record(log: &[u8]) -> usize {
-    let mut at = if log.starts_with(LOG_MAGIC) { 20 } else { 0 };
-    let mut next = at;
-    while next < log.len() {
-        at = next;
-        next += 8 + u32::from_le_bytes(log[next..next + 4].try_into().unwrap()) as usize;
-    }
-    at
+    RecordWalk::log(log, 0).last().expect("a record").0 as usize
 }
 
 impl World {
@@ -197,14 +191,14 @@ impl World {
                 assert!(matches!(db.pi(&bad, db.now()), Err(ModelError::Quarantined { .. })));
                 let other = if bad == ClassId::from("person") { "employee" } else { "person" };
                 assert!(db.pi(&other.into(), db.now()).is_ok(), "healthy class must keep serving");
-                // Anti-entropy: one round trip installs the primary's image.
+                // Anti-entropy: one round trip installs the primary's log.
                 self.pump(false);
                 let r = self.follower();
                 assert_eq!(r.db_ref().state_digest(), healthy, "pull must restore the state");
                 assert!(!r.scrub_pending() && r.halted().is_none());
                 assert!(r.db_ref().db().quarantine().is_empty(), "repair must lift the quarantine");
-                let rlog = self.nodes[n].fs.contents(path).expect("log");
-                assert!(!OpLog::scan_bytes(&rlog).torn_tail, "the install must leave a clean log");
+                let log = |n: usize| self.nodes[n].fs.contents(path);
+                assert!(log(n) == log(0), "the install must leave the primary's log");
                 let report = self.follower().db_ref().db().clone().scrub_cycle();
                 assert!(report.clean() || report.consistency_errors == 0, "{report:?}");
                 self.watch = Watch::Converged;

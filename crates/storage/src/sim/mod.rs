@@ -63,8 +63,9 @@ fn walk(pdb: &PersistentDatabase) -> u64 {
 
 /// A [`SimTransport`] end that checks what its node ships: a `Batch`
 /// starts at or below the highest op shipped so far (a resend is fine,
-/// a jump is not), and only a `Snapshot` moves that mark without
-/// shipping the records between.
+/// a jump is not); only a batch of the whole log, from op 0, moves that
+/// mark past operations whose records it does not carry (its image
+/// stands for them).
 struct Link {
     inner: SimTransport,
     shipped_to: Option<u64>,
@@ -72,16 +73,10 @@ struct Link {
 
 impl Transport for Link {
     fn send(&mut self, frame: Vec<u8>) {
-        match Frame::from_wire(&frame) {
-            Ok(Frame::Batch { start, count, .. }) => {
-                let to = self.shipped_to.unwrap_or(start);
-                assert!(start <= to, "ops {to}..{start} were never shipped: the cursor skipped");
-                self.shipped_to = Some(to.max(start + count));
-            }
-            Ok(Frame::Snapshot { ops_covered, .. }) => {
-                self.shipped_to = Some(self.shipped_to.unwrap_or(0).max(ops_covered));
-            }
-            _ => {}
+        if let Ok(Frame::Batch { start, count, .. }) = Frame::from_wire(&frame) {
+            let to = self.shipped_to.unwrap_or(start);
+            assert!(start <= to, "ops {to}..{start} were never shipped: the cursor skipped");
+            self.shipped_to = Some(to.max(start + count));
         }
         self.inner.send(frame);
     }
@@ -187,6 +182,8 @@ pub struct World {
     cx: session::Cx,
     /// Write failures surfaced to the session.
     surfaced: usize,
+    /// A one-shot fsync failure was injected and has not surfaced yet.
+    lost_sync: bool,
     watch: Watch,
     readers: Vec<JoinHandle<()>>,
     step: usize,
@@ -201,7 +198,8 @@ impl World {
         cx.history = history;
         let (rng, nodes, watch) = (StdRng::seed_from_u64(seed), vec![node], Watch::Nothing);
         let readers = Vec::new();
-        World { seed, rng, nodes, writer: 0, link: None, cx, surfaced: 0, watch, readers, step: 0 }
+        let (writer, link, surfaced, lost_sync, step) = (0, None, 0, false, 0);
+        World { seed, rng, nodes, writer, link, cx, surfaced, lost_sync, watch, readers, step }
     }
 
     /// A fresh recording world for `row`: one node, or a primary and its
@@ -345,7 +343,9 @@ impl World {
             }
             Op::InstallOwnImage => {
                 pdb.sync()?;
-                pdb.install_snapshot_image(pdb.db().export_state(), pre_ops as u64, before)?;
+                let file = fs.contents(Path::new(PATH)).expect("the log exists");
+                assert_eq!(pdb.install_log(&file)?, pre_ops as u64, "the install lost operations");
+                assert_eq!(walk(pdb), before, "installing its own log moved the state");
             }
             Op::FailedAppend(target) => {
                 fs.fail_after(Some(0));
@@ -367,13 +367,15 @@ impl World {
     /// session stops.
     fn surface(&mut self, r: Result<(), EngineError>, stop: bool) -> bool {
         let Err(e) = r else { return false };
+        let lost_sync = std::mem::take(&mut self.lost_sync);
         match &e {
+            // An fsync is never retried; a transient append fault is,
+            // to the budget.
+            EngineError::Write { attempts: 1, .. } if lost_sync => {}
             EngineError::Write { fault: FaultKind::Transient, attempts, .. } => {
                 assert_eq!(*attempts, RETRY_ATTEMPTS, "a transient fault is retried to the budget")
             }
-            EngineError::Write { .. } | EngineError::ReadOnly { .. } => {}
-            // A checkpoint fails as a log or snapshot write.
-            EngineError::Log(_) | EngineError::Snapshot(_) => {}
+            EngineError::Write { .. } | EngineError::ReadOnly { .. } | EngineError::Log(_) => {}
             e => panic!("unexpected failure kind under injected faults: {e}"),
         }
         let pdb = self.nodes[self.writer].pdb();
@@ -604,6 +606,8 @@ impl World {
                 let image = self.follower().db_ref().base_op() > 0;
                 let only = row.expect == Expect::Converges;
                 assert!(image || only, "the follower never caught up through a state image");
+                let log = |n: usize| self.nodes[n].fs.contents(Path::new(PATH)).expect("log");
+                assert!(only || log(0) == log(1), "the follower's log is not its primary's");
             }
             Expect::OneWriter => self.one_writer(),
         }

@@ -72,7 +72,8 @@ pub(crate) enum Op {
     Checkpoint,
     /// Sync, crash under the tear mode, reopen.
     CrashReopen(TearMode),
-    /// Install the writer's own state image over its log.
+    /// Install the writer's own log, from byte 0, through a follower's
+    /// install path.
     InstallOwnImage,
     /// `(target)`: fail one append, so the engine rebuilds its state from
     /// storage.

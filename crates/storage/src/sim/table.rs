@@ -32,6 +32,9 @@ pub(crate) enum Event {
     Damage(usize, Damage),
     /// The writer's scrubber finds log damage and re-checkpoints over it.
     Scrub,
+    /// The writer's next fsync fails once with this errno, losing what
+    /// it was to write; the writer syncs at once.
+    LostSync(i32),
 }
 
 /// What a scenario must end with, beyond the per-step oracles.
@@ -47,7 +50,8 @@ pub(crate) enum Expect {
     Progress,
     /// The quiesced follower equals its primary.
     Converges,
-    /// … and caught up through a state image (its log was compacted).
+    /// … through its primary's log from byte 0 (that log was compacted),
+    /// and the two logs are byte for byte the same.
     ConvergesViaImage,
     /// Exactly one node accepts writes.
     OneWriter,
@@ -78,7 +82,8 @@ pub struct Scenario {
 
 /// Every fault scenario.
 pub fn scenarios() -> Vec<Scenario> {
-    use Event::{Checkpoint, Crash, Partition, Promote, Quiesce, Scrub, Transient};
+    use Event::{Checkpoint, Crash, LostSync, Partition, Promote, Quiesce, Scrub, Transient};
+    const EIO: i32 = 5;
     use Expect::*;
     let row = |name: String, seeds: Range<u64>, link, mix, steps, schedule, expect| Scenario {
         name,
@@ -105,6 +110,13 @@ pub fn scenarios() -> Vec<Scenario> {
         r.every_io = Some(tear);
         rows.push(r);
     }
+
+    // A failed fsync loses what it was to write: the next sync writes it
+    // again, and a crash after a later good sync keeps every operation
+    // that sync acknowledged.
+    let lost = vec![(10, LostSync(EIO)), (40, Crash(0, TearMode::DropAll))];
+    let lost = [lost, vec![(50, LostSync(EIO)), (78, Crash(0, TearMode::KeepAll))]].concat();
+    rows.push(row("io/fsync_lost".into(), 0..4, None, Mix::Durable, 80, lost, Holds));
 
     // Replication under four link fault mixes: a partition window with a
     // checkpoint inside it (the follower must catch up through a state
@@ -168,6 +180,11 @@ pub fn scenarios() -> Vec<Scenario> {
     rows.push(row("retry/absorbed".into(), 0..1, None, Mix::Commits, 20, absorbed, Absorbed));
     let exhausted = vec![(3, Transient(10)), (7, Transient(10))];
     rows.push(row("retry/exhausted".into(), 0..1, None, Mix::Commits, 12, exhausted, Surfaces));
+    // An fsync that fails on a full disk is not retried: it surfaces, and
+    // the next sync writes the lost records again.
+    let enospc = crate::resilience::ENOSPC;
+    let schedule = vec![(8, LostSync(enospc)), (30, Crash(0, TearMode::DropAll))];
+    rows.push(row("retry/fsync".into(), 0..4, None, Mix::Durable, 40, schedule, Surfaces));
     for (tag, full) in [("dead_disk", false), ("enospc", true)] {
         let schedule = vec![(5, Event::Outage(full))];
         rows.push(row(format!("breaker/{tag}"), 0..1, None, Mix::Commits, 8, schedule, Holds));
@@ -203,6 +220,11 @@ impl World {
                 assert!(report.log_damage > 0 && report.checkpoint_repair, "{report:?}");
                 self.nodes[self.writer].damaged = false;
                 self.watch = super::Watch::Converged;
+            }
+            Event::LostSync(errno) => {
+                self.nodes[self.writer].fs.fail_next_sync(errno);
+                self.lost_sync = true;
+                self.apply(&super::Op::Sync)?;
             }
         }
         Ok(())

@@ -53,11 +53,12 @@ impl Transaction {
         self.ops.len()
     }
 
-    /// Validate `op` against the shadow and stage it. A rejected
-    /// operation stages nothing (the model's mutations are per-op
-    /// atomic), so the caller may recover and continue the transaction.
+    /// Validate `op` against the shadow (a copy of it applied) and stage
+    /// it. A rejected operation stages nothing (the model's mutations are
+    /// per-op atomic), so the caller may recover and continue the
+    /// transaction.
     fn stage(&mut self, op: Operation) -> Result<(), EngineError> {
-        match op.apply(&mut self.db) {
+        match op.clone().apply_owned(&mut self.db) {
             Ok(()) => {
                 self.ops.push(op);
                 Ok(())

@@ -15,9 +15,15 @@
 //! * written bytes live in the page cache until the **file** is synced —
 //!   a crash may keep all, part, or none of them;
 //! * a created or renamed *name* lives in the directory until the
-//!   **directory** is synced — a crash may revert it;
+//!   **directory** is synced — a crash may revert it; a file that no name
+//!   (live or durable) and no open handle reaches any more is freed;
 //! * `sync` on a file makes its current content durable; `sync_dir` on
 //!   the parent makes the current name→inode mapping durable;
+//! * a `sync` that fails (other than `Interrupted`) loses the un-synced
+//!   bytes: the pages are marked clean with their content unknown, so
+//!   they read back — and survive a crash — as a zero-filled hole of the
+//!   same length, and a later successful `sync` makes the hole durable;
+//!   a failed `sync_dir` leaves the names as the last good one did;
 //! * nothing ever un-happens once both syncs completed.
 //!
 //! A simulated crash ([`SimFs::crash`]) rewinds every file to its last
@@ -91,7 +97,10 @@ impl VfsFile for StdFile {
         self.0.sync_data()
     }
     fn set_len(&mut self, len: u64) -> io::Result<()> {
-        self.0.set_len(len)
+        self.0.set_len(len)?;
+        // A handle from `open_trunc` writes at its cursor: keep that at
+        // the end, as an append handle's is.
+        self.0.seek(SeekFrom::Start(len)).map(drop)
     }
 }
 
@@ -227,11 +236,26 @@ struct SimState {
     /// Fail the next this-many mutating operations with a *transient*
     /// error (`ErrorKind::Interrupted`), then recover.
     transient_left: u64,
+    /// Fail the next file `sync` with this raw errno, once.
+    sync_fault: Option<i32>,
+    /// Open handles per inode (of this generation).
+    handles: HashMap<u64, usize>,
     /// Generation counter: bumped on crash so stale handles error out.
     generation: u64,
 }
 
 impl SimState {
+    /// Free inode `ino` once nothing reaches it — no name, live or
+    /// durable, and no open handle — as a filesystem frees a file when
+    /// its last link and descriptor go.
+    fn collect(&mut self, ino: u64) {
+        let named = |names: &HashMap<PathBuf, u64>| names.values().any(|&i| i == ino);
+        let open = self.handles.contains_key(&ino);
+        if !open && !named(&self.live_names) && !named(&self.durable_names) {
+            self.inodes.remove(&ino);
+        }
+    }
+
     /// Gate a mutating operation: count it, or fail it. Transient faults
     /// (a bounded run of `Interrupted` errors) are checked first so a
     /// retry loop can observe the disk "healing".
@@ -310,6 +334,14 @@ impl SimFs {
         self.0.lock().unwrap().transient_left = n;
     }
 
+    /// Fail the next file `sync` once with the raw OS error `errno`
+    /// (`EIO`, `ENOSPC`, …), losing its un-synced bytes as any failed
+    /// sync does; every other operation goes through. Transient faults
+    /// and [`SimFs::fail_after`] are checked first.
+    pub fn fail_next_sync(&self, errno: i32) {
+        self.0.lock().unwrap().sync_fault = Some(errno);
+    }
+
     /// Simulate a whole-machine crash: un-synced file content is dropped
     /// (per `tear`), the namespace rewinds to the last directory sync,
     /// every open handle goes stale, and injected faults are cleared —
@@ -321,6 +353,8 @@ impl SimFs {
         s.fail_after = None;
         s.enospc_after = None;
         s.transient_left = 0;
+        s.sync_fault = None;
+        s.handles.clear();
         let mut inodes = HashMap::new();
         let durable = s.durable_names.clone();
         for &ino in durable.values() {
@@ -374,6 +408,23 @@ struct SimFile {
     generation: u64,
 }
 
+impl Drop for SimFile {
+    fn drop(&mut self) {
+        let Ok(mut s) = self.fs.lock() else { return };
+        if s.generation != self.generation {
+            return;
+        }
+        let open = s.handles.get_mut(&self.ino).map(|n| {
+            *n -= 1;
+            *n
+        });
+        if open == Some(0) {
+            s.handles.remove(&self.ino);
+            s.collect(self.ino);
+        }
+    }
+}
+
 impl SimFile {
     fn with_inode<R>(
         &mut self,
@@ -397,18 +448,36 @@ impl VfsFile for SimFile {
         })
     }
     fn sync(&mut self) -> io::Result<()> {
-        self.with_inode(|inode| {
-            // Writes only append, so `live` and `synced` agree up to the
-            // shortest length either had since the last sync: copy only
-            // what lies past it.
-            let cut = inode.pending.iter().fold(inode.synced.len(), |cut, p| match p {
-                Pending::SetLen(len) => cut.min(*len as usize),
-                Pending::Write(_) => cut,
-            });
-            inode.synced.truncate(cut);
-            inode.synced.extend_from_slice(&inode.live[cut..]);
-            inode.pending.clear();
-        })
+        let mut s = self.fs.lock().unwrap();
+        if s.generation != self.generation {
+            return Err(io::Error::other("stale handle: filesystem crashed"));
+        }
+        let gate = match s.mutating_op() {
+            Ok(()) => s.sync_fault.take().map_or(Ok(()), |errno| {
+                tchimera_obs::counter!("storage.simfs.faults").inc();
+                Err(io::Error::from_raw_os_error(errno))
+            }),
+            Err(e) => Err(e),
+        };
+        let inode = s.inodes.get_mut(&self.ino).expect("inode exists");
+        // Writes only append, so `live` and `synced` agree up to the
+        // shortest length either had since the last sync: only what lies
+        // past it is new.
+        let cut = inode.pending.iter().fold(inode.synced.len(), |cut, p| match p {
+            Pending::SetLen(len) => cut.min(*len as usize),
+            Pending::Write(_) => cut,
+        });
+        match gate {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => return Err(e),
+            // The pages were dropped as if written: what the new bytes
+            // were is gone, from the cache and from the disk.
+            Err(_) => inode.live[cut..].fill(0),
+            Ok(()) => {}
+        }
+        inode.synced.truncate(cut);
+        inode.synced.extend_from_slice(&inode.live[cut..]);
+        inode.pending.clear();
+        gate
     }
     fn set_len(&mut self, len: u64) -> io::Result<()> {
         self.with_inode(|inode| {
@@ -422,7 +491,7 @@ impl SimFs {
     /// Open (creating if needed) and return `(inode, generation)`.
     fn open_impl(&self, path: &Path, truncate: bool) -> io::Result<(u64, u64)> {
         let mut s = self.0.lock().unwrap();
-        match s.live_names.get(path).copied() {
+        let ino = match s.live_names.get(path).copied() {
             Some(ino) => {
                 if truncate {
                     s.mutating_op()?;
@@ -430,7 +499,7 @@ impl SimFs {
                     inode.live.clear();
                     inode.pending.push(Pending::SetLen(0));
                 }
-                Ok((ino, s.generation))
+                ino
             }
             None => {
                 s.mutating_op()?;
@@ -438,9 +507,11 @@ impl SimFs {
                 s.next_inode += 1;
                 s.inodes.insert(ino, Inode::default());
                 s.live_names.insert(path.to_path_buf(), ino);
-                Ok((ino, s.generation))
+                ino
             }
-        }
+        };
+        *s.handles.entry(ino).or_insert(0) += 1;
+        Ok((ino, s.generation))
     }
 }
 
@@ -481,15 +552,19 @@ impl Vfs for SimFs {
             .live_names
             .remove(from)
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no such file"))?;
-        s.live_names.insert(to.to_path_buf(), ino);
+        if let Some(replaced) = s.live_names.insert(to.to_path_buf(), ino) {
+            s.collect(replaced);
+        }
         Ok(())
     }
     fn remove(&self, path: &Path) -> io::Result<()> {
         let mut s = self.0.lock().unwrap();
         s.mutating_op()?;
-        s.live_names
+        let ino = s
+            .live_names
             .remove(path)
             .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "no such file"))?;
+        s.collect(ino);
         Ok(())
     }
     fn sync_dir(&self, _path: &Path) -> io::Result<()> {
@@ -498,7 +573,10 @@ impl Vfs for SimFs {
         // content semantics — only the *names* become durable here.
         let mut s = self.0.lock().unwrap();
         s.mutating_op()?;
-        s.durable_names = s.live_names.clone();
+        let names = s.live_names.clone();
+        for ino in std::mem::replace(&mut s.durable_names, names).into_values() {
+            s.collect(ino);
+        }
         Ok(())
     }
     fn exists(&self, path: &Path) -> bool {
@@ -605,8 +683,61 @@ mod tests {
         assert!(fs.sync_dir(&p(".")).is_err());
         assert_eq!(fs.op_count(), 3);
         fs.fail_after(None);
+        // The failed sync lost the bytes it was to make durable: a hole of
+        // their length, which the next sync makes durable as it is.
+        assert_eq!(fs.read(&p("a")).unwrap(), [0; 6]);
         f.sync().unwrap();
-        assert_eq!(fs.read(&p("a")).unwrap(), b"onetwo");
+        fs.sync_dir(&p(".")).unwrap();
+        fs.crash(TearMode::KeepAll);
+        assert_eq!(fs.read(&p("a")).unwrap(), [0; 6]);
+    }
+
+    #[test]
+    fn a_failed_sync_loses_only_what_it_was_to_make_durable() {
+        for errno in [5, 28] {
+            let fs = SimFs::new();
+            let mut f = fs.open_append(&p("a")).unwrap();
+            f.write_all(b"kept").unwrap();
+            f.sync().unwrap();
+            fs.sync_dir(&p(".")).unwrap();
+            f.write_all(b"lost").unwrap();
+            // Interrupted is harmless: the bytes wait for the next sync.
+            fs.fail_transient_next(1);
+            assert_eq!(f.sync().unwrap_err().kind(), io::ErrorKind::Interrupted);
+            assert_eq!(fs.read(&p("a")).unwrap(), b"keptlost");
+            fs.fail_next_sync(errno);
+            assert_eq!(f.sync().unwrap_err().raw_os_error(), Some(errno));
+            assert_eq!(fs.read(&p("a")).unwrap(), b"kept\0\0\0\0");
+            // One shot: the next write and sync go through.
+            f.write_all(b"more").unwrap();
+            f.sync().unwrap();
+            fs.crash(TearMode::DropAll);
+            assert_eq!(fs.read(&p("a")).unwrap(), b"kept\0\0\0\0more");
+        }
+    }
+
+    #[test]
+    fn an_inode_is_freed_once_no_name_or_handle_reaches_it() {
+        let fs = SimFs::new();
+        let inodes = || fs.0.lock().unwrap().inodes.len();
+        let mut f = fs.open_trunc(&p("a")).unwrap();
+        f.write_all(b"old").unwrap();
+        fs.sync_dir(&p(".")).unwrap();
+        drop(f);
+        let mut g = fs.open_trunc(&p("a.tmp")).unwrap();
+        g.write_all(b"new").unwrap();
+        fs.rename(&p("a.tmp"), &p("a")).unwrap();
+        // The replaced file is still durably named until the next dir sync.
+        assert_eq!(inodes(), 2);
+        fs.sync_dir(&p(".")).unwrap();
+        assert_eq!(inodes(), 1);
+        // A removed file lives while a handle is open on it.
+        fs.remove(&p("a")).unwrap();
+        fs.sync_dir(&p(".")).unwrap();
+        g.write_all(b"!").unwrap();
+        assert_eq!(inodes(), 1);
+        drop(g);
+        assert_eq!(inodes(), 0);
     }
 
     #[test]

@@ -158,19 +158,6 @@ fn arb_frame() -> impl Strategy<Value = Frame> {
                 commit_digest,
                 records: ops.iter().flat_map(encode_record).collect(),
             }),
-        // Snapshot offer: term + covered watermark + digest + raw image.
-        (
-            any::<u64>(),
-            any::<u64>(),
-            any::<u64>(),
-            prop::collection::vec(any::<u8>(), 0..256),
-        )
-            .prop_map(|(term, ops_covered, digest, state)| Frame::Snapshot {
-                term,
-                ops_covered,
-                digest,
-                state,
-            }),
         (any::<u64>(), any::<u64>(), any::<u64>())
             .prop_map(|(term, total, digest)| Frame::Heartbeat { term, total, digest }),
         (any::<u64>(), any::<u64>()).prop_map(|(term, applied)| Frame::Ack { term, applied }),
@@ -241,14 +228,14 @@ proptest! {
 // ---------------------------------------------------------------------
 
 /// The state digest is a stored and shipped format: it is written into
-/// snapshot files and compared across nodes in `Heartbeat`/`Batch`
+/// checkpoint headers and compared across nodes in `Heartbeat`/`Batch`
 /// frames, where a mismatch halts a replica. One fixed tiny database —
 /// every component kind, every `Value` shape that occurs in practice, an
 /// open run, a closed run, a same-tick overwrite, a re-entered class, a
 /// terminated object, a dropped class — must digest to this literal on
 /// every toolchain (the algorithm is `DESIGN.md` §8.5). If this test
 /// fails, two builds of the same source can disagree about a healthy
-/// state: bump `SNAP_MAGIC` rather than the literal, unless the
+/// state: bump `LOG_MAGIC` rather than the literal, unless the
 /// definition was changed on purpose.
 #[test]
 fn state_digest_golden_vector() {

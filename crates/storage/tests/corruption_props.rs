@@ -1,7 +1,7 @@
 //! Single-byte corruption properties: flip any one byte (any bit mask)
-//! of a valid log — or of the snapshot — and recovery must either land
-//! on a state digest-identical to some valid prefix state, or refuse
-//! loudly. It must never serve a state that matches no prefix.
+//! of a valid log — its checkpoint image included — and recovery must
+//! either land on a state digest-identical to some valid prefix state,
+//! or refuse loudly. It must never serve a state that matches no prefix.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -9,7 +9,8 @@ use std::sync::Arc;
 
 use proptest::prelude::*;
 use tchimera_core::{attrs, ClassDef, ClassId, Instant, Oid, Type, Value};
-use tchimera_storage::{snapshot_path, PersistentDatabase, SimFs, Vfs};
+use tchimera_storage::log::RecordWalk;
+use tchimera_storage::{EngineError, PersistentDatabase, SimFs, Vfs};
 
 /// Build a synced database of `steps` logical ops (plus one class
 /// define) on a fresh [`SimFs`], optionally checkpointing halfway.
@@ -109,100 +110,28 @@ proptest! {
         );
     }
 
-    /// Flip one byte anywhere in the snapshot. With the log compacted,
-    /// recovery must come back as a prefix state or refuse — never
-    /// guess. With a full (uncompacted) log alongside, the fallback is
-    /// complete replay, so recovery must succeed with the exact final
-    /// state.
+    /// Flip one byte of a checkpointed log's header or image: the
+    /// operations the image folds exist nowhere else, so the open must
+    /// refuse with a typed error, and leave the file as it found it.
     #[test]
-    fn snapshot_byte_flip_never_yields_a_non_prefix_state(
+    fn a_flip_in_the_image_is_refused(
         steps in 8usize..48,
-        compacted in any::<bool>(),
         offset_seed in 0usize..100_000,
         mask_seed in 0u8..255,
     ) {
         let path = PathBuf::from("wal.log");
-        let mask = mask_seed.wrapping_add(1);
-        if compacted {
-            let (fs, digests) = build(&path, steps, true);
-            flip_and_recover(fs, &path, &snapshot_path(&path), &digests, offset_seed, mask, "snapshot");
-        } else {
-            // A snapshot next to a full log: graft the snapshot a
-            // checkpointed run produced onto an uncompacted run of the
-            // identical workload.
-            let (ckpt_fs, _) = build(&path, steps, true);
-            let snap_bytes = ckpt_fs.contents(&snapshot_path(&path)).unwrap();
-            let (fs, digests) = build(&path, steps, false);
-            let mut f = fs.open_trunc(&snapshot_path(&path)).unwrap();
-            f.write_all(&snap_bytes).unwrap();
-            f.sync().unwrap();
-            drop(f);
-            fs.sync_dir(&PathBuf::from(".")).unwrap();
-            let last = digests[digests.len() - 1];
-            let got = flip_and_recover(fs, &path, &snapshot_path(&path), &digests, offset_seed, mask, "snapshot+log");
-            if let Some(d) = got {
-                // Whether the snapshot survived the flip (header-field
-                // flips the CRC catches, any payload flip likewise) or
-                // not, a full log is present: recovery must reach the
-                // final state, by suffix replay or by full replay.
-                prop_assert_eq!(d, last, "full log present but final state not recovered");
-            } else {
-                panic!("recovery refused although the full log was intact");
-            }
-        }
-    }
-}
-
-/// Regression: a snapshot *behind* the log's compaction horizon (the
-/// gap between them was compacted away) must be refused with a typed
-/// error everywhere it is consulted — `state_at_op` on a live engine
-/// used to underflow its skip count here.
-#[test]
-fn stale_snapshot_behind_compaction_horizon_is_refused() {
-    use tchimera_storage::EngineError;
-
-    let path = PathBuf::from("stale.log");
-    let fs = SimFs::new();
-    let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
-    let mut pdb = PersistentDatabase::open_with(Arc::clone(&vfs), &path).unwrap();
-    pdb.define_class(ClassDef::new("employee").attr("salary", Type::temporal(Type::INTEGER)))
-        .unwrap();
-    pdb.advance_to(Instant(1)).unwrap();
-    let oid = pdb
-        .create_object(&ClassId::from("employee"), attrs([("salary", Value::Int(1))]))
-        .unwrap();
-    pdb.checkpoint().unwrap();
-    // Keep the snapshot of this moment: it covers fewer ops than the
-    // compaction base the *next* checkpoint will establish.
-    let stale = fs.contents(&snapshot_path(&path)).unwrap();
-
-    for i in 2..6 {
-        pdb.set_attr(oid, &"salary".into(), Value::Int(i)).unwrap();
-    }
-    pdb.checkpoint().unwrap();
-    let total = pdb.op_count();
-
-    // Roll the snapshot file back (a restore-from-backup gone wrong, a
-    // half-applied sync — any path that leaves an old image in place).
-    let mut f = fs.open_trunc(&snapshot_path(&path)).unwrap();
-    f.write_all(&stale).unwrap();
-    f.sync().unwrap();
-    drop(f);
-
-    // The live engine refuses recovery inspection with a typed error
-    // instead of underflowing.
-    match pdb.state_at_op(total) {
-        Err(EngineError::Snapshot(_)) => {}
-        other => panic!("expected a typed snapshot refusal, got {other:?}"),
-    }
-
-    // Reopening refuses just as loudly: the compacted prefix is gone and
-    // the stale image cannot stand in for it.
-    drop(pdb);
-    match PersistentDatabase::open_with(vfs, &path) {
-        Err(EngineError::Snapshot(_)) => {}
-        Ok(_) => panic!("recovery served a state the stale snapshot cannot justify"),
-        Err(other) => panic!("expected a typed snapshot refusal, got {other:?}"),
+        let (fs, _) = build(&path, steps, true);
+        let log = fs.contents(&path).unwrap();
+        let mut walk = RecordWalk::log(&log, 0);
+        let image_end = walk.pos();
+        prop_assert!(walk.next().is_some(), "records follow the image");
+        let offset = offset_seed % image_end;
+        fs.corrupt_byte(&path, offset, mask_seed.wrapping_add(1)).unwrap();
+        let damaged = fs.contents(&path).unwrap();
+        let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+        let open = PersistentDatabase::open_with(vfs, &path);
+        prop_assert!(matches!(open, Err(EngineError::Damaged(_))), "byte {}", offset);
+        prop_assert!(fs.contents(&path).unwrap() == damaged, "a refused open truncates nothing");
     }
 }
 

@@ -1,26 +1,28 @@
-//! Golden files for the two on-disk formats — a `TCLOG001` operation log
-//! and a `TCSNAP02` snapshot of one fixed small database — and for the
-//! wire: one replication frame of each kind and one bare log record.
+//! Golden files for the on-disk format — a `TCLOG002` log of one fixed
+//! small database, checkpointed early — and for the pair of files before
+//! it (a `TCLOG001` log and a `TCSNAP02` snapshot), which still opens;
+//! and for the wire: one replication frame of each kind and one bare log
+//! record.
 //!
-//! Encoding the fixed database must reproduce the committed files byte
-//! for byte, and decoding the committed files must reproduce the fixed
-//! database (its digest is pinned as a literal). Encoding each fixed frame
-//! must reproduce its file, and decoding the file must give back the
-//! frame. A change that moves a format fails here instead of on an
-//! operator's disk or between two builds of a cluster; a deliberate
-//! format change bumps the magic (on disk) or `WIRE_VERSION` (on the
-//! wire) and adds new files beside these.
+//! Encoding the fixed database must reproduce the committed `TCLOG002`
+//! file byte for byte (and its op records those of the `TCLOG001` log),
+//! and decoding the committed files must reproduce the fixed database
+//! (its digest is pinned as a literal). Encoding each fixed frame must
+//! reproduce its file, and decoding the file must give back the frame;
+//! the retired state image frame decodes to a typed refusal. A change
+//! that moves a format fails here instead of on an operator's disk or
+//! between two builds of a cluster; a deliberate format change bumps the
+//! magic (on disk) or `WIRE_VERSION` (on the wire) and adds new files
+//! beside these.
 
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use tchimera_core::{
-    attrs, AttrName, Attrs, ClassDef, ClassId, Database, DatabaseState, Instant, Oid, Type, Value,
-};
-use tchimera_storage::log::encode_record;
+use tchimera_core::{attrs, AttrName, Attrs, ClassDef, ClassId, Database, Instant, Oid, Type, Value};
+use tchimera_storage::log::{crc32, encode_record, RecordWalk};
 use tchimera_storage::{
-    digest_database, load_snapshot, snapshot_path, Codec, Frame, OpLog, Operation,
-    PersistentDatabase, SimFs, Vfs,
+    digest_database, load_snapshot, snapshot_path, CodecError, EngineError, Frame, OpLog,
+    Operation, PersistentDatabase, SimFs, Vfs, WireError,
 };
 
 /// `digest_database` of the fixed database (DESIGN.md §8.5).
@@ -28,7 +30,7 @@ const GOLDEN_DIGEST: u64 = 0x1616_0584_E568_2E65;
 
 /// Operations in the fixed history (one record each; the transaction is
 /// one) and how many of them an early checkpoint folded away, so that the
-/// golden log starts with a compaction header.
+/// golden logs start with a header (and the `TCLOG002` one an image).
 const GOLDEN_OPS: usize = 22;
 const PREFIX_OPS: usize = 1;
 
@@ -171,37 +173,89 @@ fn read_golden(name: &str) -> Vec<u8> {
     std::fs::read(golden(name)).unwrap_or_else(|e| panic!("golden file {name}: {e}"))
 }
 
-#[test]
-fn encoding_the_fixed_database_reproduces_the_golden_files() {
-    let fs = SimFs::new();
-    let mut pdb = build(&fs);
-    assert_eq!(digest_database(pdb.db()), GOLDEN_DIGEST);
-    assert!(
-        fs.contents(&log_path()).unwrap() == read_golden("fixed.log"),
-        "the TCLOG001 encoding moved"
-    );
-    pdb.checkpoint().unwrap();
-    assert!(
-        fs.contents(&snapshot_path(&log_path())).unwrap() == read_golden("fixed.snap"),
-        "the TCSNAP02 encoding moved"
-    );
+/// The op records of a log file: its bytes past the header and image.
+fn op_records(log: &[u8]) -> &[u8] {
+    let mut walk = RecordWalk::log(log, 0);
+    let start = walk.pos();
+    walk.by_ref().for_each(drop);
+    assert!(walk.damage().is_none());
+    &log[start..]
 }
 
 #[test]
-fn decoding_the_golden_log_reproduces_the_fixed_database() {
-    // The log's header says its first `PREFIX_OPS` operations live in a
-    // snapshot: the one `build` left behind when it checkpointed there.
+fn encoding_the_fixed_database_reproduces_the_golden_files() {
     let fs = SimFs::new();
-    drop(build(&fs));
-    assert!(read_golden("fixed.log").starts_with(b"TCLOG001"));
-    lay(&fs, &log_path(), &read_golden("fixed.log"));
-    let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
-    let pdb = PersistentDatabase::open_with(vfs, &log_path()).expect("open golden log");
-    assert!(!pdb.recovered_torn_tail());
-    assert!(pdb.recovered_from_snapshot());
-    assert_eq!(pdb.recovered_replayed(), GOLDEN_OPS - PREFIX_OPS);
-    assert_eq!(pdb.recovered_ops(), GOLDEN_OPS);
+    let pdb = build(&fs);
     assert_eq!(digest_database(pdb.db()), GOLDEN_DIGEST);
+    let log = fs.contents(&log_path()).unwrap();
+    assert!(log == read_golden("fixed.ckpt.log"), "the TCLOG002 encoding moved");
+    // The records of the old format are the records of the new one: a
+    // `TCLOG001` log is its 20-byte header (magic, base, CRC-32 of the
+    // base) and then the same op records.
+    let base = (PREFIX_OPS as u64).to_le_bytes();
+    let v1 = [&b"TCLOG001"[..], &base, &crc32(&base).to_le_bytes(), op_records(&log)].concat();
+    assert!(v1 == read_golden("fixed.log"), "the TCLOG001 records moved");
+}
+
+#[test]
+fn the_golden_log_opens_to_the_fixed_database_at_every_operation() {
+    let fs = SimFs::new();
+    lay(&fs, &log_path(), &read_golden("fixed.ckpt.log"));
+    let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+    let mut pdb = PersistentDatabase::open_with(vfs, &log_path()).expect("open golden log");
+    assert!(!pdb.recovered_torn_tail() && pdb.recovered_from_snapshot());
+    assert_eq!(pdb.recovered_replayed(), GOLDEN_OPS - PREFIX_OPS);
+    assert_eq!((pdb.recovered_ops(), pdb.base_op()), (GOLDEN_OPS, PREFIX_OPS as u64));
+    assert_eq!(digest_database(pdb.db()), GOLDEN_DIGEST);
+    // Transaction time from the horizon on: the build's state after op k.
+    let live = SimFs::new();
+    let mut reference = build(&live);
+    for k in PREFIX_OPS..=GOLDEN_OPS {
+        let (at, expect) = (pdb.state_at_op(k).unwrap(), reference.state_at_op(k).unwrap());
+        assert_eq!(digest_database(&at), digest_database(&expect), "op {k}");
+    }
+    assert!(matches!(pdb.state_at_op(0), Err(EngineError::Compacted { base: 1, .. })));
+}
+
+#[test]
+fn the_golden_legacy_pair_opens_converted_to_the_fixed_database() {
+    // A `TCLOG001` log whose header says its first operation lives in the
+    // `TCSNAP02` snapshot beside it — which, taken after the last
+    // operation, holds all 22.
+    let fs = SimFs::new();
+    let snap = snapshot_path(&log_path());
+    lay(&fs, &log_path(), &read_golden("fixed.log"));
+    lay(&fs, &snap, &read_golden("fixed.snap"));
+    fs.sync_dir(Path::new(".")).unwrap();
+    let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+    let mut pdb = PersistentDatabase::open_with(Arc::clone(&vfs), &log_path()).expect("open");
+    assert!(!pdb.recovered_torn_tail() && pdb.recovered_from_snapshot());
+    assert_eq!((pdb.recovered_ops(), pdb.recovered_replayed()), (GOLDEN_OPS, 0));
+    assert_eq!(digest_database(pdb.db()), GOLDEN_DIGEST);
+    // One file now, covering the same history: from the snapshot's
+    // horizon on, transaction time answers as the pair did.
+    assert!(!fs.exists(&snap), "the snapshot is folded into the log");
+    assert!(fs.contents(&log_path()).unwrap().starts_with(b"TCLOG002"));
+    assert_eq!(digest_database(&pdb.state_at_op(GOLDEN_OPS).unwrap()), GOLDEN_DIGEST);
+    let beyond = pdb.state_at_op(GOLDEN_OPS + 1);
+    assert!(matches!(beyond, Err(EngineError::BeyondHistory { recorded: GOLDEN_OPS, .. })));
+    drop(pdb);
+    let pdb = PersistentDatabase::open_with(Arc::clone(&vfs), &log_path()).unwrap();
+    assert_eq!(digest_database(pdb.db()), GOLDEN_DIGEST);
+
+    // A `TCSNAP01` file records a digest nothing can verify any more: it
+    // is refused like any unusable snapshot, and with the log's prefix
+    // compacted away the open refuses too, touching neither file.
+    let fs = SimFs::new();
+    let mut old = read_golden("fixed.snap");
+    old[7] = b'1';
+    lay(&fs, &log_path(), &read_golden("fixed.log"));
+    lay(&fs, &snap, &old);
+    let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+    let open = PersistentDatabase::open_with(vfs, &log_path());
+    assert!(matches!(open, Err(EngineError::Damaged(_))), "{:?}", open.err());
+    assert!(fs.contents(&snap).unwrap() == old);
+    assert!(fs.contents(&log_path()).unwrap() == read_golden("fixed.log"));
 }
 
 #[test]
@@ -248,12 +302,9 @@ fn golden_op() -> Operation {
 }
 
 /// One frame of each kind, by golden file name. The batch carries the
-/// records of the golden log verbatim and the snapshot the image of the
-/// fixed database, so both also pin what they wrap.
+/// records of the golden log verbatim, so it also pins what it wraps.
 fn golden_frames() -> Vec<(&'static str, Frame)> {
-    let fs = SimFs::new();
-    let pdb = build(&fs);
-    let log = fs.contents(&log_path()).unwrap();
+    let log = read_golden("fixed.log");
     vec![
         (
             "batch.frame",
@@ -264,15 +315,6 @@ fn golden_frames() -> Vec<(&'static str, Frame)> {
                 commit_digest: Some(GOLDEN_DIGEST),
                 // The records after the 20-byte compaction header.
                 records: log[20..].to_vec(),
-            },
-        ),
-        (
-            "snapshot.frame",
-            Frame::Snapshot {
-                term: 2,
-                ops_covered: GOLDEN_OPS as u64,
-                digest: GOLDEN_DIGEST,
-                state: pdb.db().export_state().to_bytes(),
             },
         ),
         (
@@ -335,13 +377,9 @@ fn decoding_the_golden_frames_and_record_gives_them_back() {
         }
         other => panic!("batch.frame: {other:?}"),
     }
-    match Frame::from_wire(&read_golden("snapshot.frame")) {
-        Ok(Frame::Snapshot { state, .. }) => {
-            let db = Database::import_state(DatabaseState::from_bytes(&state).unwrap()).unwrap();
-            assert_eq!(digest_database(&db), GOLDEN_DIGEST);
-        }
-        other => panic!("snapshot.frame: {other:?}"),
-    }
+    // The state image frame is retired: its kind is refused by type.
+    let retired = CodecError::InvalidTag { what: "repl frame", tag: 1 };
+    assert_eq!(Frame::from_wire(&read_golden("snapshot.frame")), Err(WireError::Decode(retired)));
     // A bare record is a headerless log of one operation.
     let record = read_golden("op.record");
     let scan = OpLog::scan_bytes(&record);
@@ -350,22 +388,18 @@ fn decoding_the_golden_frames_and_record_gives_them_back() {
     assert!(encode_record(&scan.ops[0]) == record);
 }
 
-/// Writes the golden files from the current encoder. Run once per format
-/// version (`cargo test -p tchimera-storage --test golden_format -- --ignored`),
-/// never to make a failing test above pass.
+/// Writes the golden files of the current formats from the current
+/// encoder (`fixed.log`, `fixed.snap` and `snapshot.frame` are of retired
+/// ones and stay as they are). Run once per format version (`cargo test
+/// -p tchimera-storage --test golden_format -- --ignored`), never to make
+/// a failing test above pass.
 #[test]
 #[ignore = "regenerates the golden files"]
 fn regenerate_golden_files() {
     let fs = SimFs::new();
-    let mut pdb = build(&fs);
+    let pdb = build(&fs);
     std::fs::create_dir_all(golden("")).unwrap();
-    std::fs::write(golden("fixed.log"), fs.contents(&log_path()).unwrap()).unwrap();
-    pdb.checkpoint().unwrap();
-    std::fs::write(
-        golden("fixed.snap"),
-        fs.contents(&snapshot_path(&log_path())).unwrap(),
-    )
-    .unwrap();
+    std::fs::write(golden("fixed.ckpt.log"), fs.contents(&log_path()).unwrap()).unwrap();
     for (name, frame) in golden_frames() {
         std::fs::write(golden(name), frame.to_wire()).unwrap();
     }

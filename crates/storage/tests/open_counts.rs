@@ -1,19 +1,19 @@
-//! Opening from a snapshot loads; it does not re-derive or re-verify.
+//! Opening from a checkpoint image loads; it does not re-derive or
+//! re-verify.
 //!
 //! Counted, not timed: after a checkpoint and a tail, `open_with` walks
 //! no digest (`core.digest.walks`), builds no digest table
 //! (`core.digest.builds`) and reindexes no object one by one
 //! (`core.refindex.rebuilds` — the reverse-reference index is built in
 //! bulk). The walk an open used to pay belongs to the scrubber: the first
-//! `scrub_cycle()` makes it and is clean. A CRC-valid snapshot that
+//! `scrub_cycle()` makes it and is clean. A CRC-valid header that
 //! records the wrong digest therefore opens, and is caught and repaired
 //! by that scrub through the ladder that was already there.
 //!
-//! Replay streams: every pass — a full-replay open, a snapshot + suffix
+//! Replay streams: every pass — a full-replay open, an image + suffix
 //! open, `state_at_op` and a scrub cycle — holds at most one decoded
 //! record at a time (`op::take_decode_backlog_high_water`) and decodes
-//! each record it reads once (`storage.log.scanned_ops`), the records a
-//! snapshot already holds included, so damage among them is still found.
+//! each op record it reads once (`storage.log.scanned_ops`).
 //!
 //! The counters are process-global, so this file is a test binary of its
 //! own and its tests take turns.
@@ -24,9 +24,7 @@ use std::sync::{Arc, Mutex};
 use tchimera_core::{attrs, ClassDef, ClassId, Oid, Type, Value};
 use tchimera_storage::log::{crc32, RecordWalk};
 use tchimera_storage::op::take_decode_backlog_high_water;
-use tchimera_storage::{
-    digest_database, load_snapshot, snapshot_path, write_snapshot, PersistentDatabase, SimFs, Vfs,
-};
+use tchimera_storage::{digest_database, write_snapshot, PersistentDatabase, SimFs, Vfs};
 
 static TURN: Mutex<()> = Mutex::new(());
 
@@ -41,6 +39,14 @@ fn path() -> PathBuf {
 fn open(fs: &SimFs) -> PersistentDatabase {
     let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
     PersistentDatabase::open_with(vfs, &path()).expect("open")
+}
+
+/// Replace the log's bytes with `bytes`, durably.
+fn lay(fs: &SimFs, bytes: &[u8]) {
+    let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+    let mut f = vfs.open_trunc(&path()).unwrap();
+    f.write_all(bytes).unwrap();
+    f.sync().unwrap();
 }
 
 fn counter(name: &str) -> u64 {
@@ -95,7 +101,7 @@ fn populated(fs: &SimFs, checkpoint: bool) -> u64 {
 }
 
 #[test]
-fn a_snapshot_open_walks_nothing_and_the_first_scrub_does() {
+fn an_image_open_walks_nothing_and_the_first_scrub_does() {
     let _turn = turn();
     let fs = SimFs::new();
     let closed = checkpointed_with_tail(&fs);
@@ -136,8 +142,8 @@ fn a_snapshot_open_walks_nothing_and_the_first_scrub_does() {
         OBJECTS as usize
     );
 
-    // The walk moved to the scrubber: its first cycle checks the snapshot
-    // image against the recorded digest (and the live state against the
+    // The walk moved to the scrubber: its first cycle checks the image
+    // against the recorded digest (and the live state against the
     // re-materialization), and finds nothing.
     let walks = counter("core.digest.walks");
     let report = pdb.scrub_cycle();
@@ -156,16 +162,16 @@ fn a_snapshot_open_walks_nothing_and_the_first_scrub_does() {
 fn a_wrong_recorded_digest_opens_and_is_repaired_by_the_scrubber() {
     let _turn = turn();
     let fs = SimFs::new();
-    let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
-    let snap_path = snapshot_path(&path());
     let closed = checkpointed_with_tail(&fs);
 
-    // Re-install the snapshot with one digest bit flipped *before* the
+    // Re-write the header with one digest bit flipped *before* its
     // checksum is taken: every byte is as the writer meant it, the writer
     // was wrong.
-    let snap = load_snapshot(&vfs, &snap_path).unwrap();
-    let (covered, recorded) = (snap.ops_covered, snap.digest);
-    write_snapshot(&vfs, &snap_path, &snap.state, covered, recorded ^ 1).unwrap();
+    let mut log = fs.contents(&path()).unwrap();
+    log[24] ^= 1;
+    let crc = crc32(&log[8..32]).to_le_bytes();
+    log[32..36].copy_from_slice(&crc);
+    lay(&fs, &log);
 
     let mut pdb = open(&fs);
     assert!(
@@ -191,10 +197,11 @@ fn a_wrong_recorded_digest_opens_and_is_repaired_by_the_scrubber() {
         "the repair must not touch the state"
     );
 
-    // The superseding snapshot records the right digest and the store
+    // The superseding checkpoint records the right digest and the store
     // scrubs clean — now and after a restart.
-    let fresh = load_snapshot(&vfs, &snap_path).unwrap();
-    assert_eq!(fresh.digest, digest_database(pdb.db()));
+    let fresh = fs.contents(&path()).unwrap();
+    let head = *RecordWalk::log(&fresh, 0).head().expect("a header");
+    assert_eq!(head.digest, digest_database(pdb.db()));
     assert!(pdb.scrub_cycle().clean());
     drop(pdb);
     let mut pdb = open(&fs);
@@ -239,36 +246,34 @@ fn every_replay_pass_decodes_one_record_at_a_time_and_each_once() {
     assert_eq!((decoded, held), (records as u64, 1));
     drop(pdb);
 
-    // A snapshot of the first `k` records next to the full log (a crash
-    // between snapshot install and compaction): the open passes over the
-    // `k` records the snapshot holds — decoding each, so damage among
-    // them is found — and applies the rest.
-    let snap_path = snapshot_path(&path());
-    write_snapshot(&vfs, &snap_path, &past.export_state(), k as u64, expect).unwrap();
+    // The same history checkpointed at `k`: the image of the first `k`
+    // operations, then the records after them. The open decodes only the
+    // records past the image, one at a time.
+    let image = PathBuf::from("image");
+    write_snapshot(&vfs, &image, &past.export_state(), k as u64, expect).unwrap();
+    let image = fs.contents(&image).unwrap();
+    let suffix = RecordWalk::log(&log, 0).nth(k).unwrap().0 as usize;
+    lay(&fs, &[&image[..], &log[suffix..]].concat());
     let (pdb, decoded, held) = decoded_by(|| open(&fs));
     assert!(pdb.recovered_from_snapshot());
-    assert_eq!((decoded, held), (records as u64, 1));
+    assert_eq!((decoded, held), ((records - k) as u64, 1));
     assert_eq!(pdb.recovered_replayed(), records - k);
     assert_eq!(pdb.state_digest(), closed);
     drop(pdb);
 
-    // A CRC-valid record that does not decode, among the records the
-    // snapshot holds: the open finds it, truncates the log there and
-    // realigns it to the snapshot.
-    let at = RecordWalk::log(&log, 0).nth(k / 2).unwrap().0 as usize;
+    // A CRC-valid record that does not decode, first after the image: the
+    // open finds it, truncates the log there and serves the image.
     let garbage = [0xfe];
-    let mut damaged = log[..at].to_vec();
+    let mut damaged = image.clone();
     damaged.extend_from_slice(&(garbage.len() as u32).to_le_bytes());
     damaged.extend_from_slice(&crc32(&garbage).to_le_bytes());
     damaged.extend_from_slice(&garbage);
-    damaged.extend_from_slice(&log[at..]);
-    let mut f = vfs.open_trunc(&path()).unwrap();
-    f.write_all(&damaged).unwrap();
-    f.sync().unwrap();
-    drop(f);
+    damaged.extend_from_slice(&log[suffix..]);
+    lay(&fs, &damaged);
     let (pdb, decoded, held) = decoded_by(|| open(&fs));
-    assert!(pdb.recovered_torn_tail(), "damage under the snapshot is found");
-    assert_eq!((decoded, held), ((k / 2) as u64, 1));
+    assert!(pdb.recovered_torn_tail(), "the damage is found");
+    assert_eq!((decoded, held), (0, 0));
     assert_eq!((pdb.recovered_ops(), pdb.base_op()), (k, k as u64));
     assert_eq!(pdb.state_digest(), expect);
+    assert!(fs.contents(&path()).unwrap() == image, "the open truncated the damage");
 }

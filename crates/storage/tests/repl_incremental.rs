@@ -13,8 +13,8 @@
 //! and applies each record once and appends the bytes it was sent. The
 //! events that invalidate the cursor's byte offset (a catch-up that
 //! rewinds it, a checkpoint that replaces the log file, a restart of the
-//! primary) each cost one bounded re-walk or one snapshot ship, after
-//! which the cost is back to one per op. A primary stalled by damage
+//! primary) each cost one bounded re-walk or one ship of the log from
+//! byte 0, after which the cost is back to one per op. A primary stalled by damage
 //! below its cursor ships nothing per pump while it waits for repair.
 //!
 //! The counters are process-global, so this file is a test binary of its
@@ -363,7 +363,7 @@ fn a_primary_stalled_by_damage_below_its_cursor_decodes_nothing_per_pump() {
 }
 
 #[test]
-fn a_checkpoint_costs_one_rescan_or_one_snapshot_ship() {
+fn a_checkpoint_costs_one_rescan_or_one_whole_log_ship() {
     let _turn = turn();
     let (pfs, rfs) = (SimFs::new(), SimFs::new());
     let mut pair = attach(primary_with(&pfs, 500), &rfs, 11);
@@ -385,7 +385,7 @@ fn a_checkpoint_costs_one_rescan_or_one_snapshot_ship() {
     );
 
     // Follower behind the checkpoint: what it lacks was compacted away,
-    // so one state image is shipped instead of records.
+    // so the log is shipped from byte 0 — its image, no op record yet.
     for _ in 0..5 {
         one_write(pair.0.db());
     }
@@ -396,15 +396,16 @@ fn a_checkpoint_costs_one_rescan_or_one_snapshot_ship() {
         (1, 0),
         "{shipped_image:?}"
     );
-    // The first round after the image finds the cursor's offset again.
+    // That shipment walked the new log: the first round after it reads on
+    // from the cursor's offset, with no re-walk.
     one_write(pair.0.db());
     let refind = round(&mut pair);
-    assert_eq!((refind.primary.rescans, refind.primary.scanned), (1, 0));
+    assert_eq!((refind.primary.rescans, refind.primary.scanned), (0, 0));
     assert_eq!((refind.primary.shipped, refind.replica.scanned), (1, 1));
     assert_one_per_op(
         single_write_rounds(&mut pair, 10),
         10,
-        "after a snapshot ship",
+        "after a whole-log ship",
     );
     assert_eq!(
         pair.1.db_ref().state_digest(),

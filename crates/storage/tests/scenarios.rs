@@ -27,6 +27,7 @@ families! {
     io_keep_half => "io/keep_half",
     io_keep_all => "io/keep_all",
     io_no_checkpoint => "io/no_checkpoint",
+    io_fsync_lost => "io/fsync_lost",
     replication => "repl/",
     promote => "promote/",
     primary_log_damage => "damage/",

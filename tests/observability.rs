@@ -57,11 +57,11 @@ fn recovery_ladder_emits_exactly_one_rung_event_per_open() {
         let rungs = rungs_in(&obs::take_trace());
         assert_eq!(rungs, vec![r#"rung="full-replay""#], "first open");
 
-        // Open 2 happens below with a snapshot present.
+        // Open 2 happens below with a checkpoint image present.
         pdb.checkpoint().unwrap();
     }
 
-    // Open 2: crash, then recover through the snapshot rung.
+    // Open 2: crash, then recover through the image rung.
     fs.crash(TearMode::DropAll);
     obs::install_ring_buffer(1024);
     let reopened = PersistentDatabase::open_with(Arc::clone(&vfs), path).unwrap();
@@ -70,13 +70,13 @@ fn recovery_ladder_emits_exactly_one_rung_event_per_open() {
     assert_eq!(reopened.db().object_count(), 1);
     drop(reopened);
 
-    // Open 3: destroy the snapshot after compaction — the ladder must
-    // refuse, and that refusal is still exactly one rung event.
-    let snap = tchimera::storage::snapshot_path(path);
-    fs.corrupt_byte(&snap, 0, 0xff).unwrap();
+    // Open 3: damage the checkpoint image the log starts with — the
+    // ladder must refuse, and that refusal is still exactly one rung
+    // event.
+    fs.corrupt_byte(path, 40, 0xff).unwrap();
     obs::install_ring_buffer(1024);
     let err = PersistentDatabase::open_with(Arc::clone(&vfs), path);
-    assert!(err.is_err(), "compacted log without snapshot must refuse");
+    assert!(err.is_err(), "a log whose image is damaged must refuse");
     let rungs = rungs_in(&obs::take_trace());
     assert_eq!(rungs, vec![r#"rung="refused""#], "refused open");
 

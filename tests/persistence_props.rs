@@ -2,14 +2,15 @@
 //! persistent engine and recovering from the log yields a database with
 //! the same state digest as the live one — i.e. recovery is exact. With
 //! a checkpoint somewhere along the way, recovery starts from the
-//! snapshot, replays exactly the tail, is just as exact, and the first
-//! scrub cycle (which is where the snapshot's digest is checked) is clean;
+//! checkpoint image, replays exactly the tail, is just as exact, and the
+//! first scrub cycle (which is where the image's digest is checked) is
+//! clean;
 //! after one seeded in-memory corruption of a derived index, the next
 //! cycle reports it and repairs the node back to the live digest.
 
 use proptest::prelude::*;
 use tchimera_core::{attrs, Attrs, ClassDef, ClassId, Oid, SimMem, Type, Value};
-use tchimera_storage::{digest_database, snapshot_path, PersistentDatabase};
+use tchimera_storage::{digest_database, PersistentDatabase};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -47,7 +48,6 @@ proptest! {
             std::process::id()
         ));
         let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_file(snapshot_path(&path));
         let (live_digest, tail) = {
             let mut pdb = PersistentDatabase::open(&path).unwrap();
             pdb.define_class(ClassDef::new("person").attr("address", Type::STRING)).unwrap();
@@ -122,6 +122,5 @@ proptest! {
         prop_assert_eq!(recovered.state_digest(), live_digest);
         prop_assert!(digest_database(recovered.db()) == live_digest);
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(snapshot_path(&path)).ok();
     }
 }

@@ -131,49 +131,62 @@ fn replica_serves_governed_reads_and_refuses_writes() {
     );
 }
 
-/// A fresh follower that catches up from an uncompacted primary holds the
-/// primary's log byte for byte (records are shipped and appended
-/// verbatim), and reopening it from that log alone gives the primary's
-/// state.
+/// A fresh follower that catches up holds the primary's log byte for
+/// byte — from an uncompacted primary (records are shipped and appended
+/// verbatim) and from one checkpointed past it (the log is shipped from
+/// byte 0, image included, and installed as it is) — and reopening it
+/// from that log alone gives the primary's state.
 #[test]
 fn a_caught_up_follower_logs_the_primary_s_bytes() {
-    let (pfs, rfs) = (SimFs::new(), SimFs::new());
-    let path = PathBuf::from("node.log");
-    let open_on = |fs: &SimFs| {
-        let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
-        PersistentDatabase::open_with(vfs, &path).expect("open")
-    };
-    let mut pdb = open_on(&pfs);
-    pdb.txn(|t| {
-        t.define_class(ClassDef::new("employee").attr("salary", Type::temporal(Type::INTEGER)))?;
-        t.advance_to(Instant(1))
-    })
-    .unwrap();
-    for i in 0..200 {
-        if i % 7 == 0 {
-            pdb.tick().unwrap();
-        }
-        pdb.create_object(
-            &"employee".into(),
-            tchimera_core::attrs([("salary", Value::Int(100 + i))]),
-        )
+    for checkpoint in [false, true] {
+        let (pfs, rfs) = (SimFs::new(), SimFs::new());
+        let path = PathBuf::from("node.log");
+        let open_on = |fs: &SimFs| {
+            let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+            PersistentDatabase::open_with(vfs, &path).expect("open")
+        };
+        let mut pdb = open_on(&pfs);
+        pdb.txn(|t| {
+            let salary = Type::temporal(Type::INTEGER);
+            t.define_class(ClassDef::new("employee").attr("salary", salary))?;
+            t.advance_to(Instant(1))
+        })
         .unwrap();
+        for i in 0..200 {
+            if i % 7 == 0 {
+                pdb.tick().unwrap();
+            }
+            if checkpoint && i == 150 {
+                pdb.checkpoint().unwrap();
+            }
+            pdb.create_object(
+                &"employee".into(),
+                tchimera_core::attrs([("salary", Value::Int(100 + i))]),
+            )
+            .unwrap();
+        }
+        pdb.sync().unwrap();
+        assert_eq!(pdb.base_op() > 0, checkpoint);
+
+        let (pt, rt) = SimTransport::pair(7, SimNetConfig::clean());
+        let mut primary = Primary::new(pdb, 1, pt);
+        let mut replica = Replica::new(open_on(&rfs), rt);
+        quiesce(&mut primary, &mut replica);
+        replica.sync().unwrap();
+        assert!(
+            rfs.contents(&path) == pfs.contents(&path),
+            "the follower's log differs from the primary's (checkpoint: {checkpoint})"
+        );
+        // … and stays so as the primary writes on.
+        primary.db().tick().unwrap();
+        quiesce(&mut primary, &mut replica);
+        assert!(rfs.contents(&path) == pfs.contents(&path));
+
+        let digest = primary.db_ref().state_digest();
+        drop(replica);
+        let reopened = open_on(&rfs);
+        assert_eq!(reopened.recovered_ops(), primary.db_ref().op_count());
+        assert_eq!(reopened.state_digest(), digest);
+        assert_eq!(reopened.base_op(), primary.db_ref().base_op());
     }
-    pdb.sync().unwrap();
-
-    let (pt, rt) = SimTransport::pair(7, SimNetConfig::clean());
-    let mut primary = Primary::new(pdb, 1, pt);
-    let mut replica = Replica::new(open_on(&rfs), rt);
-    quiesce(&mut primary, &mut replica);
-    replica.sync().unwrap();
-    assert!(
-        rfs.contents(&path) == pfs.contents(&path),
-        "the follower's log differs from the primary's"
-    );
-
-    let digest = primary.db_ref().state_digest();
-    drop(replica);
-    let reopened = open_on(&rfs);
-    assert_eq!(reopened.recovered_ops(), primary.db_ref().op_count());
-    assert_eq!(reopened.state_digest(), digest);
 }
