@@ -172,11 +172,17 @@ pub struct LogScan {
 
 impl OpLog {
     /// Open (or create) the log at `path` through the given [`Vfs`] and
-    /// scan its op records; a damaged tail is truncated.
+    /// scan its op records; a damaged tail is truncated. A damaged header
+    /// or image is refused, as the engine's open refuses it, and the file
+    /// is left as it is.
     pub fn open_with(vfs: Arc<dyn Vfs>, path: &Path) -> Result<(OpLog, LogScan), LogError> {
         let (mut log, buf) = Self::open_unscanned(vfs, path)?;
+        let walk = RecordWalk::log(&buf, 0);
+        if let Err(why) = walk.image() {
+            return Err(io::Error::new(io::ErrorKind::InvalidData, why).into());
+        }
         let mut ops = Vec::new();
-        let pass = Pass::run(RecordWalk::log(&buf, 0), u64::MAX, |op| ops.push(op));
+        let pass = Pass::run(walk, u64::MAX, |op| ops.push(op));
         log.adopt(&pass)?;
         Ok((log, LogScan::of(ops, pass)))
     }

@@ -628,6 +628,13 @@ impl OpLog {
     /// stops at the first damaged frame). If that fails too, it is tried
     /// again before any further append or sync.
     pub(crate) fn append_records(&mut self, records: &[u8], count: u64) -> Result<(), LogError> {
+        // The tail is kept for a failed fsync to be written again, so a
+        // writer that does not sync (a follower between its syncs, a bulk
+        // load) would keep all it appends: past a bound, sync first. If
+        // that sync fails, nothing is appended and the tail stops growing.
+        if self.tail.len() > TAIL_LIMIT {
+            self.sync()?;
+        }
         self.restore()?;
         if let Err(e) = self.file.write_all(records) {
             self.rewrite = true;
@@ -639,13 +646,6 @@ impl OpLog {
         self.records += count;
         tchimera_obs::counter!("storage.log.appends").add(count);
         tchimera_obs::counter!("storage.log.bytes").add(records.len() as u64);
-        // The tail is kept for a failed fsync to be written again, so a
-        // writer that does not sync (a follower between its syncs, a bulk
-        // load) would keep all it appends: past a bound, sync early. A
-        // failure here is the next sync's to surface.
-        if self.tail.len() > TAIL_LIMIT {
-            let _ = self.sync();
-        }
         Ok(())
     }
 
@@ -965,11 +965,43 @@ mod tests {
         while log.len_bytes() <= TAIL_LIMIT as u64 {
             log.append_records(&batch, 20_000).unwrap();
         }
-        assert!(log.tail.is_empty(), "the records kept for a rewrite stay bounded");
+        let synced = log.len_bytes();
+        log.append_records(&batch, 20_000).unwrap();
+        assert_eq!(log.tail, batch, "the records kept for a rewrite stay bounded");
         drop(log);
         fs.crash(TearMode::DropAll);
         let (log, ..) = open(vfs, &path);
-        assert!(log.len_bytes() > TAIL_LIMIT as u64, "the early sync made them durable");
+        assert_eq!(log.len_bytes(), synced, "the early sync made them durable");
+    }
+
+    #[test]
+    fn a_failed_early_sync_fails_the_append_and_the_tail_stops_growing() {
+        let fs = SimFs::new();
+        let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+        let path = PathBuf::from("wal.log");
+        let (mut log, ..) = open(Arc::clone(&vfs), &path);
+        let batch = encode_record(&Operation::AdvanceTo(Instant(1))).repeat(20_000);
+        while log.tail.len() <= TAIL_LIMIT {
+            log.append_records(&batch, 20_000).unwrap();
+        }
+        let (len, records, kept) = (log.len_bytes(), log.records(), log.tail.len());
+        // Every fsync fails, one shot after another: each append reports
+        // it, and none adds to the log or to the tail kept for a rewrite.
+        for _ in 0..3 {
+            fs.fail_next_sync(5);
+            let err = log.append_records(&batch, 20_000).unwrap_err();
+            assert!(matches!(err, LogError::Io(e) if e.raw_os_error() == Some(5)));
+            assert_eq!((log.len_bytes(), log.records(), log.tail.len()), (len, records, kept));
+        }
+        // Once an fsync goes through, the tail is written again, made
+        // durable, and the append lands after it.
+        log.append_records(&batch, 20_000).unwrap();
+        assert_eq!(log.tail, batch);
+        log.sync().unwrap();
+        drop(log);
+        fs.crash(TearMode::DropAll);
+        let (log, _, pass) = open(vfs, &path);
+        assert_eq!((log.records(), pass.damage), (records + 20_000, None));
     }
 
     #[test]

@@ -61,6 +61,14 @@ fn scan_bytes_and_open_with_see_the_records_an_open_replays() {
     assert_eq!(scan.ops.len(), reopened.recovered_replayed());
     let (log, scan) = OpLog::open_with(Arc::new(fs.clone()), path).unwrap();
     assert_eq!((log.base_op(), log.records()), (base, scan.ops.len() as u64));
+    drop(log);
+    // A flip in the image: the engine refuses the file and so does the
+    // wrapper, and neither truncates a byte of it.
+    fs.corrupt_byte(path, 40, 0x01).unwrap();
+    let damaged = fs.contents(path).unwrap();
+    assert!(PersistentDatabase::open_with(Arc::new(fs.clone()), path).is_err());
+    assert!(OpLog::open_with(Arc::new(fs.clone()), path).is_err());
+    assert_eq!(fs.contents(path).unwrap(), damaged);
 }
 
 #[test]

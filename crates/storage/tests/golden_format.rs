@@ -21,8 +21,8 @@ use std::sync::Arc;
 use tchimera_core::{attrs, AttrName, Attrs, ClassDef, ClassId, Database, Instant, Oid, Type, Value};
 use tchimera_storage::log::{crc32, encode_record, RecordWalk};
 use tchimera_storage::{
-    digest_database, load_snapshot, snapshot_path, CodecError, EngineError, Frame, OpLog,
-    Operation, PersistentDatabase, SimFs, Vfs, WireError,
+    digest_database, load_snapshot, snapshot_path, write_snapshot, CodecError, EngineError,
+    Frame, OpLog, Operation, PersistentDatabase, SimFs, Vfs, WireError,
 };
 
 /// `digest_database` of the fixed database (DESIGN.md §8.5).
@@ -44,6 +44,15 @@ fn log_path() -> PathBuf {
     PathBuf::from("golden.log")
 }
 
+/// The fixed history's first operation, the one the golden logs' early
+/// checkpoint folds away.
+fn person_class() -> ClassDef {
+    ClassDef::new("person")
+        .immutable_attr("name", Type::temporal(Type::STRING))
+        .attr("address", Type::STRING)
+        .attr("born", Type::Time)
+}
+
 /// The fixed database: two hierarchies, every value shape the codec has
 /// a tag for, object references, migrations, a termination, a
 /// c-attribute, a same-tick overwrite, a multi-operation transaction and
@@ -57,13 +66,7 @@ fn build(fs: &SimFs) -> PersistentDatabase {
         ClassId::from("employee"),
         ClassId::from("project"),
     );
-    pdb.define_class(
-        ClassDef::new("person")
-            .immutable_attr("name", Type::temporal(Type::STRING))
-            .attr("address", Type::STRING)
-            .attr("born", Type::Time),
-    )
-    .unwrap();
+    pdb.define_class(person_class()).unwrap();
     assert_eq!(pdb.op_count(), PREFIX_OPS);
     pdb.checkpoint().unwrap();
     pdb.define_class(
@@ -208,13 +211,7 @@ fn the_golden_log_opens_to_the_fixed_database_at_every_operation() {
     assert_eq!((pdb.recovered_ops(), pdb.base_op()), (GOLDEN_OPS, PREFIX_OPS as u64));
     assert_eq!(digest_database(pdb.db()), GOLDEN_DIGEST);
     // Transaction time from the horizon on: the build's state after op k.
-    let live = SimFs::new();
-    let mut reference = build(&live);
-    for k in PREFIX_OPS..=GOLDEN_OPS {
-        let (at, expect) = (pdb.state_at_op(k).unwrap(), reference.state_at_op(k).unwrap());
-        assert_eq!(digest_database(&at), digest_database(&expect), "op {k}");
-    }
-    assert!(matches!(pdb.state_at_op(0), Err(EngineError::Compacted { base: 1, .. })));
+    answers_from(&mut pdb, &mut build(&SimFs::new()), PREFIX_OPS);
 }
 
 #[test]
@@ -256,6 +253,102 @@ fn the_golden_legacy_pair_opens_converted_to_the_fixed_database() {
     assert!(matches!(open, Err(EngineError::Damaged(_))), "{:?}", open.err());
     assert!(fs.contents(&snap).unwrap() == old);
     assert!(fs.contents(&log_path()).unwrap() == read_golden("fixed.log"));
+}
+
+/// Lay `log` and, beside it, `snap` as a legacy pair, and open it.
+fn open_pair(log: &[u8], snap: &[u8]) -> (SimFs, Result<PersistentDatabase, EngineError>) {
+    let fs = SimFs::new();
+    lay(&fs, &log_path(), log);
+    lay(&fs, &snapshot_path(&log_path()), snap);
+    fs.sync_dir(Path::new(".")).unwrap();
+    let open = PersistentDatabase::open_with(Arc::new(fs.clone()), &log_path());
+    (fs, open)
+}
+
+/// A standalone checkpoint file of the fixed database after `k`
+/// operations, as `write_snapshot` writes one.
+fn snapshot_at(reference: &mut PersistentDatabase, k: usize) -> Vec<u8> {
+    let fs = SimFs::new();
+    let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+    let db = reference.state_at_op(k).unwrap();
+    let path = Path::new("at.snap");
+    write_snapshot(&vfs, path, &db.export_state(), k as u64, digest_database(&db)).unwrap();
+    fs.contents(path).unwrap()
+}
+
+/// `pdb` answers transaction time as the build did for every op from
+/// `horizon` on (before any op, with the empty database), and refuses
+/// the op before it.
+fn answers_from(pdb: &mut PersistentDatabase, reference: &mut PersistentDatabase, horizon: usize) {
+    for k in horizon..=GOLDEN_OPS {
+        let expect = match k {
+            0 => Database::new(),
+            _ => reference.state_at_op(k).unwrap(),
+        };
+        let at = pdb.state_at_op(k).unwrap();
+        assert_eq!(digest_database(&at), digest_database(&expect), "op {k}");
+    }
+    if horizon > 0 {
+        let before = pdb.state_at_op(horizon - 1);
+        assert!(matches!(before, Err(EngineError::Compacted { base, .. }) if base == horizon as u64));
+    }
+}
+
+#[test]
+fn every_legacy_pair_converts_to_one_file_of_the_same_history() {
+    let mut reference = build(&SimFs::new());
+    let v1 = read_golden("fixed.log");
+    // The full history without a header, as a log was before its first
+    // compaction: the folded-away first record, then the golden log's.
+    let headerless = [&encode_record(&Operation::DefineClass(person_class()))[..], &v1[20..]].concat();
+
+    // The golden `TCLOG001` log beside a snapshot at its own horizon:
+    // the image, then every old record copied past it.
+    let (fs, open) = open_pair(&v1, &snapshot_at(&mut reference, PREFIX_OPS));
+    let mut pdb = open.expect("open");
+    assert!(pdb.recovered_from_snapshot());
+    assert_eq!((pdb.recovered_ops(), pdb.recovered_replayed()), (GOLDEN_OPS, GOLDEN_OPS - PREFIX_OPS));
+    assert_eq!(digest_database(pdb.db()), GOLDEN_DIGEST);
+    answers_from(&mut pdb, &mut reference, PREFIX_OPS);
+    assert!(op_records(&fs.contents(&log_path()).unwrap()) == &v1[20..]);
+    assert!(!fs.exists(&snapshot_path(&log_path())));
+
+    // A headerless log beside a usable snapshot — a crash between a
+    // snapshot's install and the compaction after it: the records the
+    // snapshot holds are dropped, the rest copied past its image.
+    let (fs, open) = open_pair(&headerless, &snapshot_at(&mut reference, 5));
+    let mut pdb = open.expect("open");
+    assert_eq!((pdb.recovered_ops(), pdb.recovered_replayed()), (GOLDEN_OPS, GOLDEN_OPS - 5));
+    assert_eq!((pdb.base_op(), digest_database(pdb.db())), (5, GOLDEN_DIGEST));
+    answers_from(&mut pdb, &mut reference, 5);
+    assert!(!fs.exists(&snapshot_path(&log_path())));
+
+    // An unusable snapshot beside a log of the whole history (headerless,
+    // or behind a `TCLOG001` header of base 0): the snapshot is dropped
+    // and the log kept, without a header.
+    let base0 = [&b"TCLOG001"[..], &[0; 8], &crc32(&[0; 8]).to_le_bytes()].concat();
+    let mut unusable = read_golden("fixed.snap");
+    unusable[40] ^= 0x01;
+    for log in [headerless.clone(), [&base0[..], &headerless].concat()] {
+        let (fs, open) = open_pair(&log, &unusable);
+        let mut pdb = open.expect("open");
+        assert!(!pdb.recovered_from_snapshot());
+        assert_eq!((pdb.recovered_ops(), pdb.recovered_replayed()), (GOLDEN_OPS, GOLDEN_OPS));
+        assert_eq!(digest_database(pdb.db()), GOLDEN_DIGEST);
+        answers_from(&mut pdb, &mut reference, 0);
+        assert!(fs.contents(&log_path()).unwrap() == headerless);
+        assert!(!fs.exists(&snapshot_path(&log_path())));
+    }
+
+    // A snapshot left beside a log of this format is removed; the log is
+    // not touched.
+    let ckpt = read_golden("fixed.ckpt.log");
+    let (fs, open) = open_pair(&ckpt, &read_golden("fixed.snap"));
+    let mut pdb = open.expect("open");
+    assert_eq!(pdb.recovered_replayed(), GOLDEN_OPS - PREFIX_OPS);
+    answers_from(&mut pdb, &mut reference, PREFIX_OPS);
+    assert!(fs.contents(&log_path()).unwrap() == ckpt);
+    assert!(!fs.exists(&snapshot_path(&log_path())));
 }
 
 #[test]
