@@ -87,7 +87,7 @@ pub use schema::Schema;
 #[cfg(any(test, feature = "testing"))]
 pub use scrub::{MemFault, SimMem};
 pub use scrub::{Quarantine, ScrubFinding, ScrubReport};
-pub use state::{ClassState, DatabaseState, StateError};
+pub use state::{ClassState, ClassView, Component, DatabaseState, StateError};
 pub use types::{BasicType, Type, MAX_NESTING};
 pub use value::Value;
 

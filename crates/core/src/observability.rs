@@ -47,6 +47,7 @@ pub const CORE_METRICS: &[&str] = &[
     "core.scrub.repairs.rematerialize",
     "core.scrub.repairs.replica_pull",
     "core.scrub.steps",
+    "core.state.exports",
 ];
 
 /// Register every core metric (at zero) so snapshots always carry the

@@ -19,6 +19,12 @@
 //! The **state digest** lives here too: a 64-bit fingerprint of the same
 //! observable state the image captures, defined so that it can be
 //! maintained per component instead of recomputed per call.
+//!
+//! Both meet in one walk, [`Database::walk_components`]: it hands the
+//! image's components, borrowed, to a visitor in image order and sums
+//! the digest on the way. A checkpoint encodes the live state through it
+//! without a copy; [`Database::digest_from_scratch`] is the same walk
+//! with a visitor that does nothing.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
@@ -86,6 +92,136 @@ pub struct DatabaseState {
     pub objects: Vec<Object>,
 }
 
+/// One class as its image record holds it, borrowed: the fields of a
+/// [`ClassState`], in its order, taken from a live [`Class`]
+/// ([`Database::walk_components`]) or from a [`ClassState`]
+/// ([`ClassState::view`]) — so one encoder writes both.
+#[derive(Debug)]
+pub struct ClassView<'a> {
+    /// The class identifier.
+    pub id: &'a ClassId,
+    /// `true` if the class is historical.
+    pub historical: bool,
+    /// The class lifespan.
+    pub lifespan: Lifespan,
+    /// Attributes declared by the class itself, by name.
+    pub own_attrs: Vec<&'a AttrDecl>,
+    /// All instance attributes, by name.
+    pub all_attrs: Vec<&'a AttrDecl>,
+    /// Methods declared by the class itself, by name.
+    pub own_methods: Vec<(&'a MethodName, &'a MethodSig)>,
+    /// All methods, by name.
+    pub all_methods: Vec<(&'a MethodName, &'a MethodSig)>,
+    /// C-attribute declarations, by name.
+    pub c_attrs: Vec<&'a AttrDecl>,
+    /// C-operation signatures, by name.
+    pub c_methods: Vec<(&'a MethodName, &'a MethodSig)>,
+    /// Current c-attribute values, by name.
+    pub c_attr_values: Vec<(&'a AttrName, &'a Value)>,
+    /// Direct superclasses.
+    pub superclasses: &'a [ClassId],
+    /// Direct subclasses.
+    pub subclasses: &'a [ClassId],
+    /// ISA connected-component id.
+    pub hierarchy: u32,
+    /// Per-oid membership histories (`ext`), sorted by oid.
+    pub ext: Vec<(Oid, &'a TemporalValue<()>)>,
+    /// Per-oid instance-of histories (`proper-ext`), sorted by oid.
+    pub proper_ext: Vec<(Oid, &'a TemporalValue<()>)>,
+}
+
+impl<'a> ClassView<'a> {
+    fn of(c: &'a Class) -> ClassView<'a> {
+        ClassView {
+            id: &c.id,
+            historical: c.kind == ClassKind::Historical,
+            lifespan: c.lifespan,
+            own_attrs: c.own_attrs.values().collect(),
+            all_attrs: c.all_attrs.values().collect(),
+            own_methods: c.own_methods.iter().collect(),
+            all_methods: c.all_methods.iter().collect(),
+            c_attrs: c.c_attrs.values().collect(),
+            c_methods: c.c_methods.iter().collect(),
+            c_attr_values: c.c_attr_values.iter().collect(),
+            superclasses: &c.superclasses,
+            subclasses: &c.subclasses,
+            hierarchy: c.hierarchy,
+            ext: sorted_histories(&c.ext),
+            proper_ext: sorted_histories(&c.proper_ext),
+        }
+    }
+}
+
+impl ClassState {
+    /// This class as a borrowed [`ClassView`].
+    #[must_use]
+    pub fn view(&self) -> ClassView<'_> {
+        fn pairs<A, B>(v: &[(A, B)]) -> Vec<(&A, &B)> {
+            v.iter().map(|(a, b)| (a, b)).collect()
+        }
+        fn histories(v: &[(Oid, TemporalValue<()>)]) -> Vec<(Oid, &TemporalValue<()>)> {
+            v.iter().map(|(oid, h)| (*oid, h)).collect()
+        }
+        ClassView {
+            id: &self.id,
+            historical: self.historical,
+            lifespan: self.lifespan,
+            own_attrs: self.own_attrs.iter().collect(),
+            all_attrs: self.all_attrs.iter().collect(),
+            own_methods: pairs(&self.own_methods),
+            all_methods: pairs(&self.all_methods),
+            c_attrs: self.c_attrs.iter().collect(),
+            c_methods: pairs(&self.c_methods),
+            c_attr_values: pairs(&self.c_attr_values),
+            superclasses: &self.superclasses,
+            subclasses: &self.subclasses,
+            hierarchy: self.hierarchy,
+            ext: histories(&self.ext),
+            proper_ext: histories(&self.proper_ext),
+        }
+    }
+}
+
+/// One component of a state, borrowed, as a component walk hands it to
+/// its visitor. The image records are these, in this order, and so are
+/// the digest's components (`DESIGN.md` §8.1, §8.5).
+#[derive(Debug)]
+pub enum Component<'a> {
+    /// The clock, the next oid and the next hierarchy id (first).
+    Globals {
+        /// The logical clock.
+        clock: Instant,
+        /// The next oid to assign.
+        next_oid: u64,
+        /// The next ISA hierarchy-component id.
+        next_hierarchy: u32,
+    },
+    /// One class, its memberships included, in class-id order.
+    Class(&'a ClassView<'a>),
+    /// One object, in oid order.
+    Object(&'a Object),
+}
+
+impl DatabaseState {
+    /// Hand this image's components to `visit` in image order — the
+    /// order [`Database::walk_components`] walks a live state in. A
+    /// detached state sums no digest: it carries the one its writer
+    /// recorded.
+    pub fn walk_components(&self, mut visit: impl FnMut(Component<'_>)) {
+        visit(Component::Globals {
+            clock: self.clock,
+            next_oid: self.next_oid,
+            next_hierarchy: self.next_hierarchy,
+        });
+        for c in &self.classes {
+            visit(Component::Class(&c.view()));
+        }
+        for o in &self.objects {
+            visit(Component::Object(o));
+        }
+    }
+}
+
 /// Errors raised while importing a [`DatabaseState`]. Its histories and
 /// attribute records are well-formed by type; what an image can still
 /// get wrong is how its parts fit together.
@@ -105,14 +241,20 @@ impl fmt::Display for StateError {
 
 impl std::error::Error for StateError {}
 
-fn export_membership(m: &Membership) -> Vec<(Oid, TemporalValue<()>)> {
-    let mut out: Vec<_> = (m.histories().iter())
-        .map(|(&oid, h)| (oid, h.clone()))
-        .collect();
-    // HashMap iteration order is nondeterministic; sort so two exports of
-    // the same database are byte-identical when serialized.
+/// `m`'s histories, sorted by oid: HashMap iteration order is
+/// nondeterministic, and two images of the same state must be
+/// byte-identical. The oid is copied next to its history so that the
+/// sort compares keys in place (E29).
+fn sorted_histories(m: &Membership) -> Vec<(Oid, &TemporalValue<()>)> {
+    let mut out: Vec<_> = m.histories().iter().map(|(&oid, h)| (oid, h)).collect();
     out.sort_unstable_by_key(|&(oid, _)| oid);
     out
+}
+
+fn export_membership(m: &Membership) -> Vec<(Oid, TemporalValue<()>)> {
+    (sorted_histories(m).into_iter())
+        .map(|(oid, h)| (oid, h.clone()))
+        .collect()
 }
 
 fn import_membership(pairs: Vec<(Oid, TemporalValue<()>)>) -> Result<Membership, StateError> {
@@ -127,8 +269,11 @@ fn import_membership(pairs: Vec<(Oid, TemporalValue<()>)>) -> Result<Membership,
 impl Database {
     /// Export the complete database state as a flat image, suitable for
     /// serialization. See [`Database::import_state`] for the inverse.
+    /// A checkpoint does not call it: it encodes the live state in place
+    /// ([`Database::walk_components`]).
     #[must_use]
     pub fn export_state(&self) -> DatabaseState {
+        tchimera_obs::counter!("core.state.exports").inc();
         let classes = self
             .schema
             .classes
@@ -344,13 +489,19 @@ fn hash_class(c: &Class) -> u64 {
     })
 }
 
-/// The membership of `oid` in `c`: both extent histories, as stored.
-fn hash_member(c: &Class, oid: Oid, ext: &TemporalValue<()>) -> u64 {
+/// The membership of `oid` in class `id`: both extent histories, as
+/// stored.
+fn hash_member(
+    id: &ClassId,
+    oid: Oid,
+    ext: &TemporalValue<()>,
+    proper_ext: Option<&TemporalValue<()>>,
+) -> u64 {
     component(2, |h| {
-        c.id.hash(h);
+        id.hash(h);
         oid.hash(h);
         ext.hash(h);
-        c.proper_ext.history_of(oid).hash(h);
+        proper_ext.hash(h);
     })
 }
 
@@ -363,14 +514,16 @@ fn hash_object(o: &Object) -> u64 {
     })
 }
 
-/// The sum of a class's own component and all its membership components.
-fn class_components(c: &Class) -> u64 {
-    c.ext
-        .histories()
-        .iter()
-        .fold(hash_class(c), |sum, (&oid, ext)| {
-            sum.wrapping_add(hash_member(c, oid, ext))
-        })
+/// The sum of `c`'s own component and all its membership components,
+/// `view` being `c`'s: its sorted memberships pair each `ext` history
+/// with its `proper-ext` one in one merge.
+fn class_components(c: &Class, view: &ClassView<'_>) -> u64 {
+    let mut proper = view.proper_ext.iter().peekable();
+    view.ext.iter().fold(hash_class(c), |sum, &(oid, ext)| {
+        while proper.next_if(|&&(p, _)| p < oid).is_some() {}
+        let proper_ext = proper.next_if(|&&(p, _)| p == oid).map(|&(_, h)| h);
+        sum.wrapping_add(hash_member(&c.id, oid, ext, proper_ext))
+    })
 }
 
 /// One digest component other than the clock.
@@ -404,7 +557,9 @@ impl DigestTable {
                 .ext
                 .histories()
                 .iter()
-                .map(|(&oid, ext)| (oid, hash_member(c, oid, ext)))
+                .map(|(&oid, ext)| {
+                    (oid, hash_member(&c.id, oid, ext, c.proper_ext.history_of(oid)))
+                })
                 .collect();
             t.classes.insert(c.id.clone(), hash_class(c));
             t.members.insert(c.id.clone(), members);
@@ -424,7 +579,8 @@ impl DigestTable {
             DigestKey::Class(id) => db.schema.classes.get(id).map(hash_class),
             DigestKey::Member(id, oid) => {
                 let c = db.schema.classes.get(id)?;
-                Some(hash_member(c, *oid, c.ext.history_of(*oid)?))
+                let ext = c.ext.history_of(*oid)?;
+                Some(hash_member(id, *oid, ext, c.proper_ext.history_of(*oid)))
             }
             DigestKey::Object(oid) => db.objects.get(oid).map(hash_object),
         }
@@ -539,16 +695,41 @@ impl Database {
             .refresh(self)
     }
 
+    /// Walk the whole state in image order — the globals, each class by
+    /// id (memberships sorted by oid), then each object by oid — handing
+    /// each component to `visit` by reference, and return the digest
+    /// summed along the way. The digest is the from-scratch one: the walk
+    /// never reads the maintained table. A checkpoint's visitor encodes
+    /// the image records (`DESIGN.md` §8.1); one that does nothing makes
+    /// [`Database::digest_from_scratch`].
+    pub fn walk_components(&self, mut visit: impl FnMut(Component<'_>)) -> u64 {
+        tchimera_obs::counter!("core.digest.walks").inc();
+        visit(Component::Globals {
+            clock: self.clock,
+            next_oid: self.next_oid,
+            next_hierarchy: self.schema.next_hierarchy,
+        });
+        let mut sum = hash_clock(self.clock);
+        for c in self.schema.classes.values() {
+            let view = ClassView::of(c);
+            sum = sum.wrapping_add(class_components(c, &view));
+            visit(Component::Class(&view));
+        }
+        for o in self.objects.values() {
+            sum = sum.wrapping_add(hash_object(o));
+            visit(Component::Object(o));
+        }
+        sum
+    }
+
     /// The same digest as [`Database::state_digest`], computed by
-    /// walking the whole state and never reading the maintained table:
-    /// the oracle for tests, for the scrubber's distrust-memory
-    /// comparison and for verifying a state that was just loaded.
+    /// walking the whole state ([`Database::walk_components`]) and never
+    /// reading the maintained table: the oracle for tests, for the
+    /// scrubber's distrust-memory comparison and for verifying a state
+    /// that was just loaded.
     #[must_use]
     pub fn digest_from_scratch(&self) -> u64 {
-        tchimera_obs::counter!("core.digest.walks").inc();
-        let classes = (self.schema.classes.values())
-            .fold(hash_clock(self.clock), |sum, c| sum.wrapping_add(class_components(c)));
-        (self.objects.values()).fold(classes, |sum, o| sum.wrapping_add(hash_object(o)))
+        self.walk_components(|_| {})
     }
 
     /// The part of the digest that belongs to one class — its own
@@ -556,7 +737,8 @@ impl Database {
     /// `None` for an unknown class.
     #[must_use]
     pub fn class_digest(&self, class: &ClassId) -> Option<u64> {
-        self.schema.classes.get(class).map(class_components)
+        let c = self.schema.classes.get(class)?;
+        Some(class_components(c, &ClassView::of(c)))
     }
 
     /// Scrub the maintained digest table against `walked`, a

@@ -29,7 +29,7 @@ use std::sync::Arc;
 use tchimera_core::{Database, DatabaseState};
 
 use crate::codec::Codec;
-use crate::image::{checkpoint_file, decode_image};
+use crate::image::{decode_image, state_file};
 use crate::log::{crc32, crc32_extend, parent_dir, write_and_rename, OpLog, Pass, RecordWalk};
 use crate::log::{LogError, TailDamage};
 use crate::op::{Operation, ReplayError};
@@ -93,7 +93,7 @@ pub fn write_snapshot(
     ops_covered: u64,
     digest: u64,
 ) -> Result<(), SnapshotError> {
-    let file = checkpoint_file(state, ops_covered, digest);
+    let file = state_file(state, ops_covered, digest);
     let io = |e: LogError| match e {
         LogError::Io(e) => SnapshotError::Io(e),
     };

@@ -40,7 +40,7 @@ use tchimera_core::{
 };
 
 use crate::codec::Reader;
-use crate::image::{checkpoint_file, decode_image};
+use crate::image::{checkpoint_file, decode_image, state_file};
 use crate::log::{crc32, decode_record, encode_record, parent_dir, replay, write_and_rename};
 use crate::log::{LogError, OpLog, Pass, RecordWalk};
 use crate::op::{Operation, ReplayError};
@@ -597,7 +597,7 @@ impl PersistentDatabase {
         let _span = tchimera_obs::span!("storage.engine.checkpoint");
         self.sync()?;
         let total = self.op_count() as u64;
-        let file = checkpoint_file(&self.db.export_state(), total, digest_database(&self.db));
+        let file = checkpoint_file(&self.db, total);
         let r = self.log.replace(&file, total, 0);
         self.note(r)
     }
@@ -1029,7 +1029,7 @@ fn convert_legacy_pair(vfs: &Arc<dyn Vfs>, path: &Path) -> Result<(), EngineErro
             Ok(snap) if snap.ops_covered >= base => {
                 let mut walk = RecordWalk::new(records);
                 walk.by_ref().take((snap.ops_covered - base) as usize).for_each(drop);
-                let mut file = checkpoint_file(&snap.state, snap.ops_covered, snap.digest);
+                let mut file = state_file(&snap.state, snap.ops_covered, snap.digest);
                 file.extend_from_slice(&records[walk.pos()..]);
                 Some(file)
             }

@@ -9,50 +9,121 @@
 //!   `proper-ext`) included, in class-id order;
 //! * `2` — one [`Object`], in oid order.
 //!
+//! These are the components of the state digest, in the order of the
+//! one walk that visits them (`Database::walk_components`): a
+//! checkpoint encodes each record from the live state as the walk hands
+//! it over and seals the header with the digest the walk summed, so the
+//! state is never copied. A detached [`DatabaseState`] goes through the
+//! same record encoder, with the digest recorded for it.
+//!
 //! The bytes are verified by the log walk's CRCs and decoded once,
 //! straight into the model's types; the header's digest is for whoever
 //! distrusts more than the medium (the scrubber walks the image against
 //! it, a follower the file it was shipped).
 
 use tchimera_core::{
-    AttrDecl, AttrName, ClassId, ClassState, DatabaseState, Instant, Lifespan, MethodName,
-    MethodSig, Object, Oid, TemporalValue, Value,
+    AttrDecl, AttrName, ClassId, ClassState, ClassView, Component, Database, DatabaseState,
+    Instant, Lifespan, MethodName, MethodSig, Object, Oid, TemporalValue, Value,
 };
 
 use crate::codec::{decode_attrs, encode_attrs, Codec, CodecError, Reader};
-use crate::log::{seal_frame, Head};
+use crate::log::{seal_frame, Head, HEADER_LEN};
 
 const GLOBALS: u8 = 0;
 const CLASS: u8 = 1;
 const OBJECT: u8 = 2;
 
-/// The start of a log file holding `state` as the fold of its first
-/// `base` operations: the header, then the image records.
-pub(crate) fn checkpoint_file(state: &DatabaseState, base: u64, digest: u64) -> Vec<u8> {
-    let images = 1 + state.classes.len() + state.objects.len();
-    let mut file = Head { base, images: images as u64, digest }.encode();
-    let mut record = |tag: u8, encode: &dyn Fn(&mut Vec<u8>)| {
+/// The start of a log file holding the live `db` as the fold of its
+/// first `base` operations: the header, then the image records, encoded
+/// from the live state in place by the walk that also sums the digest
+/// the header records.
+pub(crate) fn checkpoint_file(db: &Database, base: u64) -> Vec<u8> {
+    image_file(base, |visit| db.walk_components(visit))
+}
+
+/// The same file for a detached `state`, with the `digest` its writer
+/// recorded for it.
+pub(crate) fn state_file(state: &DatabaseState, base: u64, digest: u64) -> Vec<u8> {
+    image_file(base, |visit| {
+        state.walk_components(visit);
+        digest
+    })
+}
+
+/// The header, then one image record per component `walk` hands its
+/// visitor; `walk` returns the digest, and the header is sealed after it.
+fn image_file(base: u64, walk: impl FnOnce(&mut dyn FnMut(Component<'_>)) -> u64) -> Vec<u8> {
+    let mut file = vec![0; HEADER_LEN];
+    let mut images = 0;
+    let digest = walk(&mut |component| {
         let at = file.len();
         file.extend_from_slice(&[0; 8]);
-        file.push(tag);
-        encode(&mut file);
+        encode_component(&component, &mut file);
         seal_frame(&mut file[at..]);
-    };
-    record(GLOBALS, &|out| {
-        state.clock.encode(out);
-        state.next_oid.encode(out);
-        state.next_hierarchy.encode(out);
+        images += 1;
     });
-    for class in &state.classes {
-        record(CLASS, &|out| class.encode(out));
-    }
-    for object in &state.objects {
-        record(OBJECT, &|out| object.encode(out));
-    }
+    file[..HEADER_LEN].copy_from_slice(&Head { base, images, digest }.encode());
     // The file lives on through its install, next to whatever copies the
     // filesystem makes of it: give its growth slack back first.
     file.shrink_to_fit();
     file
+}
+
+/// One image record's payload: the component's tag, then its encoding.
+fn encode_component(component: &Component<'_>, out: &mut Vec<u8>) {
+    match component {
+        Component::Globals { clock, next_oid, next_hierarchy } => {
+            out.push(GLOBALS);
+            clock.encode(out);
+            next_oid.encode(out);
+            next_hierarchy.encode(out);
+        }
+        Component::Class(class) => {
+            out.push(CLASS);
+            encode_class(class, out);
+        }
+        Component::Object(object) => {
+            out.push(OBJECT);
+            object.encode(out);
+        }
+    }
+}
+
+/// A class, written as [`ClassState`]'s fields are: the one class
+/// encoder, for the live state and a detached one alike.
+fn encode_class(c: &ClassView<'_>, out: &mut Vec<u8>) {
+    // Each list is written as the `Vec` codec writes it: its length,
+    // then each item (a pair: one item, then the other).
+    fn list<T>(items: &[T], out: &mut Vec<u8>, item: impl Fn(&T, &mut Vec<u8>)) {
+        (items.len() as u64).encode(out);
+        items.iter().for_each(|x| item(x, out));
+    }
+    fn one<T: Codec>(x: &&T, out: &mut Vec<u8>) {
+        x.encode(out);
+    }
+    fn pair<A: Codec, B: Codec>((a, b): &(&A, &B), out: &mut Vec<u8>) {
+        a.encode(out);
+        b.encode(out);
+    }
+    fn history((oid, h): &(Oid, &TemporalValue<()>), out: &mut Vec<u8>) {
+        oid.encode(out);
+        h.encode(out);
+    }
+    c.id.encode(out);
+    c.historical.encode(out);
+    c.lifespan.encode(out);
+    list(&c.own_attrs, out, one);
+    list(&c.all_attrs, out, one);
+    list(&c.own_methods, out, pair);
+    list(&c.all_methods, out, pair);
+    list(&c.c_attrs, out, one);
+    list(&c.c_methods, out, pair);
+    list(&c.c_attr_values, out, pair);
+    list(c.superclasses, out, ClassId::encode);
+    list(c.subclasses, out, ClassId::encode);
+    c.hierarchy.encode(out);
+    list(&c.ext, out, history);
+    list(&c.proper_ext, out, history);
 }
 
 /// The state the image records `image` hold (bytes a log walk has
@@ -100,21 +171,7 @@ pub(crate) fn decode_image(image: &[u8]) -> Result<DatabaseState, CodecError> {
 
 impl Codec for ClassState {
     fn encode(&self, out: &mut Vec<u8>) {
-        self.id.encode(out);
-        self.historical.encode(out);
-        self.lifespan.encode(out);
-        self.own_attrs.encode(out);
-        self.all_attrs.encode(out);
-        self.own_methods.encode(out);
-        self.all_methods.encode(out);
-        self.c_attrs.encode(out);
-        self.c_methods.encode(out);
-        self.c_attr_values.encode(out);
-        self.superclasses.encode(out);
-        self.subclasses.encode(out);
-        self.hierarchy.encode(out);
-        self.ext.encode(out);
-        self.proper_ext.encode(out);
+        encode_class(&self.view(), out);
     }
     fn decode(r: &mut Reader<'_>) -> Result<Self, CodecError> {
         Ok(ClassState {
@@ -223,7 +280,7 @@ mod tests {
     fn an_image_is_one_record_per_class_and_object_after_the_clock() {
         let db = populated();
         let digest = digest_database(&db);
-        let file = checkpoint_file(&db.export_state(), 6, digest);
+        let file = checkpoint_file(&db, 6);
         let walk = RecordWalk::log(&file, 0);
         let head = *walk.head().expect("a header");
         // The clock record, two classes, one object.

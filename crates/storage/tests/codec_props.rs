@@ -296,3 +296,125 @@ fn state_digest_golden_vector() {
     assert_eq!(digest_database(&db), GOLDEN, "got {:#018x}", digest_database(&db));
     assert_eq!(db.state_digest(), GOLDEN, "maintained and from-scratch digests are one value");
 }
+
+/// One step of a generated session. Targets and classes are indexes,
+/// resolved when the step is applied; a step the model refuses is
+/// skipped.
+#[derive(Clone, Debug)]
+enum Step {
+    Tick,
+    Create(usize),
+    /// Two of these before a `Tick` overwrite the run the first opened.
+    SetSalary(usize, i64),
+    Migrate(usize, usize),
+    Terminate(usize),
+    SetHeadcount(i64),
+}
+
+/// `person` ⊃ `employee` ⊃ `manager`, and `dept` beside them.
+const SESSION_CLASSES: [&str; 4] = ["person", "employee", "manager", "dept"];
+
+fn arb_step() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        Just(Step::Tick),
+        (0..SESSION_CLASSES.len()).prop_map(Step::Create),
+        (0usize..16, -50i64..50).prop_map(|(i, s)| Step::SetSalary(i, s)),
+        (0usize..16, 0..SESSION_CLASSES.len()).prop_map(|(i, c)| Step::Migrate(i, c)),
+        (0usize..16).prop_map(Step::Terminate),
+        (0i64..9).prop_map(Step::SetHeadcount),
+    ]
+}
+
+/// A database built by `steps` through the engine on a simulated disk.
+fn session(steps: &[Step]) -> (tchimera_storage::SimFs, tchimera_storage::PersistentDatabase) {
+    use std::sync::Arc;
+    use tchimera_core::{attrs, Attrs, ClassDef, ClassId};
+    use tchimera_storage::{PersistentDatabase, SimFs, Vfs};
+
+    let fs = SimFs::new();
+    let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+    let mut pdb = PersistentDatabase::open_with(vfs, std::path::Path::new("s.log")).unwrap();
+    pdb.define_class(
+        ClassDef::new("person")
+            .attr("name", Type::temporal(Type::STRING))
+            .attr("address", Type::STRING),
+    )
+    .unwrap();
+    pdb.define_class(
+        ClassDef::new("employee")
+            .isa("person")
+            .attr("salary", Type::temporal(Type::INTEGER))
+            .c_attr("headcount", Type::temporal(Type::INTEGER)),
+    )
+    .unwrap();
+    pdb.define_class(ClassDef::new("manager").isa("employee").attr("bonus", Type::INTEGER))
+        .unwrap();
+    pdb.define_class(ClassDef::new("dept").attr("title", Type::STRING)).unwrap();
+    let class = |c: usize| ClassId::from(SESSION_CLASSES[c]);
+    let mut oids = Vec::new();
+    for step in steps {
+        let target = |i: usize| oids.get(i % oids.len().max(1)).copied();
+        let _ = match *step {
+            Step::Tick => pdb.tick().map(drop),
+            Step::Create(c) => {
+                let init = match c {
+                    3 => attrs([("title", Value::str("R&D"))]),
+                    _ => attrs([("name", Value::str("N")), ("address", Value::str("Genova"))]),
+                };
+                pdb.create_object(&class(c), init).map(|oid| oids.push(oid))
+            }
+            Step::SetSalary(i, s) => match target(i) {
+                Some(oid) => pdb.set_attr(oid, &"salary".into(), Value::Int(s)),
+                None => Ok(()),
+            },
+            Step::Migrate(i, c) => match target(i) {
+                Some(oid) => pdb.migrate(oid, &class(c), Attrs::new()),
+                None => Ok(()),
+            },
+            Step::Terminate(i) => match target(i) {
+                Some(oid) => pdb.terminate_object(oid),
+                None => Ok(()),
+            },
+            Step::SetHeadcount(n) => {
+                pdb.set_c_attr(&class(1), &"headcount".into(), Value::Int(n))
+            }
+        };
+    }
+    (fs, pdb)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// A checkpoint encodes the live state in place; the image equals,
+    /// byte for byte, the one written from the state's exported copy
+    /// through the same encoder with the maintained digest, and it
+    /// imports to the state it was taken of.
+    #[test]
+    fn a_checkpoint_image_is_the_exported_state_image(
+        steps in prop::collection::vec(arb_step(), 0..60),
+    ) {
+        use std::path::Path;
+        use std::sync::Arc;
+        use tchimera_core::Database;
+        use tchimera_storage::log::RecordWalk;
+        use tchimera_storage::{load_snapshot, write_snapshot, Vfs};
+
+        let (fs, mut pdb) = session(&steps);
+        pdb.checkpoint().unwrap();
+        let live = fs.contents(Path::new("s.log")).unwrap();
+
+        let vfs: Arc<dyn Vfs> = Arc::new(fs.clone());
+        let exported = Path::new("exported.ckpt");
+        let (ops, maintained) = (pdb.op_count() as u64, pdb.state_digest());
+        write_snapshot(&vfs, exported, &pdb.db().export_state(), ops, maintained).unwrap();
+        prop_assert!(live == fs.contents(exported).unwrap(), "live and exported images differ");
+
+        let head = *RecordWalk::log(&live, 0).head().expect("a header");
+        prop_assert_eq!(head.digest, maintained);
+        let loaded = load_snapshot(&vfs, exported).unwrap();
+        let back = Database::import_state(loaded.state).unwrap();
+        prop_assert_eq!(back.digest_from_scratch(), head.digest);
+        prop_assert_eq!(back.export_state(), pdb.db().export_state());
+    }
+}
