@@ -227,7 +227,7 @@ fn e5_consistency() {
     for k in 0..50u64 {
         let mut broken = db.object(Oid(k)).unwrap().clone();
         broken.attrs.insert("address".into(), Value::Int(k as i64));
-        db.replace_object_for_test(broken);
+        db.replace_object_for_test(broken).unwrap();
         if !db.check_object(Oid(k)).unwrap().is_consistent() {
             detected += 1;
         }

@@ -457,7 +457,7 @@ impl Database {
         if !self.attr_idx.is_active() {
             return;
         }
-        let Some(object) = self.objects.get(&oid) else {
+        let Some(object) = self.objects.get(oid) else {
             return;
         };
         let now = self.clock;
@@ -533,7 +533,7 @@ impl Database {
             return;
         }
         let now = self.clock;
-        let object = self.objects.get(&oid);
+        let object = self.objects.get(oid);
         let mut inner = self.attr_idx.lock();
         if inner.entries.is_empty() {
             return;

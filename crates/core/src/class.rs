@@ -1,11 +1,11 @@
 //! Classes (Definition 4.1) and their associated types (Section 4).
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use tchimera_temporal::{Instant, IntervalSet, Lifespan, TemporalValue};
 
 use crate::extent_index::Membership;
-use crate::ident::{AttrName, ClassId, MethodName, Oid};
+use crate::ident::{AttrName, ClassId, MethodName, Oid, OidMap};
 use crate::types::Type;
 use crate::value::Value;
 
@@ -428,7 +428,7 @@ impl Class {
 /// Merge per-oid membership histories into the paper's set-valued
 /// temporal value: the set of member oids at each instant, as maximal
 /// coalesced runs (fixed endpoints, resolved at `now`).
-fn membership_history(index: &HashMap<Oid, TemporalValue<()>>, now: Instant) -> Value {
+fn membership_history(index: &OidMap<TemporalValue<()>>, now: Instant) -> Value {
     // Event points: every run boundary of every member.
     let mut points: Vec<Instant> = Vec::new();
     for h in index.values() {

@@ -429,7 +429,8 @@ impl Database {
     /// **Consistent set of objects** (Definition 5.6) over the whole
     /// database:
     ///
-    /// * OID-UNIQUENESS holds by construction (objects are keyed by oid);
+    /// * OID-UNIQUENESS holds by construction (object `i` sits at index
+    ///   `i` of the object table);
     ///   the standalone checker [`check_oid_uniqueness`] validates
     ///   arbitrary object collections.
     /// * REFERENTIAL INTEGRITY: for every object `o` and instant `t`,
@@ -515,8 +516,7 @@ impl Database {
 /// error order.
 pub fn check_oid_uniqueness(objects: &[crate::object::Object]) -> ConsistencyReport {
     let _span = tchimera_obs::span!("core.check_oid_uniqueness", objects = objects.len());
-    let mut last_seen: std::collections::HashMap<Oid, usize> =
-        std::collections::HashMap::new();
+    let mut last_seen: crate::ident::OidMap<usize> = Default::default();
     let mut pairs: Vec<(usize, usize)> = Vec::new();
     for (k, o) in objects.iter().enumerate() {
         if let Some(prev) = last_seen.insert(o.oid, k) {
@@ -684,7 +684,7 @@ mod tests {
         // Hand-checked: the class history says `project` over [10, now],
         // but `name` stops at 30.
         let mut db2 = db.clone();
-        db2.replace_object_for_test(broken);
+        db2.replace_object_for_test(broken).unwrap();
         let report = db2.check_object(i).unwrap();
         assert!(report
             .errors
@@ -723,7 +723,7 @@ mod tests {
         broken
             .attrs
             .insert(AttrName::from("objective"), Value::Int(42));
-        db.replace_object_for_test(broken);
+        db.replace_object_for_test(broken).unwrap();
         let report = db.check_object(i).unwrap();
         assert!(report.errors.iter().any(|e| matches!(
             e,
@@ -744,7 +744,7 @@ mod tests {
             AttrName::from("name"),
             Value::Temporal(TemporalValue::starting_at(Instant(10), Value::Int(7))),
         );
-        db.replace_object_for_test(broken);
+        db.replace_object_for_test(broken).unwrap();
         let report = db.check_object(i).unwrap();
         assert!(report.errors.iter().any(|e| matches!(
             e,

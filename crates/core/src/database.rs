@@ -9,7 +9,7 @@ use crate::class::{Class, ClassDef};
 use crate::consistency::{ConsistencyError, ConsistencyReport};
 use crate::error::{ModelError, Result};
 use crate::ident::{AttrName, ClassId, Oid};
-use crate::object::Object;
+use crate::object::{Object, ObjectTable};
 use crate::ref_index::RefIndex;
 use crate::schema::Schema;
 use crate::types::{Type, MAX_NESTING};
@@ -46,7 +46,8 @@ where
 #[derive(Clone, Debug, Default)]
 pub struct Database {
     pub(crate) schema: Schema,
-    pub(crate) objects: BTreeMap<Oid, Object>,
+    /// Every object, at the index of its oid.
+    pub(crate) objects: ObjectTable,
     pub(crate) clock: Instant,
     pub(crate) next_oid: u64,
     /// Inverse reference graph, kept in sync by every object mutation.
@@ -262,7 +263,11 @@ impl Database {
             class_history: TemporalValue::starting_at(now, class.clone()),
         };
         self.digest.touch_object(oid);
-        self.objects.insert(oid, object);
+        // `next_oid` is the table's length (`import_state` refuses any
+        // other image).
+        self.objects.push(object).map_err(|_| ModelError::Internal {
+            context: "next oid is not the object count",
+        })?;
         self.reindex_refs(oid);
         self.attridx_on_create(oid);
 
@@ -347,7 +352,7 @@ impl Database {
         let now = self.clock;
         let object = self
             .objects
-            .get(&oid)
+            .get(oid)
             .ok_or(ModelError::UnknownObject(oid))?;
         if !object.lifespan.is_alive() {
             return Err(ModelError::ObjectDead(oid));
@@ -383,7 +388,7 @@ impl Database {
         let idx_covered = self.attridx_covers(attr);
         let new_for_idx = idx_covered.then(|| value.clone());
         self.digest.touch_object(oid);
-        let object = self.objects.get_mut(&oid).ok_or(ModelError::Internal {
+        let object = self.objects.get_mut(oid).ok_or(ModelError::Internal {
             context: "object vanished between validation and update",
         })?;
         let slot = object.attrs.get_mut(attr).ok_or(ModelError::Internal {
@@ -465,7 +470,7 @@ impl Database {
         let now = self.clock;
         let object = self
             .objects
-            .get(&oid)
+            .get(oid)
             .ok_or(ModelError::UnknownObject(oid))?;
         if !object.lifespan.is_alive() {
             return Err(ModelError::ObjectDead(oid));
@@ -508,7 +513,7 @@ impl Database {
             let old_decl = old_attrs.get(name);
             let existing = self
                 .objects
-                .get(&oid)
+                .get(oid)
                 .ok_or(ModelError::Internal {
                     context: "object vanished between validation and migration staging",
                 })?
@@ -602,7 +607,7 @@ impl Database {
 
         // Apply to the object.
         self.digest.touch_object(oid);
-        let object = self.objects.get_mut(&oid).ok_or(ModelError::Internal {
+        let object = self.objects.get_mut(oid).ok_or(ModelError::Internal {
             context: "object vanished between migration staging and apply",
         })?;
         // Old-only attributes: drop statics, close temporals (kept).
@@ -671,7 +676,7 @@ impl Database {
         let idx_active = self.attridx_active();
         let object = self
             .objects
-            .get_mut(&oid)
+            .get_mut(oid)
             .ok_or(ModelError::UnknownObject(oid))?;
         if !object.lifespan.is_alive() {
             return Err(ModelError::ObjectDead(oid));
@@ -734,7 +739,7 @@ impl Database {
 
     /// Object lookup.
     pub fn object(&self, oid: Oid) -> Result<&Object> {
-        self.objects.get(&oid).ok_or(ModelError::UnknownObject(oid))
+        self.objects.get(oid).ok_or(ModelError::UnknownObject(oid))
     }
 
     /// Iterate all objects (alive and terminated).
@@ -829,13 +834,19 @@ impl Database {
     /// `testing` feature. The derived indexes follow the new object; the
     /// maintained digest is deliberately *not* told (damage does not
     /// announce itself), so only [`Database::digest_from_scratch`] sees it.
+    /// An oid the database does not hold is refused with
+    /// [`ModelError::UnknownObject`]: objects are only ever created.
     #[doc(hidden)]
     #[cfg(any(test, feature = "testing"))]
-    pub fn replace_object_for_test(&mut self, object: Object) {
+    pub fn replace_object_for_test(&mut self, object: Object) -> Result<()> {
         let oid = object.oid;
-        self.objects.insert(oid, object);
+        match self.objects.get_mut(oid) {
+            Some(slot) => *slot = object,
+            None => return Err(ModelError::UnknownObject(oid)),
+        }
         self.reindex_refs(oid);
         self.attridx_reconcile(oid);
+        Ok(())
     }
 
     /// Reconcile the reverse-reference index with `oid`'s current state.
@@ -845,7 +856,7 @@ impl Database {
         tchimera_obs::counter!("core.refindex.rebuilds").inc();
         let refs = self
             .objects
-            .get(&oid)
+            .get(oid)
             .map(Object::all_refs)
             .unwrap_or_default();
         self.refs.update(oid, refs);
@@ -1335,5 +1346,33 @@ mod tests {
             db.attr_at(i, &AttrName::from("salary"), Instant(60)).unwrap(),
             Value::Int(110)
         );
+    }
+
+    #[test]
+    fn objects_sit_at_their_oid_and_replacement_needs_a_holder() {
+        let mut db = staff_db();
+        let person = ClassId::from("person");
+        let oids: Vec<Oid> = (0..3)
+            .map(|_| db.create_object(&person, Attrs::new()).unwrap())
+            .collect();
+        assert_eq!(oids, vec![Oid(0), Oid(1), Oid(2)]);
+        assert!(db.objects().map(|o| o.oid).eq(oids.iter().copied()));
+        assert!(matches!(db.object(Oid(3)), Err(ModelError::UnknownObject(Oid(3)))));
+        assert!(matches!(db.object(Oid(u64::MAX)), Err(ModelError::UnknownObject(_))));
+        // A replacement lands in place; an oid the table does not hold —
+        // the next one included — is refused, and nothing changes.
+        let mut moved = db.object(Oid(1)).unwrap().clone();
+        moved.attrs.insert("address".into(), Value::str("Pisa"));
+        db.replace_object_for_test(moved.clone()).unwrap();
+        assert_eq!(db.object(Oid(1)).unwrap(), &moved);
+        for oid in [Oid(3), Oid(7)] {
+            let stray = Object { oid, ..moved.clone() };
+            assert!(matches!(
+                db.replace_object_for_test(stray),
+                Err(ModelError::UnknownObject(o)) if o == oid
+            ));
+        }
+        assert_eq!(db.object_count(), 3);
+        assert_eq!(db.create_object(&person, Attrs::new()).unwrap(), Oid(3));
     }
 }

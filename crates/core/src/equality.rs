@@ -6,8 +6,11 @@ use tchimera_temporal::Instant;
 
 use crate::database::Database;
 use crate::error::Result;
-use crate::ident::Oid;
+use crate::ident::{Oid, OidBuildHasher};
 use crate::value::Value;
+
+/// The oid pairs a deep-equality exploration has assumed equal.
+type PairSet = std::collections::HashSet<(Oid, Oid), OidBuildHasher>;
 
 /// The four notions of object equality, ordered from strongest to weakest
 /// (Section 5.3): identity ⇒ value ⇒ instantaneous-value ⇒ weak-value.
@@ -130,7 +133,7 @@ impl Database {
     /// exploration distinguishes them (the candidate pair set is the
     /// bisimulation).
     pub fn eq_deep_value(&self, a: Oid, b: Oid) -> Result<bool> {
-        let mut assumed: std::collections::HashSet<(Oid, Oid)> = Default::default();
+        let mut assumed: PairSet = Default::default();
         self.deep_eq_objects(a, b, &mut assumed)
     }
 
@@ -138,7 +141,7 @@ impl Database {
         &self,
         a: Oid,
         b: Oid,
-        assumed: &mut std::collections::HashSet<(Oid, Oid)>,
+        assumed: &mut PairSet,
     ) -> Result<bool> {
         if a == b || assumed.contains(&(a, b)) {
             return Ok(true);
@@ -163,7 +166,7 @@ impl Database {
         a: &Value,
         b: &Value,
         now: Instant,
-        assumed: &mut std::collections::HashSet<(Oid, Oid)>,
+        assumed: &mut PairSet,
     ) -> Result<bool> {
         match (a, b) {
             (Value::Oid(x), Value::Oid(y)) => self.deep_eq_objects(*x, *y, assumed),

@@ -37,12 +37,12 @@
 //! reads that oid's history alone — an index-seeded query needs only
 //! those two, so its cost does not follow the extent's size.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use tchimera_temporal::{Instant, TemporalValue};
 
 use crate::error::Result;
-use crate::ident::Oid;
+use crate::ident::{Oid, OidMap, OidSet};
 
 /// One membership change: `delta = +1` (join) or `−1` (leave), effective
 /// from instant `at` onward.
@@ -256,7 +256,7 @@ fn merge(base: impl ExactSizeIterator<Item = Oid>, events: &[Event], sign: i32) 
 /// instants the live [`open`](Membership::open) /
 /// [`close`](Membership::close) /
 /// [`close_before`](Membership::close_before) paths record.
-fn history_events(histories: &HashMap<Oid, TemporalValue<()>>) -> Vec<Event> {
+fn history_events(histories: &OidMap<TemporalValue<()>>) -> Vec<Event> {
     let mut events: Vec<Event> = Vec::with_capacity(histories.len());
     for (&oid, h) in histories {
         for e in h.entries() {
@@ -291,7 +291,7 @@ fn net_per_instant_and_oid(mut events: Vec<Event>) -> Vec<Event> {
 /// member, a leave of a non-member or a delta other than `±1` — one
 /// oid's events must alternate, which is what a checkpoint replay and
 /// [`ExtentIndex::count_at`] rely on.
-fn fold(live: &mut HashSet<Oid>, events: &[Event]) -> bool {
+fn fold(live: &mut OidSet, events: &[Event]) -> bool {
     events.iter().all(|e| match e.delta {
         1 => live.insert(e.oid),
         -1 => live.remove(&e.oid),
@@ -334,7 +334,7 @@ fn count_scan_oracle_call() {
 /// so the two representations can never diverge.
 #[derive(Clone, Debug, Default)]
 pub(crate) struct Membership {
-    histories: HashMap<Oid, TemporalValue<()>>,
+    histories: OidMap<TemporalValue<()>>,
     index: ExtentIndex,
 }
 
@@ -528,7 +528,7 @@ impl Membership {
     }
 
     /// The raw per-oid histories (read-only).
-    pub(crate) fn histories(&self) -> &HashMap<Oid, TemporalValue<()>> {
+    pub(crate) fn histories(&self) -> &OidMap<TemporalValue<()>> {
         &self.histories
     }
 
@@ -564,7 +564,7 @@ impl Membership {
         {
             return false;
         }
-        let mut live: HashSet<Oid> = HashSet::with_capacity(ix.current.len());
+        let mut live = OidSet::with_capacity_and_hasher(ix.current.len(), Default::default());
         let mut folded = 0;
         for ck in &ix.checkpoints {
             if !fold(&mut live, &ix.events[folded..ck.applied])
@@ -678,7 +678,7 @@ impl Membership {
     /// time order, leaves before joins at the same instant (the live
     /// close-then-reopen order); one sweep over the sorted log places the
     /// checkpoints.
-    pub(crate) fn from_histories(histories: HashMap<Oid, TemporalValue<()>>) -> Membership {
+    pub(crate) fn from_histories(histories: OidMap<TemporalValue<()>>) -> Membership {
         let mut events = history_events(&histories);
         events.sort_unstable_by_key(|e| (e.at, e.delta, e.oid));
         Membership {
@@ -865,7 +865,7 @@ mod tests {
         assert_eq!(bulk.members_during(t(100), t(140), now), m.members_during(t(100), t(140), now));
         assert!(bulk.verify_index());
         // Nothing to index is nothing to build.
-        let empty = Membership::from_histories(HashMap::new());
+        let empty = Membership::from_histories(OidMap::default());
         assert!(empty.members_at(now, now).is_empty() && empty.verify_index());
     }
 

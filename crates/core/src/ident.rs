@@ -29,6 +29,47 @@ impl fmt::Display for Oid {
     }
 }
 
+/// The hasher of every map and set keyed by oids: one multiply-rotate
+/// step per word (the FxHash mix). The engine assigns oids densely from
+/// 0 and a value can only reference an existing object, so no client
+/// chooses these keys and std's keyed SipHash buys nothing here; keys a
+/// client does choose (attribute values, class names, query texts) keep
+/// std's `RandomState`.
+#[derive(Clone, Copy, Debug, Default)]
+pub(crate) struct OidHasher(u64);
+
+impl OidHasher {
+    #[inline]
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517C_C1B7_2722_0A95);
+    }
+}
+
+impl std::hash::Hasher for OidHasher {
+    /// Not reached by oid keys (an `Oid` hashes as one `u64`); a byte
+    /// per word keeps it correct for any other key.
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.word(u64::from(b));
+        }
+    }
+    #[inline]
+    fn write_u64(&mut self, i: u64) {
+        self.word(i);
+    }
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Builds [`OidHasher`]s.
+pub(crate) type OidBuildHasher = std::hash::BuildHasherDefault<OidHasher>;
+/// A hash map keyed by oids, hashed as integers ([`OidHasher`]).
+pub(crate) type OidMap<V> = std::collections::HashMap<Oid, V, OidBuildHasher>;
+/// A hash set of oids, hashed as integers ([`OidHasher`]).
+pub(crate) type OidSet = std::collections::HashSet<Oid, OidBuildHasher>;
+
 /// A cheaply-cloneable interned name. Backing type for class identifiers,
 /// attribute names and method names.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]

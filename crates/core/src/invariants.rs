@@ -5,13 +5,12 @@
 //! the property tests (and the fault-injection benchmarks) establish that
 //! every reachable state is a model of the paper's axioms.
 
-use std::collections::HashMap;
 use std::fmt;
 
 use tchimera_temporal::IntervalSet;
 
 use crate::database::Database;
-use crate::ident::Oid;
+use crate::ident::OidMap;
 use crate::value::Value;
 
 /// Which invariant of the paper a violation refers to.
@@ -127,7 +126,7 @@ impl Database {
     ///    only condition 1 is checked extensionally.
     fn check_inv_5_2(&self, out: &mut Vec<InvariantViolation>) {
         let now = self.now();
-        let mut unions: HashMap<Oid, IntervalSet> = HashMap::new();
+        let mut unions: OidMap<IntervalSet> = OidMap::default();
         for class in self.schema().classes() {
             for i in class.ever_members() {
                 let m = class.membership_of(i, now);
@@ -196,7 +195,7 @@ impl Database {
     /// hierarchies — the sets of objects that have *ever* belonged to
     /// different hierarchies are disjoint.
     fn check_inv_6_2(&self, out: &mut Vec<InvariantViolation>) {
-        let mut owner: HashMap<Oid, u32> = HashMap::new();
+        let mut owner: OidMap<u32> = OidMap::default();
         for class in self.schema().classes() {
             for i in class.ever_members() {
                 match owner.insert(i, class.hierarchy) {
@@ -281,7 +280,7 @@ mod tests {
         // memberships.
         let mut o = db.object(i).unwrap().clone();
         o.lifespan = tchimera_temporal::Lifespan::closed(Instant(10), Instant(15)).unwrap();
-        db.replace_object_for_test(o);
+        db.replace_object_for_test(o).unwrap();
         let violations = db.check_invariants();
         assert!(violations.iter().any(|v| v.id == InvariantId::Inv5_1));
         assert!(violations.iter().any(|v| v.id == InvariantId::Inv5_2));
@@ -300,7 +299,7 @@ mod tests {
         // disagrees).
         o.class_history =
             tchimera_temporal::TemporalValue::starting_at(Instant(10), ClassId::from("manager"));
-        db.replace_object_for_test(o);
+        db.replace_object_for_test(o).unwrap();
         let violations = db.check_invariants();
         assert!(violations.iter().any(|v| v.id == InvariantId::Inv5_1));
     }

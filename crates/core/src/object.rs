@@ -163,6 +163,63 @@ impl Object {
     }
 }
 
+/// The object store of a database: every object ever created, at the
+/// index of its oid. The engine assigns oids densely from 0 and never
+/// reuses or removes one, so `objects[i].oid == Oid(i)` always holds, an
+/// object fetch is one bounds-checked index, and iteration is oid order.
+#[derive(Clone, Debug, Default)]
+pub(crate) struct ObjectTable(Vec<Object>);
+
+impl ObjectTable {
+    /// A table of `objects`, which must hold oids `0, 1, …` in order —
+    /// what an image lists. `Err` names the first misplaced object: a
+    /// repeated or out-of-order oid, or a gap.
+    pub(crate) fn from_dense(
+        objects: Vec<Object>,
+    ) -> std::result::Result<ObjectTable, &'static str> {
+        for (i, o) in objects.iter().enumerate() {
+            match o.oid.0.cmp(&(i as u64)) {
+                std::cmp::Ordering::Equal => {}
+                std::cmp::Ordering::Less => return Err("duplicate oid"),
+                std::cmp::Ordering::Greater => return Err("gap in oids"),
+            }
+        }
+        Ok(ObjectTable(objects))
+    }
+
+    /// The object `oid`, if the table holds it.
+    #[inline]
+    pub(crate) fn get(&self, oid: Oid) -> Option<&Object> {
+        self.0.get(usize::try_from(oid.0).ok()?)
+    }
+
+    /// The object `oid`, mutably, if the table holds it.
+    #[inline]
+    pub(crate) fn get_mut(&mut self, oid: Oid) -> Option<&mut Object> {
+        self.0.get_mut(usize::try_from(oid.0).ok()?)
+    }
+
+    /// Every object, in oid order.
+    pub(crate) fn values(&self) -> std::slice::Iter<'_, Object> {
+        self.0.iter()
+    }
+
+    /// The number of objects (the next oid to assign).
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Append `object`, whose oid must be the table's length — the next
+    /// oid. Any other oid is refused and the object handed back.
+    pub(crate) fn push(&mut self, object: Object) -> std::result::Result<(), Object> {
+        if object.oid.0 != self.0.len() as u64 {
+            return Err(object);
+        }
+        self.0.push(object);
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -9,9 +9,9 @@
 //! every mutation, the inverse of the reference graph so both directions
 //! are `O(affected)`.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
-use crate::ident::Oid;
+use crate::ident::{Oid, OidMap};
 use crate::object::Object;
 
 /// The inverse reference graph: built whole by [`RefIndex::build`],
@@ -21,16 +21,16 @@ use crate::object::Object;
 pub(crate) struct RefIndex {
     /// Referrer → sorted distinct oids it references (anywhere in its
     /// state, past runs included). Cached so an update only diffs.
-    fwd: HashMap<Oid, Vec<Oid>>,
+    fwd: OidMap<Vec<Oid>>,
     /// Target → set of referrers.
-    rev: HashMap<Oid, BTreeSet<Oid>>,
+    rev: OidMap<BTreeSet<Oid>>,
 }
 
 impl RefIndex {
     /// The index of a whole object population: one pass collects every
     /// object's reference set, one sort groups the edges by target.
     pub(crate) fn build<'a>(objects: impl Iterator<Item = &'a Object>) -> RefIndex {
-        let mut fwd = HashMap::new();
+        let mut fwd = OidMap::default();
         let mut edges: Vec<(Oid, Oid)> = Vec::new();
         for o in objects {
             let refs = o.all_refs();
@@ -40,7 +40,7 @@ impl RefIndex {
             }
         }
         edges.sort_unstable();
-        let mut rev = HashMap::new();
+        let mut rev = OidMap::default();
         let mut rest = edges.as_slice();
         while let Some(&(target, _)) = rest.first() {
             // Sorted by target first: its edges are a prefix of the rest.

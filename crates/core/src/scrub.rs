@@ -282,7 +282,7 @@ impl Database {
         if self.quarantine.is_empty() {
             return Ok(());
         }
-        if let Some(o) = self.objects.get(&oid) {
+        if let Some(o) = self.objects.get(oid) {
             if let Some(e) = o.class_history.entries().last() {
                 self.guard_class(&e.value)?;
             }
@@ -420,7 +420,7 @@ impl Database {
                     let class = e.class_hint().or_else(|| {
                         e.oid_hint().and_then(|oid| {
                             self.objects
-                                .get(&oid)
+                                .get(oid)
                                 .and_then(|o| o.class_history.entries().last())
                                 .map(|run| run.value.clone())
                         })
@@ -561,7 +561,7 @@ impl SimMem {
             return None;
         }
         let oid = candidates[self.next() as usize % candidates.len()];
-        let o = db.objects.get_mut(&oid)?;
+        let o = db.objects.get_mut(oid)?;
         let k = self.next() as usize % o.attrs.len();
         let (attr, slot) = o.attrs.iter_mut().nth(k)?;
         let attr = attr.clone();

@@ -36,8 +36,8 @@ use tchimera_temporal::{Instant, Lifespan, TemporalValue};
 use crate::class::{AttrDecl, Class, ClassKind, MethodSig};
 use crate::database::Database;
 use crate::extent_index::Membership;
-use crate::ident::{AttrName, ClassId, MethodName, Oid};
-use crate::object::Object;
+use crate::ident::{AttrName, ClassId, MethodName, Oid, OidMap};
+use crate::object::{Object, ObjectTable};
 use crate::ref_index::RefIndex;
 use crate::schema::Schema;
 use crate::value::Value;
@@ -88,7 +88,8 @@ pub struct DatabaseState {
     pub next_hierarchy: u32,
     /// Every class (tombstones included), sorted by id.
     pub classes: Vec<ClassState>,
-    /// Every object (terminated included), sorted by oid.
+    /// Every object (terminated included), at its oid: `objects[i]` is
+    /// object `i`, and there are `next_oid` of them.
     pub objects: Vec<Object>,
 }
 
@@ -259,7 +260,7 @@ fn export_membership(m: &Membership) -> Vec<(Oid, TemporalValue<()>)> {
 
 fn import_membership(pairs: Vec<(Oid, TemporalValue<()>)>) -> Result<Membership, StateError> {
     let n = pairs.len();
-    let histories: HashMap<Oid, TemporalValue<()>> = pairs.into_iter().collect();
+    let histories: OidMap<TemporalValue<()>> = pairs.into_iter().collect();
     if histories.len() != n {
         return Err(StateError::Corrupt("duplicate oid in membership"));
     }
@@ -311,7 +312,9 @@ impl Database {
     /// subsequent operation. The image's objects and histories become
     /// the base state as they are; each derived index (reverse
     /// references, the time-sorted extent indexes) is built from it in
-    /// one bulk pass.
+    /// one bulk pass. Objects must be listed as oids `0..next_oid` in
+    /// order — each lands at its index in the object table; a gap, a
+    /// duplicate or any other `next_oid` is [`StateError::Corrupt`].
     pub fn import_state(state: DatabaseState) -> Result<Database, StateError> {
         let mut classes = BTreeMap::new();
         for cs in state.classes {
@@ -354,16 +357,11 @@ impl Database {
                 return Err(StateError::Corrupt("duplicate class id"));
             }
         }
-        let n = state.objects.len();
-        // Sorted input (what `export_state` writes) builds the map in
-        // one pass.
-        let objects: BTreeMap<Oid, Object> =
-            state.objects.into_iter().map(|o| (o.oid, o)).collect();
-        if objects.len() != n {
-            return Err(StateError::Corrupt("duplicate oid"));
-        }
-        if objects.last_key_value().is_some_and(|(oid, _)| oid.0 >= state.next_oid) {
-            return Err(StateError::Corrupt("object oid beyond next_oid"));
+        // The image lists objects in oid order, so each already sits at
+        // its table index; the next oid must be the one after the last.
+        let objects = ObjectTable::from_dense(state.objects).map_err(StateError::Corrupt)?;
+        if objects.len() as u64 != state.next_oid {
+            return Err(StateError::Corrupt("next_oid is not the object count"));
         }
         Ok(Database {
             schema: Schema {
@@ -541,8 +539,8 @@ struct DigestTable {
     /// call and never stored.
     sum: u64,
     classes: HashMap<ClassId, u64>,
-    members: HashMap<ClassId, HashMap<Oid, u64>>,
-    objects: HashMap<Oid, u64>,
+    members: HashMap<ClassId, OidMap<u64>>,
+    objects: OidMap<u64>,
     /// Components whose base state changed since they were last hashed.
     dirty: HashSet<DigestKey>,
 }
@@ -553,7 +551,7 @@ impl DigestTable {
         tchimera_obs::counter!("core.digest.builds").inc();
         let mut t = DigestTable::default();
         for c in db.schema.classes.values() {
-            let members: HashMap<Oid, u64> = c
+            let members: OidMap<u64> = c
                 .ext
                 .histories()
                 .iter()
@@ -566,7 +564,7 @@ impl DigestTable {
         }
         t.objects = db.objects.values().map(|o| (o.oid, hash_object(o))).collect();
         t.sum = (t.classes.values())
-            .chain(t.members.values().flat_map(HashMap::values))
+            .chain(t.members.values().flat_map(OidMap::values))
             .chain(t.objects.values())
             .fold(0, |sum, &h| sum.wrapping_add(h));
         t
@@ -582,7 +580,7 @@ impl DigestTable {
                 let ext = c.ext.history_of(*oid)?;
                 Some(hash_member(id, *oid, ext, c.proper_ext.history_of(*oid)))
             }
-            DigestKey::Object(oid) => db.objects.get(oid).map(hash_object),
+            DigestKey::Object(oid) => db.objects.get(*oid).map(hash_object),
         }
     }
 
@@ -617,7 +615,11 @@ impl DigestTable {
 
 /// Store `new` under `key` (or drop the entry) and return the hash it
 /// displaces, 0 when there was none.
-fn swap<K: Hash + Eq>(map: &mut HashMap<K, u64>, key: K, new: Option<u64>) -> u64 {
+fn swap<K: Hash + Eq, S: std::hash::BuildHasher>(
+    map: &mut HashMap<K, u64, S>,
+    key: K,
+    new: Option<u64>,
+) -> u64 {
     match new {
         Some(h) => map.insert(key, h),
         None => map.remove(&key),
@@ -987,10 +989,28 @@ mod tests {
             Database::import_state(s),
             Err(StateError::Corrupt("duplicate oid"))
         ));
+        // A gap: the table would hold no object at the missing oid.
+        let mut s = db.export_state();
+        s.objects.remove(0);
+        assert!(matches!(
+            Database::import_state(s),
+            Err(StateError::Corrupt("gap in oids"))
+        ));
         // Oid beyond next_oid.
         let mut s = db.export_state();
         s.next_oid = 0;
-        assert!(Database::import_state(s).is_err());
+        assert!(matches!(
+            Database::import_state(s),
+            Err(StateError::Corrupt("next_oid is not the object count"))
+        ));
+        // next_oid beyond the object count: the next creation would have
+        // no table slot to fill.
+        let mut s = db.export_state();
+        s.next_oid += 1;
+        assert!(matches!(
+            Database::import_state(s),
+            Err(StateError::Corrupt("next_oid is not the object count"))
+        ));
         // The same oid twice in one extent.
         let mut s = db.export_state();
         let dup = s.classes[0].ext[0].clone();

@@ -305,7 +305,7 @@ proptest! {
                     Value::Int(-1),
                 )),
             );
-            db.replace_object_for_test(broken);
+            db.replace_object_for_test(broken).unwrap();
             let par = db.check_database();
             let ser = db.check_database_serial();
             prop_assert_eq!(par.errors, ser.errors);

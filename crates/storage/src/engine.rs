@@ -1480,7 +1480,7 @@ mod tests {
         fs.corrupt_byte(&path, len - 6, 0x40).unwrap();
         let mut broken = pdb.db().object(i).unwrap().clone();
         broken.attrs.insert("address".into(), Value::Int(3));
-        pdb.db_mut_for_test().replace_object_for_test(broken);
+        pdb.db_mut_for_test().replace_object_for_test(broken).unwrap();
         let report = pdb.scrub_cycle();
         assert!(report.core.consistency_errors > 0, "{report:?}");
         assert!(report.needs_replica, "{report:?}");

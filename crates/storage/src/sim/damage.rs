@@ -178,7 +178,7 @@ impl World {
                     let victim = pdb.db().objects().find(|o| o.lifespan.is_alive()).unwrap().oid;
                     let mut broken = pdb.db().object(victim).unwrap().clone();
                     broken.attrs.insert("address".into(), Value::Int(3));
-                    pdb.db_mut_for_test().replace_object_for_test(broken);
+                    pdb.db_mut_for_test().replace_object_for_test(broken).unwrap();
                 });
                 let Role::Replica(r) = &mut node.role else { panic!("only a follower can pull") };
                 let report = r.scrub_cycle();

@@ -141,12 +141,18 @@ impl<V: Clone + Eq> TemporalValue<V> {
     }
 
     /// Build from raw entries (possibly one trailing open run), validating
-    /// and canonicalizing.
+    /// and canonicalizing. Entries already in start order — what a decoded
+    /// history holds — are neither sorted nor moved: the runs are checked
+    /// and coalesced in place.
     pub fn from_entries(
         mut entries: Vec<TemporalEntry<V>>,
     ) -> Result<TemporalValue<V>, HistoryError> {
-        entries.sort_by_key(|e| e.start);
-        for (k, w) in entries.windows(2).enumerate() {
+        // The sort is stable, so skipping it on ordered input changes
+        // nothing.
+        if entries.windows(2).any(|w| w[1].start < w[0].start) {
+            entries.sort_by_key(|e| e.start);
+        }
+        for w in entries.windows(2) {
             let prev_end = match w[0].end {
                 TimeBound::Fixed(t) => t,
                 TimeBound::Now => return Err(HistoryError::OpenRunNotLast),
@@ -157,7 +163,6 @@ impl<V: Clone + Eq> TemporalValue<V> {
             if w[1].start <= prev_end {
                 return Err(HistoryError::Overlap);
             }
-            let _ = k;
         }
         if let Some(last) = entries.last() {
             if let TimeBound::Fixed(t) = last.end {
@@ -511,34 +516,18 @@ impl<V: Clone + Eq> TemporalValue<V> {
         })
     }
 
-    /// Merge adjacent runs holding equal values; upholds the canonical form.
+    /// Merge adjacent runs holding equal values, in place; upholds the
+    /// canonical form. A run after an open one (non-canonical, refused by
+    /// every validating constructor) is kept as it is.
     fn coalesce(&mut self) {
-        if self.entries.len() < 2 {
-            return;
-        }
-        let mut out: Vec<TemporalEntry<V>> = Vec::with_capacity(self.entries.len());
-        for e in self.entries.drain(..) {
-            match out.last_mut() {
-                Some(prev) if prev.value == e.value => {
-                    let prev_end = match prev.end {
-                        TimeBound::Fixed(t) => t,
-                        TimeBound::Now => {
-                            // Open run followed by another run would be
-                            // non-canonical; keep as-is (validated earlier).
-                            out.push(e);
-                            continue;
-                        }
-                    };
-                    if prev_end.next() == e.start {
-                        prev.end = e.end;
-                        continue;
-                    }
-                    out.push(e);
-                }
-                _ => out.push(e),
+        self.entries.dedup_by(|next, prev| {
+            let adjacent = matches!(prev.end, TimeBound::Fixed(end) if end.next() == next.start);
+            if adjacent && prev.value == next.value {
+                prev.end = next.end;
+                return true;
             }
-        }
-        self.entries = out;
+            false
+        });
     }
 }
 

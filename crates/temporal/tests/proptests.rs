@@ -6,7 +6,10 @@
 //! representation with the naive per-instant one (Section 3.2).
 
 use proptest::prelude::*;
-use tchimera_temporal::{Instant, Interval, IntervalSet, PointHistory, TemporalValue};
+use tchimera_temporal::{
+    HistoryError, Instant, Interval, IntervalSet, PointHistory, TemporalEntry, TemporalValue,
+    TimeBound,
+};
 
 const T_MAX: u64 = 200;
 
@@ -244,5 +247,105 @@ proptest! {
         for u in s.instants() {
             prop_assert_eq!(r.value_at(u, now), tv.value_at(u, now));
         }
+    }
+}
+
+/// `TemporalValue::from_entries` as it was before it learned to skip the
+/// sort of ordered input and to coalesce in place: a stable sort by
+/// start, the same checks in the same order, then a coalesce into a
+/// fresh vector. The oracle the current constructor must match on every
+/// input, accepted or refused.
+fn from_entries_oracle(
+    mut entries: Vec<TemporalEntry<u8>>,
+) -> Result<Vec<TemporalEntry<u8>>, HistoryError> {
+    entries.sort_by_key(|e| e.start);
+    for w in entries.windows(2) {
+        let prev_end = match w[0].end {
+            TimeBound::Fixed(t) => t,
+            TimeBound::Now => return Err(HistoryError::OpenRunNotLast),
+        };
+        if prev_end < w[0].start {
+            return Err(HistoryError::EmptyRun);
+        }
+        if w[1].start <= prev_end {
+            return Err(HistoryError::Overlap);
+        }
+    }
+    if let Some(last) = entries.last() {
+        if let TimeBound::Fixed(t) = last.end {
+            if t < last.start {
+                return Err(HistoryError::EmptyRun);
+            }
+        }
+    }
+    let mut out: Vec<TemporalEntry<u8>> = Vec::with_capacity(entries.len());
+    for e in entries {
+        match out.last_mut() {
+            Some(prev) if prev.value == e.value => match prev.end {
+                TimeBound::Fixed(end) if end.next() == e.start => prev.end = e.end,
+                _ => out.push(e),
+            },
+            _ => out.push(e),
+        }
+    }
+    Ok(out)
+}
+
+/// Entry lists laid out as a chain of runs, each placed against the end
+/// of the one before: `gap` 0 overlaps it by one instant, 1–4 abut it,
+/// 5–7 leave a hole. `shape` 0 makes an empty run (`end < start`), 1 an
+/// open one — wherever it falls, so often not last — and the rest a
+/// fixed run of `len + 1` instants. Values come from two, so abutting
+/// equal runs are common. Unless `ordered`, the list is rotated by `turn`
+/// and every other pair swapped, which leaves some inputs in order and
+/// puts most out of it.
+fn arb_entries() -> impl Strategy<Value = Vec<TemporalEntry<u8>>> {
+    (
+        prop::collection::vec((0u64..8, 0u64..4, 0u8..2, 0u8..16), 0..9),
+        any::<bool>(),
+        0usize..9,
+    )
+        .prop_map(|(runs, ordered, turn)| {
+            let mut next = 1u64;
+            let mut entries: Vec<TemporalEntry<u8>> = runs
+                .into_iter()
+                .map(|(gap, len, value, shape)| {
+                    let start = Instant(match gap {
+                        0 => next - 1,
+                        1..=4 => next,
+                        _ => next + gap - 4,
+                    });
+                    let end = match shape {
+                        0 => TimeBound::Fixed(Instant(start.ticks().saturating_sub(1))),
+                        1 => TimeBound::Now,
+                        _ => TimeBound::Fixed(Instant(start.ticks() + len)),
+                    };
+                    next = match end {
+                        TimeBound::Fixed(t) => t.ticks() + 1,
+                        TimeBound::Now => start.ticks() + len + 1,
+                    };
+                    TemporalEntry { start, end, value }
+                })
+                .collect();
+            if !ordered && !entries.is_empty() {
+                let k = turn % entries.len();
+                entries.rotate_left(k);
+                for pair in entries.chunks_mut(2) {
+                    pair.reverse();
+                }
+            }
+            entries
+        })
+}
+
+proptest! {
+    /// The constructor that sorts only unordered input and coalesces in
+    /// place returns exactly what the sort → validate → reallocating
+    /// coalesce returned: the same runs, or the same refusal.
+    #[test]
+    fn from_entries_matches_the_sorting_oracle(entries in arb_entries()) {
+        let expect = from_entries_oracle(entries.clone());
+        let got = TemporalValue::from_entries(entries).map(|tv| tv.entries().to_vec());
+        prop_assert_eq!(got, expect);
     }
 }

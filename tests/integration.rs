@@ -257,7 +257,7 @@ fn tcql_checks_report_injected_faults() {
     // Inject a fault via the fault-injection hook.
     let mut broken = interp.db().object(Oid(0)).unwrap().clone();
     broken.attrs.insert("address".into(), Value::Int(666));
-    interp.db_mut().replace_object_for_test(broken);
+    interp.db_mut().replace_object_for_test(broken).unwrap();
     match interp.run("check consistency").unwrap() {
         Outcome::Consistency(r) => {
             assert!(!r.is_consistent());
