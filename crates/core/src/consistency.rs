@@ -516,7 +516,9 @@ impl Database {
 /// error order.
 pub fn check_oid_uniqueness(objects: &[crate::object::Object]) -> ConsistencyReport {
     let _span = tchimera_obs::span!("core.check_oid_uniqueness", objects = objects.len());
-    let mut last_seen: crate::ident::OidMap<usize> = Default::default();
+    // The caller chooses these oids, so they keep std's `RandomState`.
+    let mut last_seen: std::collections::HashMap<Oid, usize> =
+        std::collections::HashMap::new();
     let mut pairs: Vec<(usize, usize)> = Vec::new();
     for (k, o) in objects.iter().enumerate() {
         if let Some(prev) = last_seen.insert(o.oid, k) {

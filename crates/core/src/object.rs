@@ -172,16 +172,22 @@ pub(crate) struct ObjectTable(Vec<Object>);
 
 impl ObjectTable {
     /// A table of `objects`, which must hold oids `0, 1, …` in order —
-    /// what an image lists. `Err` names the first misplaced object: a
-    /// repeated or out-of-order oid, or a gap.
+    /// what an image lists. `Err` says why the first object whose oid is
+    /// not its index is there: its oid repeats an earlier one, the oid of
+    /// its index comes later (out of order), or no object has that oid
+    /// (a gap).
     pub(crate) fn from_dense(
         objects: Vec<Object>,
     ) -> std::result::Result<ObjectTable, &'static str> {
         for (i, o) in objects.iter().enumerate() {
-            match o.oid.0.cmp(&(i as u64)) {
+            let i = i as u64;
+            match o.oid.0.cmp(&i) {
                 std::cmp::Ordering::Equal => {}
                 std::cmp::Ordering::Less => return Err("duplicate oid"),
-                std::cmp::Ordering::Greater => return Err("gap in oids"),
+                std::cmp::Ordering::Greater => {
+                    let later = objects.iter().any(|p| p.oid.0 == i);
+                    return Err(if later { "oids out of order" } else { "gap in oids" });
+                }
             }
         }
         Ok(ObjectTable(objects))

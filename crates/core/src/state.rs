@@ -996,6 +996,13 @@ mod tests {
             Database::import_state(s),
             Err(StateError::Corrupt("gap in oids"))
         ));
+        // Two objects swapped: oid 0 is there, but after oid 1.
+        let mut s = db.export_state();
+        s.objects.swap(0, 1);
+        assert!(matches!(
+            Database::import_state(s),
+            Err(StateError::Corrupt("oids out of order"))
+        ));
         // Oid beyond next_oid.
         let mut s = db.export_state();
         s.next_oid = 0;

@@ -141,17 +141,12 @@ impl<V: Clone + Eq> TemporalValue<V> {
     }
 
     /// Build from raw entries (possibly one trailing open run), validating
-    /// and canonicalizing. Entries already in start order — what a decoded
-    /// history holds — are neither sorted nor moved: the runs are checked
-    /// and coalesced in place.
+    /// and canonicalizing. The runs are sorted, checked and coalesced in
+    /// place.
     pub fn from_entries(
         mut entries: Vec<TemporalEntry<V>>,
     ) -> Result<TemporalValue<V>, HistoryError> {
-        // The sort is stable, so skipping it on ordered input changes
-        // nothing.
-        if entries.windows(2).any(|w| w[1].start < w[0].start) {
-            entries.sort_by_key(|e| e.start);
-        }
+        entries.sort_by_key(|e| e.start);
         for w in entries.windows(2) {
             let prev_end = match w[0].end {
                 TimeBound::Fixed(t) => t,

@@ -250,11 +250,10 @@ proptest! {
     }
 }
 
-/// `TemporalValue::from_entries` as it was before it learned to skip the
-/// sort of ordered input and to coalesce in place: a stable sort by
-/// start, the same checks in the same order, then a coalesce into a
-/// fresh vector. The oracle the current constructor must match on every
-/// input, accepted or refused.
+/// `TemporalValue::from_entries` as it was before it learned to coalesce
+/// in place: a stable sort by start, the same checks in the same order,
+/// then a coalesce into a fresh vector. The oracle the current
+/// constructor must match on every input, accepted or refused.
 fn from_entries_oracle(
     mut entries: Vec<TemporalEntry<u8>>,
 ) -> Result<Vec<TemporalEntry<u8>>, HistoryError> {
@@ -339,9 +338,9 @@ fn arb_entries() -> impl Strategy<Value = Vec<TemporalEntry<u8>>> {
 }
 
 proptest! {
-    /// The constructor that sorts only unordered input and coalesces in
-    /// place returns exactly what the sort → validate → reallocating
-    /// coalesce returned: the same runs, or the same refusal.
+    /// The constructor that coalesces in place returns exactly what the
+    /// sort → validate → reallocating coalesce returned: the same runs, or
+    /// the same refusal.
     #[test]
     fn from_entries_matches_the_sorting_oracle(entries in arb_entries()) {
         let expect = from_entries_oracle(entries.clone());
